@@ -18,6 +18,7 @@ import numpy as np
 from . import fv, original, perturbed, transport
 from .core import ORIGINAL, PERTURBED, TRANSPORT, PressureParams, State
 from .io import emit_csv, emit_svg_plot
+from .rootfind import BracketError
 
 SWEEP_COLUMNS = ["A", "B", "rho_star", "u_star", "sigma1", "sigma2", "product", "A_rho_star"]
 
@@ -378,7 +379,7 @@ def run(argv=None) -> int:
     try:
         opts = _resolve(args)
         return _COMMANDS[args.command](opts)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -108,7 +108,7 @@ def intermediate_state(params: PressureParams, left: State, u_plus: float) -> St
 
     The curve map rho -> -A*rho + B/rho**alpha + C is strictly decreasing and
     onto the real line, so a unique root exists; it is found by bracketing
-    plus bisection.  rho* > rho- iff u_plus < u- (shock branch), rho* < rho-
+    plus Brent's method.  rho* > rho- iff u_plus < u- (shock branch), rho* < rho-
     otherwise (rarefaction branch).
     """
     if not u_plus > 0.0:

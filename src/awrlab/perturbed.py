@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from scipy.integrate import quad
-
 from .core import (
     BranchError,
     InapplicableError,
@@ -23,6 +21,7 @@ from .core import (
     State,
     eigenvalues_perturbed,
 )
+from .quadrature import quad
 from .rootfind import bisect_decreasing, solve_decreasing
 
 BOUNDARY_TOL = 1e-12
@@ -244,11 +243,9 @@ def rho_axis_intercept(params: PressureParams, left: State) -> float:
             - ul
         )
 
-    # f is increasing in rho for large rho; reuse the decreasing-solver on -f.
-    hi = rl
-    while f(hi) < 0.0:
-        hi *= 4.0
-    return bisect_decreasing(lambda r: -f(r), rl, hi, rtol=1e-13)
+    # f(rl) = -ul < 0 and f grows for large rho: expand upward from rl and
+    # solve -f, which is decreasing there.
+    return solve_decreasing(lambda r: -f(r), rl, rl, rtol=1e-13)
 
 
 def shock_speed_perturbed(params: PressureParams, left: State, right: State) -> float:

@@ -2,10 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import awrlab
+from awrlab import original
 from awrlab.cli import run
+from awrlab.rootfind import BracketError
 
 
 def read(path):
@@ -324,6 +329,31 @@ class TestConfig:
             )
             == 1
         )
+
+    def test_bracket_failure_reports_error(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise BracketError("no sign change found while growing upper bound")
+
+        monkeypatch.setattr(original, "solve_decreasing", fail)
+        argv = ["solve", "--system", "original", *BASE, "--out", str(tmp_path)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("error: no sign change")
+
+    def test_start_imports_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(awrlab.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        code = (
+            "import sys, awrlab, awrlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            check=True,
+        )
+        assert proc.stdout.strip() == "[]"
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         env_out = str(tmp_path / "envout")

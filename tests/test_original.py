@@ -160,6 +160,20 @@ class TestIntermediateState:
                 curve_constant(p, l), rel=1e-10, abs=1e-10
             )
 
+    def test_deep_vacuum_star_state(self):
+        # rho* ~ 3e-128: the bracket must not span 120+ decades when handed
+        # to the solver, or it stops on a wrong midpoint
+        p = PressureParams(2.338e-4, 2.020e-6, 0.05107)
+        left, right = State(2.0902, 1.0170), State(8.6304, 0.56526)
+        sol = solve(p, left, right)
+        assert sol.star.rho < 1e-120
+        assert abs(phi(p, sol.star) - curve_constant(p, left)) <= 1e-12
+        fan = sol.waves[0]
+        assert isinstance(fan, Rarefaction)
+        for k in range(1, 6):
+            u, rho = sol.sample(fan.head + (fan.tail - fan.head) * k / 6.0)
+            assert math.isfinite(u) and math.isfinite(rho) and rho > 0.0
+
 
 class TestWaveSpeedsAndResiduals:
     def test_shock_speed_frozen_value(self):

@@ -17,6 +17,7 @@ from awrlab import (
     solve_perturbed,
     weak_form_residual,
 )
+from awrlab import perturbed, quadrature
 from awrlab.core import BranchError, InapplicableError, eigenvalues_perturbed
 from awrlab.perturbed import (
     E1,
@@ -31,6 +32,7 @@ from awrlab.perturbed import (
     shock_slope_diagnostics,
     shock_speed_perturbed,
 )
+from awrlab.rootfind import BracketError
 
 RNG = np.random.RandomState(20240819)
 
@@ -88,6 +90,34 @@ class TestQuadrature:
             + rarefaction_integral(P_REF, 1.0, 1.5),
             rel=1e-12,
         )
+
+    def test_scipy_quad_oracle(self, monkeypatch):
+        # the in-house rule against QUADPACK's over 500 log-uniform draws
+        rng = np.random.default_rng(20261018)
+        errors = []
+
+        def recording_quad(*args, **kwargs):
+            value, err = quadrature.quad(*args, **kwargs)
+            errors.append(err)
+            return value, err
+
+        monkeypatch.setattr(perturbed, "quad", recording_quad)
+        for _ in range(500):
+            A, B = 10.0 ** rng.uniform(-10.0, 1.0, size=2)
+            alpha = 10.0 ** rng.uniform(-2.0, math.log10(0.99))
+            lo, hi = 10.0 ** rng.uniform(-8.0, 8.0, size=2)
+            got = rarefaction_integral(perturbed_params(A, B, alpha), lo, hi)
+
+            def integrand(t):
+                return math.sqrt(A * math.exp(t) + B * alpha * math.exp(-alpha * t))
+
+            expect, _ = quad(
+                integrand, math.log(lo), math.log(hi), epsabs=1e-14, epsrel=1e-12,
+                limit=200,
+            )
+            assert got == pytest.approx(expect, rel=1e-12, abs=1e-14)
+        assert len(errors) == 500
+        assert all(math.isfinite(e) and e >= 0.0 for e in errors)
 
 
 class TestRarefactionCurves:
@@ -190,6 +220,12 @@ class TestShockLocus:
         # at the intercept the signed shock relation holds with u = 0
         e1 = E1(P_REF, LEFT.u, LEFT.rho, 0.0, rho0)
         assert math.sqrt(e1) == pytest.approx(LEFT.u, rel=1e-9)
+
+    def test_rho_axis_intercept_beyond_float_range_raises(self):
+        # the intercept ~ 2*u/A overflows; the expansion must stop, typed
+        p = perturbed_params(1e-300, 1e-300)
+        with pytest.raises(BracketError):
+            rho_axis_intercept(p, State(1e10, 1.0))
 
     def test_lax_inequalities_strict(self):
         star = State(shock_curve_u(P_REF, LEFT, 3.0, "backward"), 3.0)
