@@ -159,15 +159,8 @@ def _out_dir(opts: dict) -> str:
 
 
 def _wave_window(sol) -> tuple[float, float]:
-    speeds = []
-    for wave in sol.waves:
-        if hasattr(wave, "speed"):
-            speeds.append(wave.speed)
-        else:
-            speeds.extend((wave.head, wave.tail))
-    if not speeds:
-        speeds = [sol.left.u]
-    lo, hi = min(speeds), max(speeds)
+    edges = [edge for wave in sol.waves for edge in wave.edges] or [sol.left.u]
+    lo, hi = min(edges), max(edges)
     pad = max(1.0, 0.25 * (hi - lo))
     return lo - pad, hi + pad
 
@@ -179,18 +172,16 @@ def _cmd_solve(opts: dict) -> int:
     if system == TRANSPORT:
         sol = transport.transport_solve(left, right)
         lo, hi = min(left.u, right.u) - 1.0, max(left.u, right.u) + 1.0
-        sampler = sol.sample
     else:
         params = _params(opts, system)
         sol = (original.solve if system == ORIGINAL else perturbed.solve_perturbed)(
             params, left, right
         )
         lo, hi = _wave_window(sol)
-        sampler = sol.sample
     xi = np.linspace(lo, hi, samples)
     rows = []
     for x in xi:
-        u, rho = sampler(float(x))
+        u, rho = sol.sample(float(x))
         rows.append((float(x), u, rho))
     out = _out_dir(opts)
     emit_csv(["xi", "u", "rho"], rows, os.path.join(out, "profile.csv"))
@@ -235,10 +226,7 @@ def _cmd_sweep(opts: dict) -> int:
     report = runner(left, right, alpha, schedule)
     out = _out_dir(opts)
     if report.records:
-        rows = [
-            (r.A, r.B, r.rho_star, r.u_star, r.sigma1, r.sigma2, r.product, r.A_rho_star)
-            for r in report.records
-        ]
+        rows = [tuple(getattr(r, c) for c in SWEEP_COLUMNS) for r in report.records]
         emit_csv(SWEEP_COLUMNS, rows, os.path.join(out, f"sweep_{system}.csv"))
         emit_svg_plot(
             {

@@ -1,16 +1,21 @@
-"""Shared domain types, pressure law, eigenstructure and variable conversions.
+"""Shared domain types, formulas and the Riemann-solution model.
 
-Two pressured systems are supported, identified by the tags ``"original"``
-and ``"perturbed"``.  Both share the pressure law P(rho) = A*rho - B/rho**alpha
-but differ in the conserved momentum: the original system transports
-rho*(u + P(rho)) while the perturbed one transports
-rho*(u + (A/2)*rho - B/((1-alpha)*rho**alpha)).
+Both pressured systems ("original", "perturbed") share the pressure law
+P(rho) = A*rho - B/rho**alpha and the flux (rho*u, rho*u*(u + P)); they differ
+only in the velocity offset of the momentum q2 = rho*(u + offset): P itself,
+or (A/2)*rho - B/((1-alpha)*rho**alpha) for the perturbed system.  These
+formulas -- :func:`offset`, :func:`flux`, :func:`speeds` and
+:func:`jump_residual` -- are written once, in arithmetic that runs on floats
+in the exact solvers and on arrays in the finite-volume kernel.  Both exact
+solvers return a :class:`RiemannSolution` of :class:`Shock`, :class:`Contact`
+and :class:`Fan` waves.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 ORIGINAL = "original"
 PERTURBED = "perturbed"
@@ -97,11 +102,39 @@ class WaveSpeedPair:
     lambda2: float
 
 
+def offset(system: str, params: PressureParams, rho):
+    """Velocity offset of ``system``, so that q2 = rho*(u + offset).
+
+    The original offset is the pressure A*rho - B/rho**alpha itself.  No
+    domain check: ``rho`` is a positive float or an array of them.
+    """
+    if system == ORIGINAL:
+        return params.A * rho - params.B / rho**params.alpha
+    if system == PERTURBED:
+        return 0.5 * params.A * rho - params.B / ((1.0 - params.alpha) * rho**params.alpha)
+    raise ValueError(f"unknown system tag {system!r}")
+
+
+def flux(params: PressureParams, u, rho):
+    """Flux (rho*u, rho*u*(u + P(rho))), the same for both systems."""
+    m = rho * u
+    return m, m * (u + offset(ORIGINAL, params, rho))
+
+
+def speeds(system: str, params: PressureParams, u, rho, sqrt=math.sqrt):
+    """Characteristic speeds (lambda1, lambda2) of ``system`` at (u, rho);
+    arrays need an array ``sqrt``."""
+    if system == ORIGINAL:
+        return u - params.A * rho - params.B * params.alpha / rho**params.alpha, u
+    gap = sqrt(u * (params.A * rho + params.B * params.alpha / rho**params.alpha))
+    return u - gap, u + gap
+
+
 def pressure(params: PressureParams, rho: float) -> float:
     """Pressure A*rho - B/rho**alpha; rho must be positive."""
     if not rho > 0.0:
         raise DegenerateDensityError(f"pressure requires rho > 0, got {rho}")
-    return params.A * rho - params.B / rho**params.alpha
+    return offset(ORIGINAL, params, rho)
 
 
 def pressure_derivative(params: PressureParams, rho: float) -> float:
@@ -111,33 +144,16 @@ def pressure_derivative(params: PressureParams, rho: float) -> float:
     return params.A + params.B * params.alpha / rho ** (1.0 + params.alpha)
 
 
-def velocity_offset(system: str, params: PressureParams, rho: float) -> float:
-    """The system's velocity offset P_eff(rho) so that q2 = rho*(u + P_eff)."""
-    if not rho > 0.0:
-        raise DegenerateDensityError(f"rho must be positive, got {rho}")
-    if system == ORIGINAL:
-        return params.A * rho - params.B / rho**params.alpha
-    if system == PERTURBED:
-        return 0.5 * params.A * rho - params.B / (
-            (1.0 - params.alpha) * rho**params.alpha
-        )
-    raise ValueError(f"unknown system tag {system!r}")
-
-
 def eigenvalues_original(params: PressureParams, s: State) -> WaveSpeedPair:
     """Characteristic speeds (u - A*rho - B*alpha/rho**alpha, u)."""
-    lam1 = s.u - params.A * s.rho - params.B * params.alpha / s.rho**params.alpha
-    return WaveSpeedPair(lam1, s.u)
+    return WaveSpeedPair(*speeds(ORIGINAL, params, s.u, s.rho))
 
 
 def eigenvalues_perturbed(params: PressureParams, s: State) -> WaveSpeedPair:
     """Characteristic speeds u -/+ sqrt(u*(A*rho + B*alpha/rho**alpha))."""
     if params.alpha >= 1.0:
         raise ValueError("perturbed eigenvalues require 0 < alpha < 1")
-    gap = math.sqrt(
-        s.u * (params.A * s.rho + params.B * params.alpha / s.rho**params.alpha)
-    )
-    return WaveSpeedPair(s.u - gap, s.u + gap)
+    return WaveSpeedPair(*speeds(PERTURBED, params, s.u, s.rho))
 
 
 def genuine_nonlinearity_original(params: PressureParams, s: State) -> float:
@@ -163,12 +179,77 @@ def perturbed_nondegeneracy_gap(params: PressureParams, s: State) -> float:
 
 def to_conserved(system: str, params: PressureParams, s: State) -> Conserved:
     """Map a phase-plane state to the conservative variables of ``system``."""
-    return Conserved(s.rho, s.rho * (s.u + velocity_offset(system, params, s.rho)))
+    return Conserved(s.rho, s.rho * (s.u + offset(system, params, s.rho)))
 
 
 def from_conserved(system: str, params: PressureParams, q: Conserved) -> State:
     """Invert :func:`to_conserved`; raises on degenerate density."""
     if not q.q1 > RHO_FLOOR:
         raise DegenerateDensityError(f"degenerate density q1 = {q.q1}")
-    u = q.q2 / q.q1 - velocity_offset(system, params, q.q1)
+    u = q.q2 / q.q1 - offset(system, params, q.q1)
     return State(u, q.q1)
+
+
+def jump_residual(
+    system: str, params: PressureParams, sl: State, sr: State, sigma: float
+) -> tuple[float, float]:
+    """Both jump-condition components -sigma*[q] + [f] across a discontinuity
+    at speed sigma joining ``sl`` to ``sr``."""
+    (f1l, f2l), (f1r, f2r) = flux(params, sl.u, sl.rho), flux(params, sr.u, sr.rho)
+    q2l = sl.rho * (sl.u + offset(system, params, sl.rho))
+    q2r = sr.rho * (sr.u + offset(system, params, sr.rho))
+    return -sigma * (sr.rho - sl.rho) + (f1r - f1l), -sigma * (q2r - q2l) + (f2r - f2l)
+
+
+@dataclass(frozen=True)
+class _Jump:
+    speed: float
+    edges: tuple[float, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges", (self.speed, self.speed))
+
+
+class Shock(_Jump):
+    """Shock moving at ``speed``; both its ``edges`` are that speed."""
+
+
+class Contact(_Jump):
+    """Contact discontinuity moving at ``speed``; ``edges`` as for Shock."""
+
+
+@dataclass(frozen=True)
+class Fan:
+    """Centered rarefaction fan with ``edges`` = (head, tail), head < tail;
+    ``profile`` maps xi inside the fan to (u, rho)."""
+
+    head: float
+    tail: float
+    profile: Callable[[float], tuple[float, float]]
+    edges: tuple[float, float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "edges", (self.head, self.tail))
+
+
+@dataclass(frozen=True)
+class RiemannSolution:
+    """Self-similar solution: ``left``, then ``waves`` in order of speed with
+    ``star`` between two of them, then ``right``."""
+
+    params: PressureParams
+    left: State
+    star: State
+    right: State
+    waves: tuple
+
+    def sample(self, xi: float) -> tuple[float, float]:
+        """Primitive values (u, rho) at the self-similar coordinate xi; a fan
+        gives its upstream state at its head and its downstream one at its tail."""
+        upstream = self.left
+        for wave in self.waves:
+            head, tail = wave.edges
+            if xi < tail:
+                return (upstream.u, upstream.rho) if xi <= head else wave.profile(xi)
+            upstream = self.star
+        return self.right.u, self.right.rho

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ORIGINAL, PERTURBED, PressureParams, State
+from .core import ORIGINAL, PERTURBED, PressureParams, State, flux, offset, speeds
 
 RHO_POSITIVITY_FLOOR = 1e-12
 VACUUM_RECOVERY_RHO = 1e-8
@@ -68,12 +68,6 @@ class FieldSnapshot:
         return float(np.sum(self.q1) * self.dx)
 
 
-def _velocity_offset_arr(system: str, params: PressureParams, rho: np.ndarray) -> np.ndarray:
-    if system == ORIGINAL:
-        return params.A * rho - params.B / rho**params.alpha
-    return 0.5 * params.A * rho - params.B / ((1.0 - params.alpha) * rho**params.alpha)
-
-
 def _primitives(
     system: str,
     params: PressureParams,
@@ -83,7 +77,7 @@ def _primitives(
     t: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     rho = np.maximum(q1, RHO_POSITIVITY_FLOOR)
-    u = q2 / rho - _velocity_offset_arr(system, params, rho)
+    u = q2 / rho - offset(system, params, rho)
     near_vac = rho < VACUUM_RECOVERY_RHO
     if t > 0.0 and np.any(near_vac):
         # exact vacuum fans carry u = x/t; avoids 0/0 noise in empty cells
@@ -91,26 +85,13 @@ def _primitives(
     return rho, u
 
 
-def _flux(
-    system: str, params: PressureParams, rho: np.ndarray, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    p = params.A * rho - params.B / rho**params.alpha
-    return rho * u, rho * u * (u + p)
-
-
 def _max_speed(
     system: str, params: PressureParams, rho: np.ndarray, u: np.ndarray
 ) -> float:
-    if system == ORIGINAL:
-        lam1 = u - params.A * rho - params.B * params.alpha / rho**params.alpha
-        lam2 = u
-    else:
-        gap = np.sqrt(
-            np.maximum(u, 0.0)
-            * (params.A * rho + params.B * params.alpha / rho**params.alpha)
-        )
-        lam1, lam2 = u - gap, u + gap
-    return float(np.max(np.maximum(np.abs(lam1), np.abs(lam2))))
+    # cells with u < 0 have no real perturbed speed gap; it counts as 0
+    lam1, lam2 = speeds(system, params, u, rho, sqrt=lambda x: np.sqrt(np.maximum(x, 0.0)))
+    # lambda1 <= lambda2 in every cell, so max |lambda| is one of these two
+    return float(max(lam2.max(), -lam1.min()))
 
 
 def simulate(
@@ -138,11 +119,9 @@ def simulate(
     x = grid.centers()
     dx = grid.dx
     rho = np.where(x < 0.0, left.rho, right.rho)
-    off_l = _velocity_offset_arr(system, params, np.array([left.rho]))[0]
-    off_r = _velocity_offset_arr(system, params, np.array([right.rho]))[0]
     u = np.where(x < 0.0, left.u, right.u)
     q1 = rho.copy()
-    q2 = rho * (u + np.where(x < 0.0, off_l, off_r))
+    q2 = rho * (u + offset(system, params, rho))
 
     snapshots: list[FieldSnapshot] = []
     floored = 0
@@ -156,7 +135,7 @@ def simulate(
             dt = min(grid.cfl * dx / a_max, t_stop - t)
             if dt * a_max / dx > grid.cfl + 1e-12:
                 raise RuntimeError("CFL violation detected; aborting")
-            f1, f2 = _flux(system, params, rho, u)
+            f1, f2 = flux(params, u, rho)
             # outflow ghosts: zeroth-order extrapolation
             q1e = np.concatenate(([q1[0]], q1, [q1[-1]]))
             q2e = np.concatenate(([q2[0]], q2, [q2[-1]]))

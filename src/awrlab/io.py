@@ -5,6 +5,9 @@ from __future__ import annotations
 import os
 from typing import Iterable, Mapping, Sequence
 
+SVG_WIDTH = 720
+SVG_HEIGHT = 480
+
 
 def format_float(v: float) -> str:
     return f"{v:.17g}"
@@ -34,14 +37,14 @@ def emit_svg_plot(
     path: str,
     title: str = "",
     log_y: bool = False,
-    width: int = 720,
-    height: int = 480,
 ) -> None:
-    """Minimal SVG 1.1 line plot: axes plus one polyline per series."""
+    """Minimal SVG 1.1 line plot (SVG_WIDTH x SVG_HEIGHT): axes plus one
+    polyline per series."""
     import math
 
     if not series:
         raise ValueError("refusing to plot an empty series map")
+    width, height = SVG_WIDTH, SVG_HEIGHT
     margin = 50
     pw, ph = width - 2 * margin, height - 2 * margin
 

@@ -9,21 +9,26 @@ downstream velocity.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
 from .core import (
+    ORIGINAL,
+    Contact,
+    Fan,
     InapplicableError,
     NoThresholdError,
     PressureParams,
+    RiemannSolution,
+    Shock,
     State,
     eigenvalues_original,
+    jump_residual,
 )
 from .rootfind import bisect_decreasing, solve_decreasing
 
 BOUNDARY_TOL = 1e-12
+Rarefaction = Fan
 
 
 class RegionLabel14(Enum):
@@ -37,48 +42,26 @@ class RegionLabel14(Enum):
     COINCIDENT = "COINCIDENT"
 
 
-@dataclass(frozen=True)
-class Shock:
-    speed: float
-
-
-@dataclass(frozen=True)
-class Contact:
-    speed: float
-
-
-@dataclass(frozen=True)
-class Rarefaction:
-    """Centered fan between self-similar coordinates head <= tail."""
-
-    head: float
-    tail: float
-    profile: Callable[[float], tuple[float, float]]
-
-
-def curve_constant(params: PressureParams, left: State) -> float:
-    """Constant C = u + A*rho - B/rho**alpha labelling the 1-curve through left."""
-    return left.u + params.A * left.rho - params.B / left.rho**params.alpha
-
-
-def phi(params: PressureParams, s: State) -> float:
-    """Curve coordinate u + A*rho - B/rho**alpha of an arbitrary state."""
+def curve_constant(params: PressureParams, s: State) -> float:
+    """Curve coordinate C = u + A*rho - B/rho**alpha of ``s``; the 1-curve
+    through a state is the level set of its C."""
     return s.u + params.A * s.rho - params.B / s.rho**params.alpha
 
 
-def classify(
-    params: PressureParams, left: State, right: State, tol: float = BOUNDARY_TOL
-) -> RegionLabel14:
+phi = curve_constant
+
+
+def classify(params: PressureParams, left: State, right: State) -> RegionLabel14:
     """Locate ``right`` relative to the wave curves through ``left``.
 
     Regions: I (u+ > u-, above the 1-curve), II (u+ > u-, below it),
-    III (u+ < u-, above), IV (u+ < u-, below).  Ties within ``tol`` get
-    boundary tags.
+    III (u+ < u-, above), IV (u+ < u-, below).  Ties within BOUNDARY_TOL
+    get boundary tags.
     """
     du = right.u - left.u
-    dphi = phi(params, right) - curve_constant(params, left)
-    on_j = abs(du) <= tol
-    on_curve = abs(dphi) <= tol
+    dphi = curve_constant(params, right) - curve_constant(params, left)
+    on_j = abs(du) <= BOUNDARY_TOL
+    on_curve = abs(dphi) <= BOUNDARY_TOL
     if on_j and on_curve:
         return RegionLabel14.COINCIDENT
     if on_j:
@@ -141,45 +124,11 @@ def rh_residual(
     params: PressureParams, sl: State, sr: State, sigma: float
 ) -> tuple[float, float]:
     """Both Rankine-Hugoniot components across a discontinuity at speed sigma."""
-    pl = params.A * sl.rho - params.B / sl.rho**params.alpha
-    pr = params.A * sr.rho - params.B / sr.rho**params.alpha
-    r1 = -sigma * (sr.rho - sl.rho) + (sr.rho * sr.u - sl.rho * sl.u)
-    m_l = sl.rho * (sl.u + pl)
-    m_r = sr.rho * (sr.u + pr)
-    r2 = -sigma * (m_r - m_l) + (sr.u * m_r - sl.u * m_l)
-    return r1, r2
+    return jump_residual(ORIGINAL, params, sl, sr, sigma)
 
 
-@dataclass(frozen=True)
-class RiemannSolution14:
-    """Self-similar solution: constant states joined by (R or S) then J."""
-
-    params: PressureParams
-    left: State
-    star: State
-    right: State
-    waves: tuple
-
-    def sample(self, xi: float) -> tuple[float, float]:
-        """Primitive values (u, rho) at the self-similar coordinate xi."""
-        pos = self.left.u, self.left.rho
-        for wave in self.waves:
-            if isinstance(wave, Rarefaction):
-                if xi < wave.head:
-                    return pos
-                if xi <= wave.tail:
-                    return wave.profile(xi)
-                pos = self.star.u, self.star.rho
-            else:
-                if xi < wave.speed:
-                    return pos
-                pos = self._downstream_of(wave)
-        return pos
-
-    def _downstream_of(self, wave) -> tuple[float, float]:
-        if isinstance(wave, Shock):
-            return self.star.u, self.star.rho
-        return self.right.u, self.right.rho
+class RiemannSolution14(RiemannSolution):
+    """Solution of the original system: (R or S) then J."""
 
 
 def _fan_profile(
@@ -208,19 +157,15 @@ def solve(params: PressureParams, left: State, right: State) -> RiemannSolution1
     The contact moves at the downstream velocity u+ and joins the
     intermediate state (u+, rho*) to ``right``.
     """
-    if right.u == left.u:
-        star = intermediate_state(params, left, right.u)
-        if right.rho == left.rho:
-            return RiemannSolution14(params, left, star, right, ())
-        return RiemannSolution14(params, left, star, right, (Contact(right.u),))
     star = intermediate_state(params, left, right.u)
     contact = Contact(right.u)
     if right.u < left.u:
-        sigma1 = shock_speed(params, left, star)
-        return RiemannSolution14(params, left, star, right, (Shock(sigma1), contact))
-    head = eigenvalues_original(params, left).lambda1
-    tail = eigenvalues_original(params, star).lambda1
-    fan = Rarefaction(
-        head, tail, _fan_profile(params, curve_constant(params, left), star.rho, left.rho)
-    )
-    return RiemannSolution14(params, left, star, right, (fan, contact))
+        waves = (Shock(shock_speed(params, left, star)), contact)
+    elif right.u > left.u:
+        head = eigenvalues_original(params, left).lambda1
+        tail = eigenvalues_original(params, star).lambda1
+        profile = _fan_profile(params, curve_constant(params, left), star.rho, left.rho)
+        waves = (Fan(head, tail, profile), contact)
+    else:
+        waves = (contact,) if right.rho != left.rho else ()
+    return RiemannSolution14(params, left, star, right, waves)

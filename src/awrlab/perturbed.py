@@ -12,14 +12,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 from .core import (
+    PERTURBED,
     BranchError,
+    Fan,
     InapplicableError,
     PressureParams,
+    RiemannSolution,
+    Shock,
     State,
-    eigenvalues_perturbed,
+    flux,
+    jump_residual,
+    offset,
+    speeds,
 )
 from .quadrature import quad
 from .rootfind import bisect_decreasing, solve_decreasing
@@ -27,6 +33,8 @@ from .rootfind import bisect_decreasing, solve_decreasing
 BOUNDARY_TOL = 1e-12
 BACKWARD = "backward"
 FORWARD = "forward"
+RarefactionFan = Fan
+ShockWave = Shock
 
 
 class RegionLabel17(Enum):
@@ -73,6 +81,14 @@ def rarefaction_integral(params: PressureParams, rho_a: float, rho_b: float) -> 
     return val
 
 
+def _fan_side(direction: str, left: State, rho: float) -> bool:
+    """Whether ``rho`` lies on the rarefaction half of the ``direction`` curve
+    through ``left``: rho <= rho_left backward, rho >= rho_left forward."""
+    if direction not in (BACKWARD, FORWARD):
+        raise ValueError(f"unknown direction {direction!r}")
+    return rho <= left.rho if direction == BACKWARD else rho >= left.rho
+
+
 def rarefaction_curve_u(
     params: PressureParams, left: State, rho: float, direction: str
 ) -> float:
@@ -82,20 +98,27 @@ def rarefaction_curve_u(
     for the backward curve, rho >= rho_left for the forward one.
     """
     _require_perturbed(params)
-    if direction == BACKWARD:
-        if rho > left.rho:
-            raise BranchError("backward rarefaction branch requires rho <= rho_left")
-        sign = -1.0
-    elif direction == FORWARD:
-        if rho < left.rho:
-            raise BranchError("forward rarefaction branch requires rho >= rho_left")
-        sign = 1.0
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
+    if not _fan_side(direction, left, rho):
+        raise BranchError(f"rho = {rho} is off the {direction} rarefaction branch")
     if rho == left.rho:
         return left.u
+    sign = -1.0 if direction == BACKWARD else 1.0
     root = math.sqrt(left.u) + sign * 0.5 * rarefaction_integral(params, left.rho, rho)
     return root * root
+
+
+def e1_left_coefficient(params: PressureParams, rho_l: float, rho_r: float) -> float:
+    """Coefficient c_l of u_l in E1; finite wherever rho_r is."""
+    A, B, a = params.A, params.B, params.alpha
+    k = a * B / (1.0 - a)
+    return (
+        0.5 * A * rho_l**2 / rho_r
+        + k * rho_l ** (1.0 - a) / rho_r
+        + 0.5 * A * rho_r
+        + B / rho_l**a
+        - A * rho_l
+        - B / ((1.0 - a) * rho_r**a)
+    )
 
 
 def e1_coefficients(
@@ -112,15 +135,7 @@ def e1_coefficients(
         + 0.5 * A * rho_l
         + B / rho_r**a
     )
-    c_l = (
-        0.5 * A * rho_l**2 / rho_r
-        + k * rho_l ** (1.0 - a) / rho_r
-        + 0.5 * A * rho_r
-        + B / rho_l**a
-        - A * rho_l
-        - B / ((1.0 - a) * rho_r**a)
-    )
-    return c_l, c_r
+    return e1_left_coefficient(params, rho_l, rho_r), c_r
 
 
 def E1(
@@ -132,48 +147,29 @@ def E1(
     return c_l * u_l + c_r * u_r
 
 
-def _shock_u_given_left(
-    params: PressureParams, left: State, rho: float
-) -> float:
-    """Solve u - u_left = -sqrt(E1(left; u, rho)) for u (shock with known left)."""
-    if rho == left.rho:
-        return left.u
-    c_l, c_r = e1_coefficients(params, left.rho, rho)
-    # (u - u_l)^2 = c_l*u_l + c_r*u  =>  u^2 - (2u_l + c_r)u + u_l^2 - c_l*u_l = 0;
-    # the discriminant is expanded as 4*u_l*(c_l + c_r) + c_r^2 to avoid the
-    # catastrophic cancellation of b^2 - 4c when A, B are tiny.
-    disc = 4.0 * left.u * (c_l + c_r) + c_r * c_r
+def _shock_u(params: PressureParams, known: State, rho: float, s: float) -> float:
+    """Velocity u at density ``rho`` joined to ``known`` by a shock: the root
+    of (u - u0)**2 = E1 with s*(u - u0) = -sqrt(E1), where s = 1 when
+    ``known`` is the left state and s = -1 when it is the right one."""
+    if rho == known.rho:
+        return known.u
+    if s > 0.0:
+        c_known, c_free = e1_coefficients(params, known.rho, rho)
+    else:
+        c_free, c_known = e1_coefficients(params, rho, known.rho)
+    u0 = known.u
+    # (u - u0)^2 = c_known*u0 + c_free*u  =>  u^2 - (2u0 + c_free)u + u0^2 - c_known*u0 = 0;
+    # the discriminant is expanded as 4*u0*(c_known + c_free) + c_free^2 to avoid
+    # the catastrophic cancellation of b^2 - 4c when A, B are tiny.
+    disc = 4.0 * u0 * (c_known + c_free) + c_free * c_free
     if disc < 0.0:
         raise InapplicableError("no real root on the shock locus (unexpected)")
     sq = math.sqrt(disc)
-    for u in (left.u + 0.5 * (c_r - sq), left.u + 0.5 * (c_r + sq)):
-        if u <= left.u:
-            e1 = c_l * left.u + c_r * u
-            if e1 >= -1e-12 and abs((u - left.u) + math.sqrt(max(e1, 0.0))) <= 1e-9 * (
-                1.0 + abs(left.u)
-            ):
-                return u
-    raise InapplicableError("no admissible root on the shock locus (unexpected)")
-
-
-def _shock_u_given_right(
-    params: PressureParams, right: State, rho: float
-) -> float:
-    """Solve u_right - u = -sqrt(E1(u, rho; right)) for u (shock with known right)."""
-    if rho == right.rho:
-        return right.u
-    c_l, c_r = e1_coefficients(params, rho, right.rho)
-    # (u_r - u)^2 = c_l*u + c_r*u_r  =>  u^2 - (2u_r + c_l)u + u_r^2 - c_r*u_r = 0;
-    # discriminant expanded as 4*u_r*(c_l + c_r) + c_l^2 (see _shock_u_given_left).
-    disc = 4.0 * right.u * (c_l + c_r) + c_l * c_l
-    if disc < 0.0:
-        raise InapplicableError("no real root on the shock locus (unexpected)")
-    sq = math.sqrt(disc)
-    for u in (right.u + 0.5 * (c_l + sq), right.u + 0.5 * (c_l - sq)):
-        if u >= right.u:
-            e1 = c_l * u + c_r * right.u
-            if e1 >= -1e-12 and abs((right.u - u) + math.sqrt(max(e1, 0.0))) <= 1e-9 * (
-                1.0 + abs(right.u)
+    for u in (u0 + 0.5 * (c_free - s * sq), u0 + 0.5 * (c_free + s * sq)):
+        if s * (u - u0) <= 0.0:
+            e1 = c_known * u0 + c_free * u
+            if e1 >= -1e-12 and abs(s * (u - u0) + math.sqrt(max(e1, 0.0))) <= 1e-9 * (
+                1.0 + abs(u0)
             ):
                 return u
     raise InapplicableError("no admissible root on the shock locus (unexpected)")
@@ -188,15 +184,9 @@ def shock_curve_u(
     (rho < rho_left); both halves carry u < u_left.
     """
     _require_perturbed(params)
-    if direction == BACKWARD:
-        if rho < left.rho:
-            raise BranchError("backward shock branch requires rho >= rho_left")
-    elif direction == FORWARD:
-        if rho > left.rho:
-            raise BranchError("forward shock branch requires rho <= rho_left")
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return _shock_u_given_left(params, left, rho)
+    if _fan_side(direction, left, rho) and rho != left.rho:
+        raise BranchError(f"rho = {rho} is off the {direction} shock branch")
+    return _shock_u(params, left, rho, 1.0)
 
 
 def shock_slope_diagnostics(
@@ -207,14 +197,7 @@ def shock_slope_diagnostics(
     _require_perturbed(params)
     A, B, a = params.A, params.B, params.alpha
     rl, r = left.rho, star.rho
-    e2 = (
-        0.5 * A * r**2 / rl
-        + a * B * r ** (1.0 - a) / ((1.0 - a) * rl)
-        - A * r
-        - B / ((1.0 - a) * rl**a)
-        + 0.5 * A * rl
-        + B / r**a
-    )
+    e2 = e1_coefficients(params, rl, r)[1]
     e3 = (
         A * star.u * (r / rl - 1.0)
         + (a * B * star.u / r**a) * (1.0 / rl - 1.0 / r)
@@ -229,23 +212,12 @@ def rho_axis_intercept(params: PressureParams, left: State) -> float:
     _require_perturbed(params)
     if params.A <= 0.0 or params.B <= 0.0:
         raise InapplicableError("the intercept requires A > 0 and B > 0")
-    A, B, a = params.A, params.B, params.alpha
-    rl, ul = left.rho, left.u
+    # u = 0 where E1 = c_l*u_left equals u_left**2: f = c_l - u_left is -u_left
+    # at rho_left and grows, so expand upward and solve -f, which decreases.
+    def minus_f(rho: float) -> float:
+        return left.u - e1_left_coefficient(params, left.rho, rho)
 
-    def f(rho: float) -> float:
-        return (
-            -A * rl
-            + B / rl**a
-            + 0.5 * A * rho
-            - B / ((1.0 - a) * rho**a)
-            + 0.5 * A * rl**2 / rho
-            + a * B * rl ** (1.0 - a) / ((1.0 - a) * rho)
-            - ul
-        )
-
-    # f(rl) = -ul < 0 and f grows for large rho: expand upward from rl and
-    # solve -f, which is decreasing there.
-    return solve_decreasing(lambda r: -f(r), rl, rl, rtol=1e-13)
+    return solve_decreasing(minus_f, left.rho, left.rho, rtol=1e-13)
 
 
 def shock_speed_perturbed(params: PressureParams, left: State, right: State) -> float:
@@ -259,68 +231,47 @@ def rh_residual_perturbed(
     params: PressureParams, sl: State, sr: State, sigma: float
 ) -> tuple[float, float]:
     """Both jump-condition components across a discontinuity at speed sigma."""
-    A, B, a = params.A, params.B, params.alpha
-
-    def m(s: State) -> float:
-        return s.rho * s.u + 0.5 * A * s.rho**2 - B * s.rho ** (1.0 - a) / (1.0 - a)
-
-    def fl(s: State) -> float:
-        return s.rho * s.u**2 + A * s.rho**2 * s.u - B * s.rho ** (1.0 - a) * s.u
-
-    r1 = -sigma * (sr.rho - sl.rho) + (sr.rho * sr.u - sl.rho * sl.u)
-    r2 = -sigma * (m(sr) - m(sl)) + (fl(sr) - fl(sl))
-    return r1, r2
+    return jump_residual(PERTURBED, params, sl, sr, sigma)
 
 
-def _wave1_curve_u(params: PressureParams, left: State, rho: float) -> float:
-    """Backward (1-family) composite curve through ``left``: R below rho_left,
-    S above it."""
-    if rho <= left.rho:
-        return rarefaction_curve_u(params, left, rho, BACKWARD)
-    return _shock_u_given_left(params, left, rho)
-
-
-def _wave2_curve_u(params: PressureParams, left: State, rho: float) -> float:
-    """Forward (2-family) composite curve through ``left``: S below rho_left,
-    R above it."""
-    if rho >= left.rho:
-        return rarefaction_curve_u(params, left, rho, FORWARD)
-    return _shock_u_given_left(params, left, rho)
+def _wave_curve_u(params: PressureParams, left: State, rho: float, direction: str) -> float:
+    """Composite ``direction`` curve through ``left``: R on its rarefaction
+    side (rho <= rho_left backward, rho >= rho_left forward), S on the other."""
+    if _fan_side(direction, left, rho):
+        return rarefaction_curve_u(params, left, rho, direction)
+    return _shock_u(params, left, rho, 1.0)
 
 
 def _wave2_curve_u_reversed(params: PressureParams, right: State, rho: float) -> float:
     """Velocity u such that (u, rho) connects to ``right`` by a forward wave.
 
     Rarefaction branch for rho <= rho_right (clamped at vacuum), shock branch
-    for rho > rho_right.
+    for rho >= rho_right.
     """
-    if rho == right.rho:
-        return right.u
     if rho < right.rho:
         root = math.sqrt(right.u) - 0.5 * rarefaction_integral(params, rho, right.rho)
         return root * root if root > 0.0 else 0.0
-    return _shock_u_given_right(params, right, rho)
+    return _shock_u(params, right, rho, -1.0)
 
 
-def classify_perturbed(
-    params: PressureParams, left: State, right: State, tol: float = BOUNDARY_TOL
-) -> RegionLabel17:
+def classify_perturbed(params: PressureParams, left: State, right: State) -> RegionLabel17:
     """Select the wave pattern by comparing ``right`` against the backward and
-    forward curves through ``left`` at density rho_right."""
+    forward curves through ``left`` at density rho_right (ties within
+    BOUNDARY_TOL get boundary tags)."""
     _require_perturbed(params)
-    if abs(right.u - left.u) <= tol and abs(right.rho - left.rho) <= tol:
+    if abs(right.u - left.u) <= BOUNDARY_TOL and abs(right.rho - left.rho) <= BOUNDARY_TOL:
         return RegionLabel17.COINCIDENT
-    u_bwd = _wave1_curve_u(params, left, right.rho)
-    u_fwd = _wave2_curve_u(params, left, right.rho)
+    u_bwd = _wave_curve_u(params, left, right.rho, BACKWARD)
+    u_fwd = _wave_curve_u(params, left, right.rho, FORWARD)
     d_bwd = right.u - u_bwd  # above backward curve => forward wave is R
     d_fwd = right.u - u_fwd  # above forward curve  => backward wave is R
-    if abs(d_bwd) <= tol:
+    if abs(d_bwd) <= BOUNDARY_TOL:
         return (
             RegionLabel17.ON_BACKWARD_R
             if right.rho < left.rho
             else RegionLabel17.ON_BACKWARD_S
         )
-    if abs(d_fwd) <= tol:
+    if abs(d_fwd) <= BOUNDARY_TOL:
         return (
             RegionLabel17.ON_FORWARD_S
             if right.rho < left.rho
@@ -331,86 +282,32 @@ def classify_perturbed(
     return RegionLabel17[first + second]
 
 
-@dataclass(frozen=True)
-class RarefactionFan:
-    head: float
-    tail: float
-    profile: Callable[[float], tuple[float, float]]
-
-
-@dataclass(frozen=True)
-class ShockWave:
-    speed: float
-
-
-@dataclass(frozen=True)
-class RiemannSolution17:
+class RiemannSolution17(RiemannSolution):
     """Self-similar two-wave solution of the perturbed system."""
 
-    params: PressureParams
-    left: State
-    star: State
-    right: State
-    waves: tuple
 
-    def sample(self, xi: float) -> tuple[float, float]:
-        states = (
-            (self.left.u, self.left.rho),
-            (self.star.u, self.star.rho),
-            (self.right.u, self.right.rho),
-        )
-        pos = states[0]
-        for k, wave in enumerate(self.waves):
-            if isinstance(wave, RarefactionFan):
-                if xi < wave.head:
-                    return pos
-                if xi <= wave.tail:
-                    return wave.profile(xi)
-            else:
-                if xi < wave.speed:
-                    return pos
-            pos = states[k + 1] if len(self.waves) == 2 else states[2]
-        return pos
-
-
-def _backward_fan(
-    params: PressureParams, left: State, star: State
-) -> RarefactionFan:
-    head = eigenvalues_perturbed(params, left).lambda1
-    tail = eigenvalues_perturbed(params, star).lambda1
-    A, B, a = params.A, params.B, params.alpha
-
-    def xi_of_rho(rho: float) -> float:
-        u = rarefaction_curve_u(params, left, rho, BACKWARD)
-        return u - math.sqrt(u * (A * rho + B * a / rho**a)), u
+def _wave(params: PressureParams, direction: str, sl: State, sr: State):
+    """The ``direction`` wave joining ``sl`` to ``sr``: a shock when it
+    compresses, a fan along the rarefaction curve through ``sl`` when it
+    expands, None when the densities agree."""
+    if sr.rho == sl.rho:
+        return None
+    if (sr.rho > sl.rho) == (direction == BACKWARD):
+        return Shock(shock_speed_perturbed(params, sl, sr))
+    # along the curve xi = lambda_k falls as rho rises for the backward
+    # family and rises with rho for the forward one
+    k, sign = (0, -1.0) if direction == BACKWARD else (1, 1.0)
 
     def profile(xi: float) -> tuple[float, float]:
-        # xi increases as rho decreases from rho_left to rho_star
-        rho = bisect_decreasing(
-            lambda r: xi_of_rho(r)[0] - xi, star.rho, left.rho, rtol=1e-14
-        )
-        u = rarefaction_curve_u(params, left, rho, BACKWARD)
-        return u, rho
-
-    return RarefactionFan(head, tail, profile)
-
-
-def _forward_fan(params: PressureParams, star: State, right: State) -> RarefactionFan:
-    head = eigenvalues_perturbed(params, star).lambda2
-    tail = eigenvalues_perturbed(params, right).lambda2
-    A, B, a = params.A, params.B, params.alpha
-
-    def profile(xi: float) -> tuple[float, float]:
-        # along the forward curve from star, xi = lambda2 increases with rho
         def g(rho: float) -> float:
-            u = rarefaction_curve_u(params, star, rho, FORWARD)
-            return -(u + math.sqrt(u * (A * rho + B * a / rho**a)) - xi)
+            u = rarefaction_curve_u(params, sl, rho, direction)
+            return sign * (xi - speeds(PERTURBED, params, u, rho)[k])
 
-        rho = bisect_decreasing(g, star.rho, right.rho, rtol=1e-14)
-        u = rarefaction_curve_u(params, star, rho, FORWARD)
-        return u, rho
+        rho = bisect_decreasing(g, min(sl.rho, sr.rho), max(sl.rho, sr.rho), rtol=1e-14)
+        return rarefaction_curve_u(params, sl, rho, direction), rho
 
-    return RarefactionFan(head, tail, profile)
+    head = speeds(PERTURBED, params, sl.u, sl.rho)[k]
+    return Fan(head, speeds(PERTURBED, params, sr.u, sr.rho)[k], profile)
 
 
 def solve_perturbed(
@@ -429,14 +326,14 @@ def solve_perturbed(
         return RiemannSolution17(params, left, left, right, ())
 
     def g(rho: float) -> float:
-        return _wave1_curve_u(params, left, rho) - _wave2_curve_u_reversed(
+        return _wave_curve_u(params, left, rho, BACKWARD) - _wave2_curve_u_reversed(
             params, right, rho
         )
 
     lo = min(left.rho, right.rho)
     hi = max(left.rho, right.rho)
     rho_star = solve_decreasing(g, lo, hi, rtol=1e-15)
-    u_star = _wave1_curve_u(params, left, rho_star)
+    u_star = _wave_curve_u(params, left, rho_star, BACKWARD)
     if abs(g(rho_star)) > 1e-11 * (1.0 + abs(u_star)):
         raise InapplicableError(
             f"curve intersection residual {g(rho_star):.3e} exceeds tolerance"
@@ -444,21 +341,10 @@ def solve_perturbed(
     if not u_star > 0.0:
         raise InapplicableError("intersection fell outside the positive-velocity region")
     star = State(u_star, rho_star)
-
-    if rho_star > left.rho:
-        wave1 = ShockWave(shock_speed_perturbed(params, left, star))
-    elif rho_star < left.rho:
-        wave1 = _backward_fan(params, left, star)
-    else:
-        wave1 = None
-    if rho_star > right.rho:
-        wave2 = ShockWave(shock_speed_perturbed(params, star, right))
-    elif rho_star < right.rho:
-        wave2 = _forward_fan(params, star, right)
-    else:
-        wave2 = None
-    waves = tuple(w for w in (wave1, wave2) if w is not None)
-    return RiemannSolution17(params, left, star, right, waves)
+    waves = (_wave(params, BACKWARD, left, star), _wave(params, FORWARD, star, right))
+    return RiemannSolution17(
+        params, left, star, right, tuple(w for w in waves if w is not None)
+    )
 
 
 @dataclass(frozen=True)
@@ -493,13 +379,7 @@ def weak_form_residual(
     For an exact solution both residuals vanish to quadrature accuracy.
     """
     _require_perturbed(params)
-    A, B, a = params.A, params.B, params.alpha
-    breakpoints: list[float] = []
-    for wave in solution.waves:
-        if isinstance(wave, ShockWave):
-            breakpoints.append(wave.speed)
-        else:
-            breakpoints.extend((wave.head, wave.tail))
+    breakpoints = [edge for wave in solution.waves for edge in wave.edges]
     if window is None:
         pad = 10.0 * max(1.0, test_fn.width)
         lo_all = min(breakpoints, default=test_fn.center) - pad
@@ -516,30 +396,20 @@ def weak_form_residual(
     hi = min(window[1], support[1])
     cuts = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
 
-    def momentum_offset(u: float, rho: float) -> float:
-        if rho <= 0.0:
-            return 0.0
-        return u + 0.5 * A * rho - B / ((1.0 - a) * rho**a)
+    def residual(k: int) -> float:
+        # component k (0: mass, 1: momentum) of the integral of
+        # (f(q) - xi*q)*phi' - q*phi; vacuum samples add nothing
+        def integrand(xi: float) -> float:
+            u, rho = solution.sample(xi)
+            if not rho > 0.0:
+                return 0.0
+            q = (rho, rho * (u + offset(PERTURBED, params, rho)))[k]
+            f = flux(params, u, rho)[k]
+            return (f - xi * q) * test_fn.derivative(xi) - q * test_fn(xi)
 
-    def integrand1(xi: float) -> float:
-        u, rho = solution.sample(xi)
-        return rho * (u - xi) * test_fn.derivative(xi) - rho * test_fn(xi)
+        total = 0.0
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            total += quad(integrand, a, b, epsabs=1e-13, epsrel=1e-11, limit=200)[0]
+        return total
 
-    def integrand2(xi: float) -> float:
-        u, rho = solution.sample(xi)
-        mom = rho * momentum_offset(u, rho)
-        flux = rho * (u * u + A * rho * u - B * u / rho**a) if rho > 0.0 else 0.0
-        return (
-            -mom * xi * test_fn.derivative(xi)
-            + flux * test_fn.derivative(xi)
-            - mom * test_fn(xi)
-        )
-
-    r1 = 0.0
-    r2 = 0.0
-    for seg_lo, seg_hi in zip(cuts[:-1], cuts[1:]):
-        v1, _ = quad(integrand1, seg_lo, seg_hi, epsabs=1e-13, epsrel=1e-11, limit=200)
-        v2, _ = quad(integrand2, seg_lo, seg_hi, epsabs=1e-13, epsrel=1e-11, limit=200)
-        r1 += v1
-        r2 += v2
-    return r1, r2
+    return residual(0), residual(1)

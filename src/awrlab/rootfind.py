@@ -5,26 +5,26 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+EXPAND_FACTOR = 4.0
+MAX_EXPANSIONS = 600
+
 
 class BracketError(RuntimeError):
     """Raised when geometric expansion fails to bracket a sign change."""
 
 
 def expand_bracket(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    factor: float = 4.0,
-    max_expansions: int = 600,
+    f: Callable[[float], float], lo: float, hi: float
 ) -> tuple[float, float]:
-    """Grow [lo, hi] geometrically until f changes sign across it.
+    """Grow [lo, hi] by EXPAND_FACTOR until f changes sign across it.
 
     ``f`` is assumed strictly decreasing (positive at small arguments,
     negative at large ones), which is the shape of every curve map in this
     package.  Bounds stay positive and finite: reaching 0 or overflowing
-    raises ``BracketError``.  The last point stepped past becomes the
-    opposite end, so after an expansion the bracket spans one ``factor``
-    however far it travelled.
+    raises ``BracketError``, as does a sign change not found within
+    MAX_EXPANSIONS steps.  The last point stepped past becomes the opposite
+    end, so after an expansion the bracket spans one factor however far it
+    travelled.
     """
     flo, fhi = f(lo), f(hi)
     if flo == 0.0:
@@ -34,17 +34,17 @@ def expand_bracket(
     n = 0
     while flo < 0.0:
         hi, fhi = lo, flo
-        lo /= factor
+        lo /= EXPAND_FACTOR
         n += 1
-        if n > max_expansions or lo == 0.0:
+        if n > MAX_EXPANSIONS or lo == 0.0:
             raise BracketError("no sign change found while shrinking lower bound")
         flo = f(lo)
     n = 0
     while fhi > 0.0:
         lo, flo = hi, fhi
-        hi *= factor
+        hi *= EXPAND_FACTOR
         n += 1
-        if n > max_expansions or math.isinf(hi):
+        if n > MAX_EXPANSIONS or math.isinf(hi):
             raise BracketError("no sign change found while growing upper bound")
         fhi = f(hi)
     return lo, hi
@@ -127,8 +127,16 @@ def solve_decreasing(
     rtol: float = 1e-14,
 ) -> float:
     """Bracket (by geometric expansion), then find the root of a decreasing
-    map by Brent's method."""
-    lo, hi = expand_bracket(f, lo_guess, hi_guess)
+    map by Brent's method, evaluating ``f`` at most once per point (Brent
+    starts from the two ends the expansion has already evaluated)."""
+    seen: dict[float, float] = {}
+
+    def once(x: float) -> float:
+        if x not in seen:
+            seen[x] = f(x)
+        return seen[x]
+
+    lo, hi = expand_bracket(once, lo_guess, hi_guess)
     if lo == hi:
         return lo
-    return bisect_decreasing(f, lo, hi, rtol=rtol)
+    return bisect_decreasing(once, lo, hi, rtol=rtol)

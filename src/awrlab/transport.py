@@ -14,10 +14,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import original, perturbed
-from .core import InapplicableError, PressureParams, State, eigenvalues_original
+from .core import InapplicableError, PressureParams, State
 
 TRANSPORT_KIND = "TRANSPORT"
 SPECIAL_KIND = "SPECIAL"
+ENTROPY_TOL = 1e-12
 
 
 class EntropyClass(Enum):
@@ -111,11 +112,12 @@ def grh_residual(d: DeltaShock) -> tuple[float, float]:
     return r_mass, r_mom
 
 
-def entropy_check(d: DeltaShock, tol: float = 1e-12) -> EntropyClass:
-    """Overcompressive if u+ < sigma < u-, special if sigma = u+ < u-."""
-    if d.right.u + tol < d.sigma < d.left.u - tol:
+def entropy_check(d: DeltaShock) -> EntropyClass:
+    """Overcompressive if u+ < sigma < u-, special if sigma = u+ < u-
+    (both to within ENTROPY_TOL)."""
+    if d.right.u + ENTROPY_TOL < d.sigma < d.left.u - ENTROPY_TOL:
         return EntropyClass.OVERCOMPRESSIVE
-    if abs(d.sigma - d.right.u) <= tol and d.right.u < d.left.u:
+    if abs(d.sigma - d.right.u) <= ENTROPY_TOL and d.right.u < d.left.u:
         return EntropyClass.SPECIAL
     return EntropyClass.VIOLATING
 
@@ -187,6 +189,46 @@ def _monotone_fraction(values, increasing: bool) -> float:
     return good / len(steps)
 
 
+def _sweep_records(
+    system: str, left: State, right: State, alpha: float, sched
+) -> list[SweepRecord]:
+    """One record per coupled A = B value of a two-wave solution: sigma1 is the
+    leading edge of the first wave, sigma2 the trailing edge of the second."""
+    solver = original.solve if system == "original" else perturbed.solve_perturbed
+    records = []
+    for a_val in sched:
+        sol = solver(PressureParams(a_val, a_val, alpha, system=system), left, right)
+        (sigma1, _), (_, sigma2) = (wave.edges for wave in sol.waves)
+        records.append(
+            SweepRecord(
+                a_val,
+                a_val,
+                sol.star.rho,
+                sol.star.u,
+                sigma1,
+                sigma2,
+                sol.star.rho * (sigma2 - sigma1),
+                a_val * sol.star.rho,
+                system,
+            )
+        )
+    return records
+
+
+def _vacuum_verdicts(records: list[SweepRecord], tol_vacuum: float) -> list[Verdict]:
+    """Vacuum formation: rho* falls along the schedule and ends below tol_vacuum."""
+    rho_star = [r.rho_star for r in records]
+    return [
+        Verdict(
+            "intermediate density decays monotonically",
+            1.0,
+            _monotone_fraction(rho_star, increasing=False),
+            0.0,
+        ),
+        Verdict("intermediate density vanishes", 0.0, rho_star[-1], tol_vacuum),
+    ]
+
+
 def sweep_original(
     left: State,
     right: State,
@@ -207,46 +249,16 @@ def sweep_original(
     sched = _check_schedule(schedule)
     if right.u == left.u:
         return SweepReport("original", (), (Verdict("zero-strength data", 0.0, 0.0, 0.0),))
-    records = []
-    for a_val in sched:
-        params = PressureParams(a_val, a_val, alpha, system="original")
-        sol = original.solve(params, left, right)
-        if right.u < left.u:
-            sigma1 = sol.waves[0].speed
-        else:
-            sigma1 = sol.waves[0].head  # fan head, the surviving 1-wave speed
-        sigma2 = sol.waves[1].speed
-        records.append(
-            SweepRecord(
-                a_val,
-                a_val,
-                sol.star.rho,
-                sol.star.u,
-                sigma1,
-                sigma2,
-                sol.star.rho * (sigma2 - sigma1),
-                a_val * sol.star.rho,
-                "original",
-            )
-        )
+    records = _sweep_records("original", left, right, alpha, sched)
     last = records[-1]
     verdicts = []
     threshold = None
-    label = original.classify(
-        PressureParams(sched[0], sched[0], alpha), left, right
-    )
-    if label in (original.RegionLabel14.II, original.RegionLabel14.III):
+    def region(a_val: float) -> original.RegionLabel14:
+        return original.classify(PressureParams(a_val, a_val, alpha), left, right)
+
+    if region(sched[0]) in (original.RegionLabel14.II, original.RegionLabel14.III):
         threshold = original.threshold_A0(left, right, alpha)
-        below = original.classify(
-            PressureParams(threshold * (1 - 1e-3), threshold * (1 - 1e-3), alpha),
-            left,
-            right,
-        )
-        above = original.classify(
-            PressureParams(threshold * (1 + 1e-3), threshold * (1 + 1e-3), alpha),
-            left,
-            right,
-        )
+        below, above = region(threshold * (1 - 1e-3)), region(threshold * (1 + 1e-3))
         if right.u < left.u:
             flips = below is original.RegionLabel14.IV and above is original.RegionLabel14.III
         else:
@@ -273,18 +285,8 @@ def sweep_original(
             ),
         ]
     else:
-        lam1 = eigenvalues_original(
-            PressureParams(last.A, last.B, alpha), left
-        ).lambda1
-        verdicts += [
-            Verdict(
-                "intermediate density decays monotonically",
-                1.0,
-                _monotone_fraction([r.rho_star for r in records], increasing=False),
-                0.0,
-            ),
-            Verdict("intermediate density vanishes", 0.0, last.rho_star, tol_vacuum),
-            Verdict("fan head reaches upstream velocity", left.u, lam1, tol_speed),
+        verdicts += _vacuum_verdicts(records, tol_vacuum) + [
+            Verdict("fan head reaches upstream velocity", left.u, last.sigma1, tol_speed),
         ]
     return SweepReport("original", tuple(records), tuple(verdicts), threshold)
 
@@ -310,28 +312,7 @@ def sweep_perturbed(
     sched = _check_schedule(schedule)
     if right.u == left.u:
         return SweepReport("perturbed", (), (Verdict("zero-strength data", 0.0, 0.0, 0.0),))
-    records = []
-    edge_speeds = []
-    for a_val in sched:
-        params = PressureParams(a_val, a_val, alpha, system="perturbed")
-        sol = perturbed.solve_perturbed(params, left, right)
-        w1, w2 = sol.waves
-        s1 = w1.speed if isinstance(w1, perturbed.ShockWave) else w1.head
-        s2 = w2.speed if isinstance(w2, perturbed.ShockWave) else w2.tail
-        edge_speeds.append((s1, s2))
-        records.append(
-            SweepRecord(
-                a_val,
-                a_val,
-                sol.star.rho,
-                sol.star.u,
-                s1,
-                s2,
-                sol.star.rho * (s2 - s1),
-                a_val * sol.star.rho,
-                "perturbed",
-            )
-        )
+    records = _sweep_records("perturbed", left, right, alpha, sched)
     last = records[-1]
     verdicts = []
     if right.u < left.u:
@@ -357,16 +338,9 @@ def sweep_perturbed(
             ),
         ]
     else:
-        verdicts += [
-            Verdict(
-                "intermediate density decays monotonically",
-                1.0,
-                _monotone_fraction([r.rho_star for r in records], increasing=False),
-                0.0,
-            ),
-            Verdict("intermediate density vanishes", 0.0, last.rho_star, tol_vacuum),
-            Verdict("backward fan edge reaches upstream velocity", left.u, edge_speeds[-1][0], tol_edges),
-            Verdict("forward fan edge reaches downstream velocity", right.u, edge_speeds[-1][1], tol_edges),
+        verdicts += _vacuum_verdicts(records, tol_vacuum) + [
+            Verdict("backward fan edge reaches upstream velocity", left.u, last.sigma1, tol_edges),
+            Verdict("forward fan edge reaches downstream velocity", right.u, last.sigma2, tol_edges),
         ]
     return SweepReport("perturbed", tuple(records), tuple(verdicts))
 

@@ -15,9 +15,11 @@ from awrlab import (
     from_conserved,
     genuine_nonlinearity_original,
     pressure,
+    solve,
+    solve_perturbed,
     to_conserved,
 )
-from awrlab.core import pressure_derivative, perturbed_nondegeneracy_gap
+from awrlab.core import Fan, pressure_derivative, perturbed_nondegeneracy_gap
 
 RNG = np.random.RandomState(20240817)
 
@@ -162,3 +164,34 @@ class TestConversions:
         p = PressureParams(0.1, 0.1, 0.5)
         with pytest.raises(DegenerateDensityError):
             from_conserved("original", p, Conserved(0.0, 1.0))
+
+
+class TestSolutionModel:
+    def test_fan_edges_sample_the_adjacent_constant_states(self):
+        # the edges come from the eigenvalue formulas while the profile's
+        # residual there is rounding noise, so the edges must not reach it
+        rng = np.random.RandomState(20240820)
+        fans = 0
+        for k in range(200):
+            system = ("original", "perturbed")[k % 2]
+            A, B = 10.0 ** rng.uniform(-4, 0, size=2)
+            alpha = rng.uniform(0.1, 0.9)
+            u_l, u_r = np.sort(10.0 ** rng.uniform(-0.5, 1.0, size=2))
+            rho_l, rho_r = 10.0 ** rng.uniform(-0.5, 0.5, size=2)
+            left, right = State(u_l, rho_l), State(u_r, rho_r)
+            p = PressureParams(A, B, alpha, system=system)
+            sol = (solve if system == "original" else solve_perturbed)(p, left, right)
+            states = [left] + [sol.star] * (len(sol.waves) - 1) + [right]
+            for i, wave in enumerate(sol.waves):
+                if isinstance(wave, Fan):
+                    fans += 1
+                    assert sol.sample(wave.head) == (states[i].u, states[i].rho)
+                    assert sol.sample(wave.tail) == (states[i + 1].u, states[i + 1].rho)
+        assert fans >= 250
+
+    def test_forward_fan_tail_is_the_right_state(self):
+        p = PressureParams(0.1, 0.1, 0.5, system="perturbed")
+        left, right = State(1.0, 1.0), State(2.0, 2.0)
+        sol = solve_perturbed(p, left, right)
+        assert sol.sample(sol.waves[1].tail) == (right.u, right.rho)
+        assert sol.sample(sol.waves[1].head) == (sol.star.u, sol.star.rho)

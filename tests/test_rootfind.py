@@ -5,7 +5,7 @@ import math
 import pytest
 from scipy.optimize import brentq
 
-from awrlab.rootfind import BracketError, bisect_decreasing, expand_bracket
+from awrlab.rootfind import BracketError, bisect_decreasing, expand_bracket, solve_decreasing
 
 
 class TestBisectDecreasing:
@@ -40,3 +40,17 @@ class TestExpandBracket:
             expand_bracket(lambda x: 1.0, 1.0, 2.0)
         with pytest.raises(BracketError):
             expand_bracket(lambda x: -1.0, 1.0, 2.0)
+
+
+class TestSolveDecreasing:
+    @pytest.mark.parametrize("lo, hi", [(1.0, 2.0), (0.7, 0.7), (1e-5, 2e-5), (3.0, 3e3)])
+    def test_no_point_evaluated_twice(self, lo, hi):
+        # on the wave curves every evaluation is a quadrature
+        points = []
+
+        def f(x):
+            points.append(x)
+            return math.log(0.7 / x)
+
+        assert solve_decreasing(f, lo, hi) == pytest.approx(0.7, rel=1e-14)
+        assert len(points) == len(set(points))
