@@ -119,11 +119,9 @@ def _resolve(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _require(opts: dict, key: str, default=None):
+def _require(opts: dict, key: str):
     if key in opts and opts[key] is not None:
         return opts[key]
-    if default is not None:
-        return default
     raise ConfigError(f"missing required option --{key}")
 
 
@@ -132,15 +130,10 @@ def _states(opts: dict) -> tuple[State, State]:
     right = opts.get("right")
     if left is None or right is None:
         raise ConfigError("both --left and --right are required")
-    if isinstance(left, str):
-        left = _parse_state(left)
-    else:
-        left = State(*left)
-    if isinstance(right, str):
-        right = _parse_state(right)
-    else:
-        right = State(*right)
-    return left, right
+    def state(value) -> State:
+        return _parse_state(value) if isinstance(value, str) else State(*value)
+
+    return state(left), state(right)
 
 
 def _params(opts: dict, system: str) -> PressureParams:
@@ -262,6 +255,7 @@ def _cmd_simulate(opts: dict) -> int:
     )
     snaps = fv.simulate(system, params, left, right, grid, opts.get("snapshot_times"))
     out = _out_dir(opts)
+    t_prev, floored_prev = 0.0, 0
     for snap in snaps:
         rows = list(
             zip(
@@ -290,8 +284,13 @@ def _cmd_simulate(opts: dict) -> int:
             os.path.join(out, f"snapshot_t{tag}_u.svg"),
             title=f"velocity at t={snap.time:.4f}",
         )
-        if snap.floored_cells:
-            print(f"warning: density floor triggered in {snap.floored_cells} cell-updates")
+        # floored_cells counts from t = 0; report each interval's increase
+        if snap.floored_cells > floored_prev:
+            print(
+                f"warning: density floor triggered in {snap.floored_cells - floored_prev}"
+                f" cell-updates over t in ({t_prev:g}, {snap.time:g}]"
+            )
+        t_prev, floored_prev = snap.time, snap.floored_cells
     print(f"wrote {len(snaps)} snapshot(s) to {out}")
     return 0
 

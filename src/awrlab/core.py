@@ -7,8 +7,8 @@ or (A/2)*rho - B/((1-alpha)*rho**alpha) for the perturbed system.  These
 formulas -- :func:`offset`, :func:`flux`, :func:`speeds` and
 :func:`jump_residual` -- are written once, in arithmetic that runs on floats
 in the exact solvers and on arrays in the finite-volume kernel.  Both exact
-solvers return a :class:`RiemannSolution` of :class:`Shock`, :class:`Contact`
-and :class:`Fan` waves.
+solvers and the transport system return a :class:`RiemannSolution` of
+:class:`Shock`, :class:`Contact` and :class:`Fan` waves.
 """
 
 from __future__ import annotations
@@ -235,9 +235,10 @@ class Fan:
 @dataclass(frozen=True)
 class RiemannSolution:
     """Self-similar solution: ``left``, then ``waves`` in order of speed with
-    ``star`` between two of them, then ``right``."""
+    ``star`` between two of them, then ``right``; ``params`` is None for the
+    pressureless transport system."""
 
-    params: PressureParams
+    params: PressureParams | None
     left: State
     star: State
     right: State

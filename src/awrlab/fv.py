@@ -158,20 +158,17 @@ def simulate(
 
 
 def delta_weight_estimate(
-    snapshot: FieldSnapshot,
-    left: State,
-    right: State,
-    window_half_width: float | None = None,
+    snapshot: FieldSnapshot, left: State, right: State
 ) -> float | None:
-    """Mass concentrated above the step background around the density peak.
+    """Mass concentrated above the step background within max(20 cells, 5% of
+    the domain) of the density peak.
 
     Returns None when no peak stands out (max < 2x the background), e.g. at
     t = 0 or for non-concentrating data.
     """
     dx = snapshot.dx
-    if window_half_width is None:
-        span = float(snapshot.x[-1] - snapshot.x[0]) + dx
-        window_half_width = max(20.0 * dx, 0.05 * span)
+    span = float(snapshot.x[-1] - snapshot.x[0]) + dx
+    window_half_width = max(20.0 * dx, 0.05 * span)
     i_peak = int(np.argmax(snapshot.rho))
     background = max(left.rho, right.rho)
     if snapshot.rho[i_peak] < 2.0 * background:

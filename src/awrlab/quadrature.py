@@ -48,6 +48,7 @@ _WG = (
     0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
 )
+LIMIT = 200  # most subintervals one integral is split into
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
 
@@ -85,18 +86,17 @@ def quad(
     b: float,
     epsabs: float,
     epsrel: float,
-    limit: int,
 ) -> tuple[float, float]:
     """Integral of ``f`` over [a, b] (signed, so b < a is allowed) and an
     estimate of its absolute error.
 
     Stops when the error estimate is at most max(epsabs, epsrel*|value|), when
-    ``limit`` subintervals are in use, or when the worst interval can no longer
+    LIMIT subintervals are in use, or when the worst interval can no longer
     be split in floating point.
     """
     value, err = _qk21(f, a, b)
     heap = [(-err, a, b, value)]
-    while err > max(epsabs, epsrel * abs(value)) and len(heap) < limit:
+    while err > max(epsabs, epsrel * abs(value)) and len(heap) < LIMIT:
         neg_err, lo, hi, part = heap[0]
         mid = 0.5 * (lo + hi)
         if not min(lo, hi) < mid < max(lo, hi):

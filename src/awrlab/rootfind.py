@@ -137,6 +137,4 @@ def solve_decreasing(
         return seen[x]
 
     lo, hi = expand_bracket(once, lo_guess, hi_guess)
-    if lo == hi:
-        return lo
     return bisect_decreasing(once, lo, hi, rtol=rtol)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from . import original, perturbed
+from . import core, original, perturbed
 from .core import InapplicableError, PressureParams, State
 
 TRANSPORT_KIND = "TRANSPORT"
@@ -47,44 +47,32 @@ class DeltaShock:
 
 
 @dataclass(frozen=True)
-class TransportSolution:
-    """Riemann solution of the transport system: vacuum fan, delta shock,
-    single contact or a constant state."""
+class TransportSolution(core.RiemannSolution):
+    """Riemann solution of the transport system: a vacuum fan on which
+    (u, rho) = (xi, 0), a delta shock, a single contact or no wave.  It has no
+    pressure law and no intermediate state (``star`` is ``left``); the delta
+    measure itself is carried in ``delta``."""
 
-    left: State
-    right: State
     kind: str  # "vacuum" | "delta" | "contact" | "constant"
     delta: DeltaShock | None = None
-
-    def sample(self, xi: float) -> tuple[float, float]:
-        """Pointwise (u, rho); the delta measure itself is carried separately."""
-        if self.kind == "vacuum":
-            if xi <= self.left.u:
-                return self.left.u, self.left.rho
-            if xi < self.right.u:
-                return xi, 0.0
-            return self.right.u, self.right.rho
-        split = self.delta.sigma if self.kind == "delta" else self.left.u
-        if self.kind == "constant" or xi < split:
-            return self.left.u, self.left.rho
-        return self.right.u, self.right.rho
 
 
 def transport_solve(left: State, right: State) -> TransportSolution:
     """Case split on sign(u+ - u-): vacuum fan, delta shock or contact."""
     if right.u > left.u:
-        return TransportSolution(left, right, "vacuum")
+        fan = core.Fan(left.u, right.u, lambda xi: (xi, 0.0))
+        return TransportSolution(None, left, left, right, (fan,), "vacuum")
     if right.u < left.u:
         sl, sr = math.sqrt(left.rho), math.sqrt(right.rho)
         sigma = (sr * right.u + sl * left.u) / (sr + sl)
         rate = math.sqrt(left.rho * right.rho) * (left.u - right.u) / math.hypot(
             1.0, sigma
         )
-        return TransportSolution(
-            left, right, "delta", DeltaShock(sigma, rate, left, right)
-        )
-    kind = "constant" if right.rho == left.rho else "contact"
-    return TransportSolution(left, right, kind)
+        delta = DeltaShock(sigma, rate, left, right)
+        return TransportSolution(None, left, left, right, (core.Shock(sigma),), "delta", delta)
+    if right.rho == left.rho:
+        return TransportSolution(None, left, left, right, (), "constant")
+    return TransportSolution(None, left, left, right, (core.Contact(left.u),), "contact")
 
 
 def special_delta(left: State, right: State) -> DeltaShock:
@@ -96,6 +84,15 @@ def special_delta(left: State, right: State) -> DeltaShock:
     return DeltaShock(right.u, rate, left, right, kind=SPECIAL_KIND)
 
 
+def _delta_balance(left: State, right: State, sigma: float) -> tuple[float, float]:
+    """Mass and momentum a delta shock at speed sigma gathers per unit time:
+    (sigma*[rho] - [rho*u], sigma*[rho*u] - [rho*u**2])."""
+    drho = right.rho - left.rho
+    dmom = right.rho * right.u - left.rho * left.u
+    dflux = right.rho * right.u**2 - left.rho * left.u**2
+    return sigma * drho - dmom, sigma * dmom - dflux
+
+
 def grh_residual(d: DeltaShock) -> tuple[float, float]:
     """Residuals of the mass and momentum balance laws along the delta path.
 
@@ -104,12 +101,8 @@ def grh_residual(d: DeltaShock) -> tuple[float, float]:
     analogous momentum line.
     """
     arc = math.hypot(1.0, d.sigma)
-    drho = d.right.rho - d.left.rho
-    dmom = d.right.rho * d.right.u - d.left.rho * d.left.u
-    dflux = d.right.rho * d.right.u**2 - d.left.rho * d.left.u**2
-    r_mass = d.weight_rate * arc - (d.sigma * drho - dmom)
-    r_mom = d.weight_rate * d.sigma * arc - (d.sigma * dmom - dflux)
-    return r_mass, r_mom
+    mass, momentum = _delta_balance(d.left, d.right, d.sigma)
+    return d.weight_rate * arc - mass, d.weight_rate * d.sigma * arc - momentum
 
 
 def entropy_check(d: DeltaShock) -> EntropyClass:
@@ -234,10 +227,6 @@ def sweep_original(
     right: State,
     alpha: float,
     schedule,
-    tol_speed: float = 1e-5,
-    tol_velocity: float = 1e-12,
-    tol_mass: float = 1e-2,
-    tol_vacuum: float = 1e-10,
 ) -> SweepReport:
     """Vanishing-pressure sweep for the original system.
 
@@ -274,19 +263,19 @@ def sweep_original(
                 _monotone_fraction([r.rho_star for r in records], increasing=True),
                 0.0,
             ),
-            Verdict("shock speed reaches downstream velocity", right.u, last.sigma1, tol_speed),
-            Verdict("contact speed equals downstream velocity", right.u, last.sigma2, tol_velocity),
-            Verdict("intermediate velocity equals downstream velocity", right.u, last.u_star, tol_velocity),
+            Verdict("shock speed reaches downstream velocity", right.u, last.sigma1, 1e-5),
+            Verdict("contact speed equals downstream velocity", right.u, last.sigma2, 1e-12),
+            Verdict("intermediate velocity equals downstream velocity", right.u, last.u_star, 1e-12),
             Verdict(
                 "concentrated mass rate",
                 left.rho * (left.u - right.u),
                 last.product,
-                tol_mass,
+                1e-2,
             ),
         ]
     else:
-        verdicts += _vacuum_verdicts(records, tol_vacuum) + [
-            Verdict("fan head reaches upstream velocity", left.u, last.sigma1, tol_speed),
+        verdicts += _vacuum_verdicts(records, 1e-10) + [
+            Verdict("fan head reaches upstream velocity", left.u, last.sigma1, 1e-5),
         ]
     return SweepReport("original", tuple(records), tuple(verdicts), threshold)
 
@@ -296,11 +285,6 @@ def sweep_perturbed(
     right: State,
     alpha: float,
     schedule,
-    tol_u: float = 5e-2,
-    tol_arho: float = 1e-2,
-    tol_mass_rel: float = 5e-2,
-    tol_vacuum: float = 1e-4,
-    tol_edges: float = 5e-2,
 ) -> SweepReport:
     """Vanishing-pressure sweep for the perturbed system.
 
@@ -318,9 +302,7 @@ def sweep_perturbed(
     if right.u < left.u:
         delta = transport_solve(left, right).delta
         errors = [abs(r.u_star - delta.sigma) for r in records]
-        mass_target = delta.sigma * (right.rho - left.rho) - (
-            right.rho * right.u - left.rho * left.u
-        )
+        mass_target = _delta_balance(left, right, delta.sigma)[0]
         verdicts += [
             Verdict(
                 "intermediate velocity error decays monotonically",
@@ -328,19 +310,19 @@ def sweep_perturbed(
                 _monotone_fraction(errors, increasing=False),
                 0.0,
             ),
-            Verdict("intermediate velocity reaches delta speed", delta.sigma, last.u_star, tol_u),
-            Verdict("pressure-density product vanishes", 0.0, last.A_rho_star, tol_arho),
+            Verdict("intermediate velocity reaches delta speed", delta.sigma, last.u_star, 5e-2),
+            Verdict("pressure-density product vanishes", 0.0, last.A_rho_star, 1e-2),
             Verdict(
                 "concentrated mass rate",
                 mass_target,
                 last.product,
-                tol_mass_rel * abs(mass_target),
+                5e-2 * abs(mass_target),
             ),
         ]
     else:
-        verdicts += _vacuum_verdicts(records, tol_vacuum) + [
-            Verdict("backward fan edge reaches upstream velocity", left.u, last.sigma1, tol_edges),
-            Verdict("forward fan edge reaches downstream velocity", right.u, last.sigma2, tol_edges),
+        verdicts += _vacuum_verdicts(records, 1e-4) + [
+            Verdict("backward fan edge reaches upstream velocity", left.u, last.sigma1, 5e-2),
+            Verdict("forward fan edge reaches downstream velocity", right.u, last.sigma2, 5e-2),
         ]
     return SweepReport("perturbed", tuple(records), tuple(verdicts))
 
@@ -382,14 +364,10 @@ def limit_delta_consistency(
     arc = math.hypot(1.0, mid)
     mass_proxy = sol.star.rho * (s2 - s1) / arc
     momentum_proxy = sol.star.rho * sol.star.u * (s2 - s1) / arc
-    delta = transport_solve(left, right).delta
-    sigma = delta.sigma
+    sigma = transport_solve(left, right).delta.sigma
     arc0 = math.hypot(1.0, sigma)
-    drho = right.rho - left.rho
-    dmom = right.rho * right.u - left.rho * left.u
-    dflux = right.rho * right.u**2 - left.rho * left.u**2
-    mass_target = (sigma * drho - dmom) / arc0
-    momentum_target = (sigma * dmom - dflux) / arc0
+    mass, momentum = _delta_balance(left, right, sigma)
+    mass_target, momentum_target = mass / arc0, momentum / arc0
     return DeltaConsistencyRecord(
         A, B, mass_proxy, mass_target, momentum_proxy, momentum_target
     )

@@ -5,10 +5,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import awrlab
-from awrlab import original
+from awrlab import fv, original
 from awrlab.cli import run
 from awrlab.rootfind import BracketError
 
@@ -201,6 +202,25 @@ class TestSimulate:
         assert len(lines) == 65
         assert os.path.exists(os.path.join(out, "snapshot_t0p2_rho.svg"))
         assert os.path.exists(os.path.join(out, "snapshot_t0p2_u.svg"))
+
+    def test_floor_warning_counts_each_interval(self, tmp_path, monkeypatch, capsys):
+        # floored_cells is cumulative: 3 then 3 means no new floors after t = 0.1
+        x = np.linspace(-0.9, 0.9, 16)
+        ones = np.ones_like(x)
+
+        def fake_simulate(*args, **kwargs):
+            return [
+                fv.FieldSnapshot(x, ones, ones, ones, ones, t, 3) for t in (0.1, 0.2)
+            ]
+
+        monkeypatch.setattr(fv, "simulate", fake_simulate)
+        out = str(tmp_path / "sim")
+        args = ["simulate", "--system", "original", *BASE, "--grid", "16", "--T", "0.2"]
+        assert run([*args, "--out", out]) == 0
+        warnings = [
+            line for line in capsys.readouterr().out.splitlines() if line.startswith("warning")
+        ]
+        assert warnings == ["warning: density floor triggered in 3 cell-updates over t in (0, 0.1]"]
 
 
 class TestWeakcheck:

@@ -18,8 +18,14 @@ from awrlab import (
     solve,
     solve_perturbed,
     to_conserved,
+    transport_solve,
 )
-from awrlab.core import Fan, pressure_derivative, perturbed_nondegeneracy_gap
+from awrlab.core import (
+    Fan,
+    RiemannSolution,
+    pressure_derivative,
+    perturbed_nondegeneracy_gap,
+)
 
 RNG = np.random.RandomState(20240817)
 
@@ -195,3 +201,27 @@ class TestSolutionModel:
         sol = solve_perturbed(p, left, right)
         assert sol.sample(sol.waves[1].tail) == (right.u, right.rho)
         assert sol.sample(sol.waves[1].head) == (sol.star.u, sol.star.rho)
+
+    def test_transport_solutions_share_the_model(self):
+        rng = np.random.RandomState(20240821)
+        for k in range(300):
+            u_l, u_r = 10.0 ** rng.uniform(-1.0, 1.0, size=2)
+            if k % 3 == 0:
+                u_r = u_l  # contact
+            rho_l, rho_r = 10.0 ** rng.uniform(-1.0, 1.0, size=2)
+            left, right = State(u_l, rho_l), State(u_r, rho_r)
+            sol = transport_solve(left, right)
+            assert isinstance(sol, RiemannSolution)
+            assert sol.params is None and sol.star == left
+            edges = {"vacuum": (u_l, u_r), "contact": (u_l, u_l)}.get(sol.kind)
+            if sol.kind == "delta":
+                edges = (sol.delta.sigma, sol.delta.sigma)
+            assert [w.edges for w in sol.waves] == [edges]
+            head, tail = edges
+            # a fan samples its sides at its edges; a jump samples its
+            # upstream state before it and its downstream one on it
+            assert sol.sample(math.nextafter(head, -math.inf)) == (u_l, rho_l)
+            assert sol.sample(tail) == (u_r, rho_r)
+            if head < tail:
+                assert sol.sample(head) == (u_l, rho_l)
+                assert sol.sample(0.5 * (head + tail)) == (0.5 * (head + tail), 0.0)

@@ -361,6 +361,22 @@ class TestSolver:
         assert sol.waves == ()
         assert sol.sample(0.0) == (LEFT.u, LEFT.rho)
 
+    @pytest.mark.parametrize(
+        "left, right", [(LEFT_RR, RIGHT_RR), (State(1.0, 2.0), State(2.0, 1.0))]
+    )
+    def test_no_quadrature_repeated(self, monkeypatch, left, right):
+        # the curves at rho* come from the root finder's own evaluations
+        bounds = []
+
+        def recording_quad(f, a, b, **kwargs):
+            bounds.append((a, b))
+            return quadrature.quad(f, a, b, **kwargs)
+
+        monkeypatch.setattr(perturbed, "quad", recording_quad)
+        solve_perturbed(P_REF, left, right)
+        assert bounds
+        assert len(bounds) == len(set(bounds))
+
 
 class TestWeakForm:
     def test_bump_function_support_and_derivative(self):

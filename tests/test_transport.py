@@ -250,3 +250,49 @@ class TestLimitDeltaConsistency:
     def test_rejects_non_compressive_data(self):
         with pytest.raises(InapplicableError):
             limit_delta_consistency(LEFT_RR, RIGHT_RR, 0.5, 1e-4, 1e-4)
+
+
+class TestVerdictTolerances:
+    # the tolerances are literals in the sweeps, not arguments; this pins them
+    SCHEDULE = {
+        "original": [10.0**-k for k in range(1, 7)],
+        "perturbed": [10.0**-k for k in range(1, 6)],
+    }
+    TABLE = {
+        ("original", "compressive"): [
+            ("intermediate density grows monotonically", 0.0),
+            ("shock speed reaches downstream velocity", 1e-5),
+            ("contact speed equals downstream velocity", 1e-12),
+            ("intermediate velocity equals downstream velocity", 1e-12),
+            ("concentrated mass rate", 1e-2),
+        ],
+        ("original", "expansive"): [
+            ("intermediate density decays monotonically", 0.0),
+            ("intermediate density vanishes", 1e-10),
+            ("fan head reaches upstream velocity", 1e-5),
+        ],
+        ("perturbed", "compressive"): [
+            ("intermediate velocity error decays monotonically", 0.0),
+            ("intermediate velocity reaches delta speed", 5e-2),
+            ("pressure-density product vanishes", 1e-2),
+            ("concentrated mass rate", 5e-2),
+        ],
+        ("perturbed", "expansive"): [
+            ("intermediate density decays monotonically", 0.0),
+            ("intermediate density vanishes", 1e-4),
+            ("backward fan edge reaches upstream velocity", 5e-2),
+            ("forward fan edge reaches downstream velocity", 5e-2),
+        ],
+    }
+
+    @pytest.mark.parametrize("system, data", sorted(TABLE))
+    def test_claim_tolerance_table(self, system, data):
+        sweep = sweep_original if system == "original" else sweep_perturbed
+        states = (LEFT, RIGHT) if data == "compressive" else (LEFT_RR, RIGHT_RR)
+        report = sweep(*states, 0.5, self.SCHEDULE[system])
+        expected = self.TABLE[system, data]
+        assert [v.claim for v in report.verdicts] == [claim for claim, _ in expected]
+        for v, (claim, tol) in zip(report.verdicts, expected):
+            # the perturbed mass-rate tolerance is relative to its target
+            relative = system == "perturbed" and claim == "concentrated mass rate"
+            assert v.tolerance == (tol * abs(v.target) if relative else tol)
