@@ -130,10 +130,21 @@ def _states(opts: dict) -> tuple[State, State]:
     right = opts.get("right")
     if left is None or right is None:
         raise ConfigError("both --left and --right are required")
-    def state(value) -> State:
-        return _parse_state(value) if isinstance(value, str) else State(*value)
 
-    return state(left), state(right)
+    def state(key: str, value) -> State:
+        # a flag gives a string; a JSON config gives a string or any JSON value
+        try:
+            if isinstance(value, str):
+                return _parse_state(value)
+            pair = isinstance(value, list) and len(value) == 2
+            # type(), not isinstance: JSON true and false parse to bool, an int
+            if not (pair and all(type(v) in (int, float) for v in value)):
+                raise ConfigError(f"expected 'u,rho' or a pair of numbers, got {value!r}")
+            return State(float(value[0]), float(value[1]))
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+
+    return state("left", left), state("right", right)
 
 
 def _params(opts: dict, system: str) -> PressureParams:

@@ -10,8 +10,10 @@ which leaves (u_r - u_l)**2 = E1 with E1 affine in both velocities.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 from .core import (
     PERTURBED,
@@ -28,9 +30,10 @@ from .core import (
     speeds,
 )
 from .quadrature import quad
-from .rootfind import bisect_decreasing, solve_decreasing
+from .rootfind import EXPAND_FACTOR, bisect_decreasing, solve_decreasing
 
 BOUNDARY_TOL = 1e-12
+PANEL = 1.0  # largest log-density width of one panel of a fan's integral table
 BACKWARD = "backward"
 FORWARD = "forward"
 RarefactionFan = Fan
@@ -56,6 +59,23 @@ def _require_perturbed(params: PressureParams):
         raise ValueError("the perturbed system requires 0 < alpha < 1")
 
 
+def _log_integrand(params: PressureParams) -> Callable[[float], float]:
+    """The rarefaction integrand sqrt(A*s + B*alpha/s**alpha)/s after the
+    substitution s = e^t: the smooth sqrt(A*e^t + B*alpha*e^(-alpha*t)),
+    which tames the s -> 0 blow-up."""
+    A, B, a = params.A, params.B, params.alpha
+
+    def integrand(t: float) -> float:
+        return math.sqrt(A * math.exp(t) + B * a * math.exp(-a * t))
+
+    return integrand
+
+
+def _log_integral(integrand: Callable[[float], float], t_a: float, t_b: float) -> float:
+    """Integral of a :func:`_log_integrand` over [t_a, t_b] in log density."""
+    return quad(integrand, t_a, t_b, epsabs=1e-14, epsrel=1e-12)[0]
+
+
 def rarefaction_integral(params: PressureParams, rho_a: float, rho_b: float) -> float:
     """Signed integral of sqrt(A*s + B*alpha/s**alpha)/s over [rho_a, rho_b]."""
     _require_perturbed(params)
@@ -63,21 +83,7 @@ def rarefaction_integral(params: PressureParams, rho_a: float, rho_b: float) -> 
         raise ValueError("integration bounds must be positive")
     if rho_a == rho_b:
         return 0.0
-    A, B, a = params.A, params.B, params.alpha
-
-    # substitute s = e^t: the integrand sqrt(A*s + B*a/s**a)/s becomes the
-    # smooth sqrt(A*e^t + B*a*e^(-a*t)), taming the s -> 0 blow-up
-    def integrand(t: float) -> float:
-        return math.sqrt(A * math.exp(t) + B * a * math.exp(-a * t))
-
-    val, _ = quad(
-        integrand,
-        math.log(rho_a),
-        math.log(rho_b),
-        epsabs=1e-14,
-        epsrel=1e-12,
-    )
-    return val
+    return _log_integral(_log_integrand(params), math.log(rho_a), math.log(rho_b))
 
 
 def _fan_side(direction: str, left: State, rho: float) -> bool:
@@ -235,11 +241,17 @@ def _wave_curve_u(
     if rho == known.rho:
         return known.u
     if _fan_side(direction, known, rho) != (s < 0.0):
-        sign = -1.0 if direction == BACKWARD else 1.0
-        half = 0.5 * rarefaction_integral(params, known.rho, rho)
-        root = math.sqrt(known.u) + sign * half
-        return root * root if root > 0.0 else 0.0
+        return _rarefaction_u(known.u, direction, rarefaction_integral(params, known.rho, rho))
     return _shock_u(params, known, rho, s)
+
+
+def _rarefaction_u(u_known: float, direction: str, integral: float) -> float:
+    """Velocity on the ``direction`` rarefaction curve at the density where
+    the rarefaction integral from the known state reaches ``integral``:
+    sqrt(u) = sqrt(u_known) -/+ integral/2, clamped at vacuum."""
+    sign = -1.0 if direction == BACKWARD else 1.0
+    root = math.sqrt(u_known) + sign * (0.5 * integral)
+    return root * root if root > 0.0 else 0.0
 
 
 def classify_perturbed(params: PressureParams, left: State, right: State) -> RegionLabel17:
@@ -285,17 +297,75 @@ def _wave(params: PressureParams, direction: str, sl: State, sr: State):
     # along the curve xi = lambda_k falls as rho rises for the backward
     # family and rises with rho for the forward one
     k, sign = (0, -1.0) if direction == BACKWARD else (1, 1.0)
+    integrand = _log_integrand(params)
+    # panel ends (log density, density, integral from sl, velocity) and their
+    # speeds, built on the first interior sample: a solve never sampled inside
+    # the fan pays nothing, and each later sample integrates within one panel
+    nodes: list[tuple[float, float, float, float]] = []
+    xis: list[float] = []
+
+    def tabulate():
+        t0, t1 = math.log(sl.rho), math.log(sr.rho)
+        n = max(1, math.ceil(abs(t1 - t0) / PANEL))
+        ts = [t0 + (t1 - t0) * j / n for j in range(n)] + [t1]
+        nodes.append((t0, sl.rho, 0.0, sl.u))
+        for j in range(1, n + 1):
+            integral = nodes[-1][2] + _log_integral(integrand, ts[j - 1], ts[j])
+            rho = sr.rho if j == n else math.exp(ts[j])
+            nodes.append((ts[j], rho, integral, _rarefaction_u(sl.u, direction, integral)))
+        xis.extend(speeds(PERTURBED, params, u, rho)[k] for _, rho, _, u in nodes)
 
     def profile(xi: float) -> tuple[float, float]:
-        def g(rho: float) -> float:
-            u = rarefaction_curve_u(params, sl, rho, direction)
-            return sign * (xi - speeds(PERTURBED, params, u, rho)[k])
+        if not nodes:
+            tabulate()
+        # the speeds rise from the head (xis[0]), so xis[i] <= xi < xis[i + 1]
+        i = bisect_right(xis, xi) - 1
+        if i == len(nodes) - 1:  # past the last node only by the tail's rounding
+            return nodes[i][3], nodes[i][1]
+        (t_i, rho_i, integral_i, u_i), (_, rho_j, _, u_j) = nodes[i], nodes[i + 1]
+        curve = {rho_i: u_i, rho_j: u_j}
 
-        rho = bisect_decreasing(g, min(sl.rho, sr.rho), max(sl.rho, sr.rho), rtol=1e-14)
-        return rarefaction_curve_u(params, sl, rho, direction), rho
+        def g(rho: float) -> float:
+            if rho not in curve:
+                integral = integral_i + _log_integral(integrand, t_i, math.log(rho))
+                curve[rho] = _rarefaction_u(sl.u, direction, integral)
+            return sign * (xi - speeds(PERTURBED, params, curve[rho], rho)[k])
+
+        rho = bisect_decreasing(g, min(rho_i, rho_j), max(rho_i, rho_j), rtol=1e-14)
+        return curve[rho], rho
 
     head = speeds(PERTURBED, params, sl.u, sl.rho)[k]
     return Fan(head, speeds(PERTURBED, params, sr.u, sr.rho)[k], profile)
+
+
+def _vacuum_side_bracket(
+    params: PressureParams, u_bwd: float, u_fwd: float, lo: float
+) -> tuple[float, float]:
+    """The bracket [lo / EXPAND_FACTOR**m, lo / EXPAND_FACTOR**(m-1)] at whose
+    lower end the intersection map of :func:`solve_perturbed` first turns
+    non-negative, given the backward velocity ``u_bwd`` below the forward one
+    ``u_fwd`` at ``lo`` = min(rho_left, rho_right).
+
+    Below ``lo`` both curves are rarefaction curves.  As rho falls, sqrt(u)
+    rises on the backward curve and falls on the forward one, each by half
+    the integral from rho up to ``lo``, so the curves meet where that
+    integral reaches sqrt(u_fwd) - sqrt(u_bwd).  Each step adds one
+    quadrature over one factor of EXPAND_FACTOR, where the map itself
+    integrates over the whole range at every point.  The ends are points
+    ``expand_bracket`` steps through; it checks their signs on the exact map
+    and steps on from them if this estimate is off by one.
+    """
+    gap = math.sqrt(u_fwd) - math.sqrt(u_bwd)
+    integrand = _log_integrand(params)
+    t, closed, hi = math.log(lo), 0.0, lo
+    while lo / EXPAND_FACTOR > 0.0:
+        hi, lo = lo, lo / EXPAND_FACTOR
+        t_next = math.log(lo)
+        closed += _log_integral(integrand, t_next, t)
+        t = t_next
+        if closed >= gap:
+            break
+    return lo, hi
 
 
 def solve_perturbed(
@@ -313,18 +383,22 @@ def solve_perturbed(
     if right.u == left.u and right.rho == left.rho:
         return RiemannSolution17(params, left, left, right, ())
 
-    # (backward u, forward u) at each rho g has seen, so the root is not re-evaluated
+    # (backward u, forward u) at each rho g has seen, so no point is evaluated twice
     curves: dict[float, tuple[float, float]] = {}
 
     def g(rho: float) -> float:
-        u_bwd, u_fwd = curves[rho] = (
-            _wave_curve_u(params, left, rho, BACKWARD),
-            _wave_curve_u(params, right, rho, FORWARD, -1.0),
-        )
+        if rho not in curves:
+            curves[rho] = (
+                _wave_curve_u(params, left, rho, BACKWARD),
+                _wave_curve_u(params, right, rho, FORWARD, -1.0),
+            )
+        u_bwd, u_fwd = curves[rho]
         return u_bwd - u_fwd
 
     lo = min(left.rho, right.rho)
     hi = max(left.rho, right.rho)
+    if g(lo) < 0.0:
+        lo, hi = _vacuum_side_bracket(params, *curves[lo], lo)
     rho_star = solve_decreasing(g, lo, hi, rtol=1e-15)
     u_star, u_fwd = curves[rho_star]
     residual = u_star - u_fwd
@@ -380,12 +454,15 @@ def weak_form_residual(
         raise ValueError("test-function support exceeds the sampling window")
     breakpoints = (edge for wave in solution.waves for edge in wave.edges)
     cuts = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
+    samples: dict[float, tuple[float, float]] = {}  # both components share the nodes
 
     def residual(k: int) -> float:
         # component k (0: mass, 1: momentum) of the integral of
         # (f(q) - xi*q)*phi' - q*phi; vacuum samples add nothing
         def integrand(xi: float) -> float:
-            u, rho = solution.sample(xi)
+            if xi not in samples:
+                samples[xi] = solution.sample(xi)
+            u, rho = samples[xi]
             if not rho > 0.0:
                 return 0.0
             q = (rho, rho * (u + offset(PERTURBED, params, rho)))[k]

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import awrlab
-from awrlab import fv, original
+from awrlab import fv, original, perturbed
+from awrlab.core import State
 from awrlab.cli import run
 from awrlab.rootfind import BracketError
 
@@ -349,6 +350,30 @@ class TestConfig:
             )
             == 1
         )
+
+    @pytest.mark.parametrize("state", [[1], "x", [1, "2"], [True, 2], {"u": 1, "rho": 2}])
+    def test_config_state_not_a_pair_of_numbers(self, tmp_path, capsys, state):
+        cfg = tmp_path / "c.json"
+        opts = {"system": "perturbed", "A": 0.1, "B": 0.1, "alpha": 0.5}
+        cfg.write_text(json.dumps({**opts, "left": "1,1", "right": state}))
+        assert run(["classify", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: right: ")
+
+    def test_config_integer_state_becomes_float(self, tmp_path, monkeypatch):
+        seen = []
+        solve_perturbed = perturbed.solve_perturbed
+
+        def recording_solve(params, left, right):
+            seen.extend((left, right))
+            return solve_perturbed(params, left, right)
+
+        monkeypatch.setattr(perturbed, "solve_perturbed", recording_solve)
+        cfg = tmp_path / "c.json"
+        opts = {"system": "perturbed", "A": 0.1, "B": 0.1, "alpha": 0.5}
+        cfg.write_text(json.dumps({**opts, "left": [1, 2], "right": [2.0, 1]}))
+        assert run(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert seen == [State(1.0, 2.0), State(2.0, 1.0)]
+        assert all(type(v) is float for s in seen for v in (s.u, s.rho))
 
     def test_bracket_failure_reports_error(self, tmp_path, monkeypatch, capsys):
         def fail(*args, **kwargs):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from awrlab import (
     BumpTestFunction,
@@ -17,8 +18,8 @@ from awrlab import (
     solve_perturbed,
     weak_form_residual,
 )
-from awrlab import perturbed, quadrature
-from awrlab.core import BranchError, InapplicableError, eigenvalues_perturbed
+from awrlab import perturbed, quadrature, rootfind
+from awrlab.core import BranchError, Fan, InapplicableError, eigenvalues_perturbed
 from awrlab.perturbed import (
     E1,
     RarefactionFan,
@@ -377,6 +378,116 @@ class TestSolver:
         assert bounds
         assert len(bounds) == len(set(bounds))
 
+    def test_vacuum_side_bracket_matches_full_expansion(self, monkeypatch):
+        # the cheap downward scan lands on the bracket that expanding on the
+        # exact map reaches, so the star state is bit-identical and the exact
+        # map is evaluated only at the bracket ends during expansion
+        rng = np.random.default_rng(20261018)
+        expand_bracket = rootfind.expand_bracket
+        deep = 0
+        for _ in range(60):
+            A, B = 10.0 ** rng.uniform(-6.0, -1.0, 2)
+            p = perturbed_params(A, B, rng.uniform(0.1, 0.9))
+            left = State(rng.uniform(1.0, 5.0), 10.0 ** rng.uniform(-1.0, 1.0))
+            right = State(rng.uniform(6.0, 20.0), 10.0 ** rng.uniform(-1.0, 1.0))
+            evals = []
+
+            def counting_expand(f, lo, hi):
+                def counted(x):
+                    evals.append(x)
+                    return f(x)
+
+                return expand_bracket(counted, lo, hi)
+
+            monkeypatch.setattr(rootfind, "expand_bracket", counting_expand)
+            star = solve_perturbed(p, left, right).star
+            monkeypatch.undo()
+            if star.rho >= min(left.rho, right.rho):
+                continue
+            deep += 1
+            assert len(evals) == 2
+            monkeypatch.setattr(perturbed, "_vacuum_side_bracket", lambda p, ub, uf, lo: (lo, lo))
+            assert solve_perturbed(p, left, right).star == star
+            monkeypatch.undo()
+        assert deep >= 30
+
+    @pytest.mark.parametrize("A", [0.1, 1e-4])
+    def test_fan_samples_integrate_within_one_panel(self, monkeypatch, A):
+        # the first interior sample of a fan tabulates it; later ones integrate
+        # from one panel's start and reuse the curve value found at the root
+        sol = solve_perturbed(perturbed_params(A, A), LEFT_RR, RIGHT_RR)
+        bounds = []
+
+        def recording_quad(f, a, b, **kwargs):
+            bounds.append((a, b))
+            return quadrature.quad(f, a, b, **kwargs)
+
+        monkeypatch.setattr(perturbed, "quad", recording_quad)
+        for w in sol.waves:
+            for n, xi in enumerate(np.linspace(w.head, w.tail, 12)[1:-1]):
+                bounds.clear()
+                sol.sample(float(xi))
+                assert bounds
+                assert len(bounds) == len(set(bounds))
+                if n > 0:
+                    assert len({a for a, _ in bounds}) == 1
+                    assert all(abs(b - a) <= perturbed.PANEL for a, b in bounds)
+
+    def test_fan_sample_past_the_curve_end_gives_its_end(self):
+        # the tail comes from the downstream state, the profile from the curve
+        # through the upstream one; between the two end speeds the profile
+        # keeps the curve's end instead of losing the bracket
+        star = State(1.0, 1.0)
+        u_end = rarefaction_curve_u(P_REF, star, 2.0, "forward")
+        fan = perturbed._wave(P_REF, "forward", star, State(u_end * (1.0 + 1e-9), 2.0))
+        lam_end = eigenvalues_perturbed(P_REF, State(u_end, 2.0)).lambda2
+        assert lam_end < fan.tail
+        assert fan.profile(0.5 * (lam_end + fan.tail)) == (u_end, 2.0)
+
+
+class TestFanTable:
+    def test_samples_match_scipy_per_point_solve(self):
+        # each sample against an independent root of lambda_k(u(rho), rho) = xi
+        # in log density, with u from QUADPACK; fans reach 30+ decades of density
+        rng = np.random.default_rng(20261019)
+        points = wide = 0
+        for _ in range(300):
+            A, B = 10.0 ** rng.uniform(-6.0, 0.0, size=2)
+            alpha = 10.0 ** rng.uniform(-1.0, math.log10(0.9))
+            u_l, u_r = np.sort(10.0 ** rng.uniform(-0.5, 1.5, size=2))
+            rho_l, rho_r = 10.0 ** rng.uniform(-0.5, 0.5, size=2)
+            left, right = State(u_l, rho_l), State(u_r, rho_r)
+            sol = solve_perturbed(perturbed_params(A, B, alpha), left, right)
+            for k, (w, sl, sr) in enumerate(
+                zip(sol.waves, (left, sol.star), (sol.star, right))
+            ):
+                if not isinstance(w, Fan):
+                    continue
+                t_l, t_r = math.log(sl.rho), math.log(sr.rho)
+                wide += abs(t_r - t_l) > 30.0 * math.log(10.0)
+
+                def lam(u, rho, k=k):
+                    return u + (2 * k - 1) * math.sqrt(u * (A * rho + B * alpha / rho**alpha))
+
+                def u_of(t, sl=sl, t_l=t_l):
+                    integral, _ = quad(
+                        lambda s: math.sqrt(A * math.exp(s) + B * alpha * math.exp(-alpha * s)),
+                        t_l, t, epsabs=1e-14, epsrel=1e-12, limit=200,
+                    )
+                    return (math.sqrt(sl.u) + 0.5 * abs(integral)) ** 2
+
+                for xi in np.linspace(w.head, w.tail, 4)[1:-1]:
+                    u, rho = sol.sample(float(xi))
+                    t = brentq(
+                        lambda t: lam(u_of(t), math.exp(t)) - xi,
+                        min(t_l, t_r), max(t_l, t_r), xtol=1e-15, rtol=1e-15,
+                    )
+                    assert u == pytest.approx(u_of(t), rel=1e-12, abs=0.0)
+                    assert abs(lam(u, rho) - xi) <= 1e-13 * max(1.0, abs(xi))
+                    points += 1
+        assert points >= 1000
+        assert wide >= 10
+
 
 class TestWeakForm:
     def test_bump_function_support_and_derivative(self):
@@ -412,3 +523,20 @@ class TestWeakForm:
         sol = solve_perturbed(p, LEFT, RIGHT)
         with pytest.raises(ValueError):
             weak_form_residual(p, sol, BumpTestFunction(0.0, 5.0), window=(-1.0, 1.0))
+
+    @pytest.mark.parametrize("left, right", [(LEFT, RIGHT), (LEFT_RR, RIGHT_RR)])
+    def test_each_xi_sampled_once(self, monkeypatch, left, right):
+        # the mass and momentum residuals share one sample per quadrature node
+        p = perturbed_params(1e-2, 1e-2)
+        sol = solve_perturbed(p, left, right)
+        seen = []
+        sample = RiemannSolution17.sample
+
+        def counting_sample(self, xi):
+            seen.append(xi)
+            return sample(self, xi)
+
+        monkeypatch.setattr(RiemannSolution17, "sample", counting_sample)
+        weak_form_residual(p, sol, BumpTestFunction(sol.waves[0].edges[1], 0.8))
+        assert seen
+        assert len(seen) == len(set(seen))
