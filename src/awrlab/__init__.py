@@ -1,6 +1,8 @@
 """Exact Riemann solvers, vanishing-pressure sweeps and a finite-volume
 simulator for traffic-flow systems with modified Chaplygin gas pressure."""
 
+import importlib
+
 from .core import (
     ORIGINAL,
     PERTURBED,
@@ -20,7 +22,6 @@ from .core import (
     pressure,
     to_conserved,
 )
-from .fv import FieldSnapshot, GridConfig, delta_weight_estimate, l1_error_vs_exact, simulate
 from .original import RegionLabel14, RiemannSolution14, classify, solve, threshold_A0
 from .perturbed import (
     BumpTestFunction,
@@ -48,3 +49,19 @@ from .transport import (
 )
 
 __version__ = "0.1.0"
+
+# fv is the only module that needs numpy.  It loads on first use, so that
+# ``import awrlab`` and the CLI commands that do no array work start without
+# numpy (PEP 562).
+_FV_NAMES = {
+    "FieldSnapshot", "GridConfig", "delta_weight_estimate", "l1_error_vs_exact", "simulate",
+}
+
+
+def __getattr__(name: str):
+    if name == "fv" or name in _FV_NAMES:
+        # import_module, not ``from . import fv``: the latter looks the name
+        # up on this package first and would call back into __getattr__
+        fv = importlib.import_module(".fv", __name__)
+        return fv if name == "fv" else getattr(fv, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

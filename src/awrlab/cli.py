@@ -13,9 +13,9 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import fv, original, perturbed, transport
+# numpy is imported only inside the two commands that compute with it
+# (simulate, through fv, and weakcheck), so the other four start without it.
+from . import original, perturbed, transport
 from .core import ORIGINAL, PERTURBED, TRANSPORT, PressureParams, State
 from .io import emit_csv, emit_svg_plot
 from .rootfind import BracketError
@@ -147,6 +147,16 @@ def _states(opts: dict) -> tuple[State, State]:
     return state("left", left), state("right", right)
 
 
+def _count(opts: dict, key: str, default: int, least: int) -> int:
+    value = opts.get(key)
+    if value is None:
+        return default
+    # type(), not isinstance: JSON true and false parse to bool, an int
+    if type(value) is not int or value < least:
+        raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+    return value
+
+
 def _params(opts: dict, system: str) -> PressureParams:
     return PressureParams(
         float(_require(opts, "A")),
@@ -169,10 +179,17 @@ def _wave_window(sol) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+def _linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n >= 2 evenly spaced points from lo to hi, equal bit for bit to
+    numpy.linspace(lo, hi, n)."""
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n - 1)] + [hi]
+
+
 def _cmd_solve(opts: dict) -> int:
     system = _require(opts, "system")
     left, right = _states(opts)
-    samples = int(opts.get("samples") or 401)
+    samples = _count(opts, "samples", 401, 2)
     if system == TRANSPORT:
         sol = transport.transport_solve(left, right)
         lo, hi = min(left.u, right.u) - 1.0, max(left.u, right.u) + 1.0
@@ -182,11 +199,10 @@ def _cmd_solve(opts: dict) -> int:
             params, left, right
         )
         lo, hi = _wave_window(sol)
-    xi = np.linspace(lo, hi, samples)
     rows = []
-    for x in xi:
-        u, rho = sol.sample(float(x))
-        rows.append((float(x), u, rho))
+    for x in _linspace(lo, hi, samples):
+        u, rho = sol.sample(x)
+        rows.append((x, u, rho))
     out = _out_dir(opts)
     emit_csv(["xi", "u", "rho"], rows, os.path.join(out, "profile.csv"))
     emit_svg_plot(
@@ -252,6 +268,8 @@ def _cmd_sweep(opts: dict) -> int:
 
 
 def _cmd_simulate(opts: dict) -> int:
+    from . import fv
+
     system = _require(opts, "system")
     if system == TRANSPORT:
         raise ConfigError("simulate requires a pressured system (original|perturbed)")
@@ -310,10 +328,12 @@ def _cmd_weakcheck(opts: dict) -> int:
     left, right = _states(opts)
     params = _params(opts, PERTURBED)
     tol = float(opts.get("tol", 1e-8))
-    n_bumps = int(opts.get("bumps", 5))
+    n_bumps = _count(opts, "bumps", 5, 1)
     seed = int(opts.get("seed", 0))
     sol = perturbed.solve_perturbed(params, left, right)
     lo, hi = _wave_window(sol)
+    import numpy as np
+
     rng = np.random.RandomState(seed)
     centers = sorted(rng.uniform(lo + 1.0, hi - 1.0, size=n_bumps))
     worst = 0.0

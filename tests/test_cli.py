@@ -11,13 +11,28 @@ import pytest
 import awrlab
 from awrlab import fv, original, perturbed
 from awrlab.core import State
-from awrlab.cli import run
+from awrlab.cli import _linspace, run
 from awrlab.rootfind import BracketError
 
 
 def read(path):
     with open(path, encoding="utf-8") as fh:
         return fh.read()
+
+
+def fresh_python(code):
+    """Stdout of ``python -c code`` in a fresh interpreter that imports the
+    awrlab under test."""
+    src = os.path.dirname(os.path.dirname(awrlab.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    return proc.stdout
 
 
 BASE = ["--A", "0.1", "--B", "0.1", "--alpha", "0.5", "--left", "2,1", "--right", "1,2"]
@@ -94,6 +109,15 @@ class TestSolve:
         assert read(os.path.join(out1, "profile.csv")) == read(
             os.path.join(out2, "profile.csv")
         )
+
+    def test_grid_is_numpy_linspace_bit_for_bit(self):
+        rng = np.random.RandomState(6)
+        for _ in range(500):
+            lo = float(rng.standard_normal() * 10.0 ** rng.uniform(-3, 3))
+            hi = lo + float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3, 4))
+            n = int(rng.randint(2, 1000))
+            expected = np.linspace(lo, hi, n)
+            assert np.array(_linspace(lo, hi, n)).tobytes() == expected.tobytes()
 
 
 class TestClassify:
@@ -385,20 +409,75 @@ class TestConfig:
         assert capsys.readouterr().err.startswith("error: no sign change")
 
     def test_start_imports_no_scipy(self):
-        src = os.path.dirname(os.path.dirname(awrlab.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         code = (
             "import sys, awrlab, awrlab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            check=True,
-        )
-        assert proc.stdout.strip() == "[]"
+        assert fresh_python(code).strip() == "[]"
+
+    def test_only_array_commands_import_numpy(self, tmp_path):
+        commands = [
+            ["solve", "--system", "perturbed", "--samples", "11"],
+            ["classify", "--system", "original"],
+            ["sweep", "--system", "original"],
+            ["delta"],
+            # refused on its options before it computes anything
+            ["weakcheck", "--bumps", "0"],
+        ]
+        simulate = ["simulate", "--system", "original", "--grid", "20", "--T", "0.05"]
+        code = f"""
+import contextlib, io, sys, awrlab, awrlab.cli
+def numpy_modules():
+    return sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return awrlab.cli.run(argv + {BASE!r} + ["--out", {str(tmp_path)!r}])
+print(numpy_modules())
+for argv in {commands!r}:
+    print(argv[0], run(argv), numpy_modules())
+print("simulate", run({simulate!r}), "numpy" in sys.modules)
+"""
+        assert fresh_python(code).splitlines() == [
+            "[]",
+            "solve 0 []",
+            "classify 0 []",
+            "sweep 0 []",
+            "delta 0 []",
+            "weakcheck 1 []",
+            "simulate 0 True",
+        ]
+
+    def test_fv_names_resolve_on_the_package(self):
+        assert awrlab.fv is fv
+        for name in ("FieldSnapshot", "GridConfig", "delta_weight_estimate",
+                     "l1_error_vs_exact", "simulate"):
+            assert getattr(awrlab, name) is getattr(fv, name)
+
+    def test_unknown_package_attribute(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            awrlab.no_such_name
+
+    @pytest.mark.parametrize(
+        ("argv", "key", "least"),
+        [
+            (["solve", "--system", "original", "--samples", "0"], "samples", 2),
+            (["solve", "--system", "original", "--samples", "1"], "samples", 2),
+            (["solve", "--system", "original", "--samples", "-1"], "samples", 2),
+            (["weakcheck", "--bumps", "0"], "bumps", 1),
+            (["weakcheck", "--bumps", "-1"], "bumps", 1),
+        ],
+    )
+    def test_count_options_bounded(self, tmp_path, capsys, argv, key, least):
+        assert run([*argv, *BASE, "--out", str(tmp_path)]) == 1
+        expected = f"error: {key} must be an integer >= {least}, got {argv[-1]}\n"
+        assert capsys.readouterr().err == expected
+
+    def test_config_count_must_be_an_integer(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"samples": True}))
+        argv = ["solve", "--config", str(cfg), "--system", "original", *BASE]
+        assert run([*argv, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: samples must be an integer >= 2, got True\n"
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         env_out = str(tmp_path / "envout")
