@@ -157,12 +157,29 @@ def _count(opts: dict, key: str, default: int, least: int) -> int:
     return value
 
 
+def _number(opts: dict, key: str, default: float | None = None, integer: bool = False):
+    """Numeric option ``key``: a float, or an int when ``integer``.  A JSON
+    null counts as absent, and an absent option without a ``default`` is
+    missing; any value that is not a JSON number (an integer when
+    ``integer``) is refused, bools included."""
+    value = opts.get(key)
+    if value is None:
+        if default is None:
+            raise ConfigError(f"missing required option --{key}")
+        return default
+    # type(), not isinstance: JSON true and false parse to bool, an int
+    if type(value) not in ((int,) if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+    try:
+        return value if integer else float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
 def _params(opts: dict, system: str) -> PressureParams:
     return PressureParams(
-        float(_require(opts, "A")),
-        float(_require(opts, "B")),
-        float(_require(opts, "alpha")),
-        system=system,
+        _number(opts, "A"), _number(opts, "B"), _number(opts, "alpha"), system=system
     )
 
 
@@ -238,7 +255,7 @@ def _cmd_sweep(opts: dict) -> int:
     if system == TRANSPORT:
         raise ConfigError("sweep requires a pressured system (original|perturbed)")
     left, right = _states(opts)
-    alpha = float(_require(opts, "alpha"))
+    alpha = _number(opts, "alpha")
     schedule = opts.get("schedule") or "1e-1:1e-6"
     if isinstance(schedule, str):
         schedule = _parse_schedule(schedule)
@@ -276,11 +293,11 @@ def _cmd_simulate(opts: dict) -> int:
     left, right = _states(opts)
     params = _params(opts, system)
     grid = fv.GridConfig(
-        x_min=float(opts.get("xmin", -1.0)),
-        x_max=float(opts.get("xmax", 1.5)),
-        n_cells=int(_require(opts, "grid")),
-        cfl=float(opts.get("cfl", 0.5)),
-        t_end=float(_require(opts, "T")),
+        x_min=_number(opts, "xmin", -1.0),
+        x_max=_number(opts, "xmax", 1.5),
+        n_cells=_number(opts, "grid", integer=True),
+        cfl=_number(opts, "cfl", 0.5),
+        t_end=_number(opts, "T"),
     )
     snaps = fv.simulate(system, params, left, right, grid, opts.get("snapshot_times"))
     out = _out_dir(opts)
@@ -327,9 +344,9 @@ def _cmd_simulate(opts: dict) -> int:
 def _cmd_weakcheck(opts: dict) -> int:
     left, right = _states(opts)
     params = _params(opts, PERTURBED)
-    tol = float(opts.get("tol", 1e-8))
+    tol = _number(opts, "tol", 1e-8)
     n_bumps = _count(opts, "bumps", 5, 1)
-    seed = int(opts.get("seed", 0))
+    seed = _number(opts, "seed", 0, integer=True)
     sol = perturbed.solve_perturbed(params, left, right)
     lo, hi = _wave_window(sol)
     import numpy as np

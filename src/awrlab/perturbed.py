@@ -5,15 +5,29 @@ backward wave (shock or rarefaction) followed by a forward wave.  Rarefaction
 curves are defined through the integral of sqrt(A*s + B*alpha/s**alpha)/s;
 shock curves come from eliminating the shock speed from the jump conditions,
 which leaves (u_r - u_l)**2 = E1 with E1 affine in both velocities.
+
+Each :func:`solve_perturbed` call keeps one :class:`RarefactionTable`, which
+its star-state search, its vacuum-side bracket and both fans of the returned
+solution read.  The table holds the rarefaction integral in t = log(rho) on
+unit panels [k, k+1], built lazily: one adaptive ``quad`` gives a panel's
+integral, and a Chebyshev interpolant through CHEB_POINTS values gives its
+antiderivative inside the panel (the integrand is analytic within pi/2 of
+the real t axis, so the interpolant converges geometrically whatever A, B
+and alpha are; it agrees with QUADPACK to 1e-13 relative).  A request over
+panels no earlier request has touched is answered by one direct ``quad``
+and builds nothing, so a solve that needs one short integral pays one
+``quad``; panels are built when a request touches them again.  Panels stop
+at t = -744 and t = 709, the ends of the double range; a request beyond
+them is one direct ``quad``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from operator import mul
 
 from .core import (
     PERTURBED,
@@ -30,10 +44,12 @@ from .core import (
     speeds,
 )
 from .quadrature import quad
-from .rootfind import EXPAND_FACTOR, bisect_decreasing, solve_decreasing
+from .rootfind import EXPAND_FACTOR, solve_decreasing
+from .rootfind import bisect_decreasing  # noqa: F401  perfbench/tracer.py wraps it here
 
 BOUNDARY_TOL = 1e-12
-PANEL = 1.0  # largest log-density width of one panel of a fan's integral table
+CHEB_POINTS = 14  # Chebyshev points per unit panel of a RarefactionTable
+PANEL_T_RANGE = (-744, 709)  # panels [k, k+1] lie within it; beyond, one direct quad
 BACKWARD = "backward"
 FORWARD = "forward"
 RarefactionFan = Fan
@@ -59,31 +75,115 @@ def _require_perturbed(params: PressureParams):
         raise ValueError("the perturbed system requires 0 < alpha < 1")
 
 
-def _log_integrand(params: PressureParams) -> Callable[[float], float]:
-    """The rarefaction integrand sqrt(A*s + B*alpha/s**alpha)/s after the
-    substitution s = e^t: the smooth sqrt(A*e^t + B*alpha*e^(-alpha*t)),
-    which tames the s -> 0 blow-up."""
-    A, B, a = params.A, params.B, params.alpha
+def _antiderivative_matrix(n: int) -> tuple[list[float], list[list[float]]]:
+    """The n Chebyshev points x_j = cos(pi*(j + 1/2)/n) and the (n+1) x n
+    matrix taking an integrand's values at t = k + (1 + x_j)/2 to the
+    Chebyshev coefficients, in x, of its interpolant's antiderivative over
+    [k, t], which is 0 at x = -1."""
+    xs = [math.cos(math.pi * (j + 0.5) / n) for j in range(n)]
+    # interpolant coefficient m per unit value at x_j, by the discrete cosine
+    # transform; two zero rows stand for the coefficients past the last
+    a = [
+        [(1.0 if m else 0.5) * (2.0 / n) * math.cos(math.pi * m * (j + 0.5) / n) for j in range(n)]
+        for m in range(n)
+    ] + [[0.0] * n] * 2
+    # T_0 integrates to T_1 and T_m to T_(m+1)/(2(m+1)) - T_(m-1)/(2(m-1));
+    # dt = dx/2 on a unit panel
+    rows = [
+        [((2.0 if m == 1 else 1.0) * a[m - 1][j] - a[m + 1][j]) / (4.0 * m) for j in range(n)]
+        for m in range(1, n + 1)
+    ]
+    first = [-sum((-1) ** m * rows[m - 1][j] for m in range(1, n + 1)) for j in range(n)]
+    return xs, [first] + rows
 
-    def integrand(t: float) -> float:
-        return math.sqrt(A * math.exp(t) + B * a * math.exp(-a * t))
 
-    return integrand
+_CHEB_X, _CHEB_MATRIX = _antiderivative_matrix(CHEB_POINTS)
 
 
-def _log_integral(integrand: Callable[[float], float], t_a: float, t_b: float) -> float:
-    """Integral of a :func:`_log_integrand` over [t_a, t_b] in log density."""
-    return quad(integrand, t_a, t_b, epsabs=1e-14, epsrel=1e-12)[0]
+def _clenshaw(c: list[float], x: float) -> float:
+    """Sum of c[m]*T_m(x) by Clenshaw's recurrence."""
+    b1 = b2 = 0.0
+    x2 = x + x
+    for cm in c[:0:-1]:
+        b1, b2 = cm + x2 * b1 - b2, b1
+    return c[0] + x * b1 - b2
+
+
+class RarefactionTable:
+    """The rarefaction integral of one pressure law in t = log(rho): the
+    integrand sqrt(A*s + B*alpha/s**alpha)/s after s = e^t, which is the
+    smooth sqrt(A*e^t + B*alpha*e^(-alpha*t)), on lazily built unit panels
+    (see the module docstring).  ``panels_built`` and ``max_abserr``, the
+    largest error estimate of the table's ``quad`` calls, say how it got
+    its values."""
+
+    def __init__(self, params: PressureParams):
+        A, B, a = params.A, params.B, params.alpha
+
+        def integrand(t: float) -> float:
+            return math.sqrt(A * math.exp(t) + B * a * math.exp(-a * t))
+
+        self.params = params
+        self.integrand = integrand
+        self.max_abserr = 0.0
+        self._panels: dict[int, tuple[float, list[float]]] = {}
+        self._touched: set[int] = set()
+
+    @property
+    def panels_built(self) -> int:
+        return len(self._panels)
+
+    def _quad(self, t_a: float, t_b: float) -> float:
+        value, err = quad(self.integrand, t_a, t_b, epsabs=1e-14, epsrel=1e-12)
+        self.max_abserr = max(self.max_abserr, err)
+        return value
+
+    def panel(self, k: int) -> tuple[float, list[float]]:
+        """Panel [k, k+1]: its integral and the Chebyshev coefficients of its
+        antiderivative, built on first use."""
+        if k not in self._panels:
+            integral = self._quad(k, k + 1)
+            values = [self.integrand(k + 0.5 + 0.5 * x) for x in _CHEB_X]
+            c = [sum(map(mul, row, values)) for row in _CHEB_MATRIX]
+            # shift by the end mismatch (about 1e-15) so that partial values
+            # meet 0 and the integral at the panel ends
+            lo, hi = _clenshaw(c, -1.0), _clenshaw(c, 1.0)
+            c[0] += 0.5 * (integral - hi - lo)
+            c[1] += 0.5 * (integral - hi + lo)
+            self._panels[k] = (integral, c)
+            self._touched.add(k)
+        return self._panels[k]
+
+    def partial(self, k: int, t: float) -> float:
+        """Integral over [k, t] for t in panel [k, k+1]."""
+        return _clenshaw(self.panel(k)[1], 2.0 * (t - k) - 1.0)
+
+    def between(self, t_a: float, t_b: float) -> float:
+        """Signed integral over [t_a, t_b]."""
+        if t_a > t_b:
+            return -self.between(t_b, t_a)
+        if t_a == t_b:
+            return 0.0
+        k_a, k_b = math.floor(t_a), math.ceil(t_b) - 1  # the panels covering [t_a, t_b]
+        ks = range(k_a, k_b + 1)
+        if k_a < PANEL_T_RANGE[0] or k_b >= PANEL_T_RANGE[1] or self._touched.isdisjoint(ks):
+            self._touched.update(ks)
+            return self._quad(t_a, t_b)
+        if k_a == k_b:
+            return self.partial(k_a, t_b) - self.partial(k_a, t_a)
+        total = self.panel(k_a)[0] - self.partial(k_a, t_a)
+        for k in range(k_a + 1, k_b):
+            total += self.panel(k)[0]
+        return total + self.partial(k_b, t_b)
 
 
 def rarefaction_integral(params: PressureParams, rho_a: float, rho_b: float) -> float:
-    """Signed integral of sqrt(A*s + B*alpha/s**alpha)/s over [rho_a, rho_b]."""
+    """Signed integral of sqrt(A*s + B*alpha/s**alpha)/s over [rho_a, rho_b],
+    by one adaptive ``quad``."""
     _require_perturbed(params)
     if not (rho_a > 0.0 and rho_b > 0.0):
         raise ValueError("integration bounds must be positive")
-    if rho_a == rho_b:
-        return 0.0
-    return _log_integral(_log_integrand(params), math.log(rho_a), math.log(rho_b))
+    return RarefactionTable(params).between(math.log(rho_a), math.log(rho_b))
 
 
 def _fan_side(direction: str, left: State, rho: float) -> bool:
@@ -105,7 +205,7 @@ def rarefaction_curve_u(
     _require_perturbed(params)
     if not _fan_side(direction, left, rho):
         raise BranchError(f"rho = {rho} is off the {direction} rarefaction branch")
-    return _wave_curve_u(params, left, rho, direction)
+    return _wave_curve_u(RarefactionTable(params), left, rho, direction)
 
 
 def e1_left_coefficient(params: PressureParams, rho_l: float, rho_r: float) -> float:
@@ -230,19 +330,20 @@ def rh_residual_perturbed(
 
 
 def _wave_curve_u(
-    params: PressureParams, known: State, rho: float, direction: str, s: float = 1.0
+    table: RarefactionTable, known: State, rho: float, direction: str, s: float = 1.0
 ) -> float:
     """Velocity at ``rho`` on the composite ``direction`` curve through
     ``known``, which is the wave's left state when s = 1 and its right state
-    when s = -1 (as in :func:`_shock_u`).  From a left state the curve is R on
-    its rarefaction side (rho <= rho_left backward, rho >= rho_left forward)
-    and S on the other; from a right state the sides swap, and R is clamped
-    at vacuum."""
+    when s = -1 (as in :func:`_shock_u`), for the pressure law of ``table``.
+    From a left state the curve is R on its rarefaction side (rho <= rho_left
+    backward, rho >= rho_left forward) and S on the other; from a right state
+    the sides swap, and R is clamped at vacuum."""
     if rho == known.rho:
         return known.u
     if _fan_side(direction, known, rho) != (s < 0.0):
-        return _rarefaction_u(known.u, direction, rarefaction_integral(params, known.rho, rho))
-    return _shock_u(params, known, rho, s)
+        integral = table.between(math.log(known.rho), math.log(rho))
+        return _rarefaction_u(known.u, direction, integral)
+    return _shock_u(table.params, known, rho, s)
 
 
 def _rarefaction_u(u_known: float, direction: str, integral: float) -> float:
@@ -261,8 +362,9 @@ def classify_perturbed(params: PressureParams, left: State, right: State) -> Reg
     _require_perturbed(params)
     if abs(right.u - left.u) <= BOUNDARY_TOL and abs(right.rho - left.rho) <= BOUNDARY_TOL:
         return RegionLabel17.COINCIDENT
-    u_bwd = _wave_curve_u(params, left, right.rho, BACKWARD)
-    u_fwd = _wave_curve_u(params, left, right.rho, FORWARD)
+    table = RarefactionTable(params)
+    u_bwd = _wave_curve_u(table, left, right.rho, BACKWARD)
+    u_fwd = _wave_curve_u(table, left, right.rho, FORWARD)
     d_bwd = right.u - u_bwd  # above backward curve => forward wave is R
     d_fwd = right.u - u_fwd  # above forward curve  => backward wave is R
     if abs(d_bwd) <= BOUNDARY_TOL:
@@ -282,37 +384,49 @@ def classify_perturbed(params: PressureParams, left: State, right: State) -> Reg
     return RegionLabel17[first + second]
 
 
+@dataclass(frozen=True)
 class RiemannSolution17(RiemannSolution):
-    """Self-similar two-wave solution of the perturbed system."""
+    """Self-similar two-wave solution of the perturbed system; ``table`` is
+    the rarefaction-integral table its solve and its fans share (None for a
+    solution assembled by hand)."""
+
+    table: RarefactionTable | None = field(default=None, compare=False, repr=False)
 
 
-def _wave(params: PressureParams, direction: str, sl: State, sr: State):
+def _wave(
+    params: PressureParams,
+    direction: str,
+    sl: State,
+    sr: State,
+    table: RarefactionTable | None = None,
+):
     """The ``direction`` wave joining ``sl`` to ``sr``: a shock when it
     compresses, a fan along the rarefaction curve through ``sl`` when it
-    expands, None when the densities agree."""
+    expands (reading ``table``, or a table of its own), None when the
+    densities agree."""
     if sr.rho == sl.rho:
         return None
     if (sr.rho > sl.rho) == (direction == BACKWARD):
         return Shock(shock_speed_perturbed(params, sl, sr))
-    # along the curve xi = lambda_k falls as rho rises for the backward
-    # family and rises with rho for the forward one
-    k, sign = (0, -1.0) if direction == BACKWARD else (1, 1.0)
-    integrand = _log_integrand(params)
-    # panel ends (log density, density, integral from sl, velocity) and their
-    # speeds, built on the first interior sample: a solve never sampled inside
-    # the fan pays nothing, and each later sample integrates within one panel
+    k = 0 if direction == BACKWARD else 1
+    table = table or RarefactionTable(params)
+    A, B, a = params.A, params.B, params.alpha
+    # the fan's ends and the panel ends between them (log density, density,
+    # integral from sl, velocity) and their speeds, built on the first
+    # interior sample, so that a solve never sampled inside the fan pays
+    # nothing and each sample solves within one panel
     nodes: list[tuple[float, float, float, float]] = []
     xis: list[float] = []
 
     def tabulate():
         t0, t1 = math.log(sl.rho), math.log(sr.rho)
-        n = max(1, math.ceil(abs(t1 - t0) / PANEL))
-        ts = [t0 + (t1 - t0) * j / n for j in range(n)] + [t1]
+        inner = range(math.floor(min(t0, t1)) + 1, math.ceil(max(t0, t1)))
+        ts = [t0, *(inner if t1 > t0 else reversed(inner)), t1]
         nodes.append((t0, sl.rho, 0.0, sl.u))
-        for j in range(1, n + 1):
-            integral = nodes[-1][2] + _log_integral(integrand, ts[j - 1], ts[j])
-            rho = sr.rho if j == n else math.exp(ts[j])
-            nodes.append((ts[j], rho, integral, _rarefaction_u(sl.u, direction, integral)))
+        for t_prev, t in zip(ts, ts[1:]):
+            integral = nodes[-1][2] + table.between(t_prev, t)
+            rho = sr.rho if t == t1 else math.exp(t)
+            nodes.append((t, rho, integral, _rarefaction_u(sl.u, direction, integral)))
         xis.extend(speeds(PERTURBED, params, u, rho)[k] for _, rho, _, u in nodes)
 
     def profile(xi: float) -> tuple[float, float]:
@@ -322,24 +436,47 @@ def _wave(params: PressureParams, direction: str, sl: State, sr: State):
         i = bisect_right(xis, xi) - 1
         if i == len(nodes) - 1:  # past the last node only by the tail's rounding
             return nodes[i][3], nodes[i][1]
-        (t_i, rho_i, integral_i, u_i), (_, rho_j, _, u_j) = nodes[i], nodes[i + 1]
-        curve = {rho_i: u_i, rho_j: u_j}
-
-        def g(rho: float) -> float:
-            if rho not in curve:
-                integral = integral_i + _log_integral(integrand, t_i, math.log(rho))
-                curve[rho] = _rarefaction_u(sl.u, direction, integral)
-            return sign * (xi - speeds(PERTURBED, params, curve[rho], rho)[k])
-
-        rho = bisect_decreasing(g, min(rho_i, rho_j), max(rho_i, rho_j), rtol=1e-14)
-        return curve[rho], rho
+        (t_i, _, integral_i, _), (t_j, _, _, _) = nodes[i], nodes[i + 1]
+        # nodes i and i + 1 bound one panel p, where the integral from sl is
+        # base + partial(p, t).  Along the curve r = sqrt(u) moves by half the
+        # integral, so with f the integrand dr/dt = -/+ f/2 and lambda_k =
+        # r*(r -/+ f).  Newton in t on lambda_k = xi within [lo, hi], where
+        # lambda_k(lo) <= xi < lambda_k(hi), bisecting when a step would leave
+        # it.  A step below 1e-9 leaves an error at the rounding level, so
+        # the search stops at that iterate (kept in [lo, hi] against noise).
+        p = math.floor(min(t_i, t_j))
+        base = integral_i - table.partial(p, t_i)
+        kappa, r_l = 2.0 * k - 1.0, math.sqrt(sl.u)
+        lo, hi = t_i, t_j
+        t_next = t_i + (t_j - t_i) * (xi - xis[i]) / (xis[i + 1] - xis[i])
+        converged = False
+        for _ in range(100):
+            t = t_next
+            r = r_l + 0.5 * kappa * (base + table.partial(p, t))
+            e_a, e_b = A * math.exp(t), B * a * math.exp(-a * t)
+            f = math.sqrt(e_a + e_b)
+            excess = r * (r + kappa * f) - xi
+            if converged or excess == 0.0:
+                break
+            if excess < 0.0:
+                lo = t
+            else:
+                hi = t
+            slope = kappa * f * (r + 0.5 * kappa * f) + kappa * r * (e_a - a * e_b) / (2.0 * f)
+            t_next = t - excess / slope
+            converged = abs(t_next - t) <= 1e-9
+            if converged:
+                t_next = min(max(t_next, min(lo, hi)), max(lo, hi))
+            elif not min(lo, hi) < t_next < max(lo, hi):
+                t_next = 0.5 * (lo + hi)
+        return r * r, math.exp(t)
 
     head = speeds(PERTURBED, params, sl.u, sl.rho)[k]
     return Fan(head, speeds(PERTURBED, params, sr.u, sr.rho)[k], profile)
 
 
 def _vacuum_side_bracket(
-    params: PressureParams, u_bwd: float, u_fwd: float, lo: float
+    table: RarefactionTable, u_bwd: float, u_fwd: float, lo: float
 ) -> tuple[float, float]:
     """The bracket [lo / EXPAND_FACTOR**m, lo / EXPAND_FACTOR**(m-1)] at whose
     lower end the intersection map of :func:`solve_perturbed` first turns
@@ -349,19 +486,18 @@ def _vacuum_side_bracket(
     Below ``lo`` both curves are rarefaction curves.  As rho falls, sqrt(u)
     rises on the backward curve and falls on the forward one, each by half
     the integral from rho up to ``lo``, so the curves meet where that
-    integral reaches sqrt(u_fwd) - sqrt(u_bwd).  Each step adds one
-    quadrature over one factor of EXPAND_FACTOR, where the map itself
-    integrates over the whole range at every point.  The ends are points
-    ``expand_bracket`` steps through; it checks their signs on the exact map
-    and steps on from them if this estimate is off by one.
+    integral reaches sqrt(u_fwd) - sqrt(u_bwd).  Each step adds the integral
+    over one factor of EXPAND_FACTOR, where the map itself integrates over
+    the whole range at every point.  The ends are points ``expand_bracket``
+    steps through; it checks their signs on the exact map and steps on from
+    them if this estimate is off by one.
     """
     gap = math.sqrt(u_fwd) - math.sqrt(u_bwd)
-    integrand = _log_integrand(params)
     t, closed, hi = math.log(lo), 0.0, lo
     while lo / EXPAND_FACTOR > 0.0:
         hi, lo = lo, lo / EXPAND_FACTOR
         t_next = math.log(lo)
-        closed += _log_integral(integrand, t_next, t)
+        closed += table.between(t_next, t)
         t = t_next
         if closed >= gap:
             break
@@ -372,7 +508,9 @@ def solve_perturbed(
     params: PressureParams, left: State, right: State
 ) -> RiemannSolution17:
     """Intersect the backward curve from ``left`` with the (reversed) forward
-    curve through ``right``; assemble the two waves around the result.
+    curve through ``right``; assemble the two waves around the result.  The
+    curves, the vacuum-side bracket and both fans read one
+    :class:`RarefactionTable`, kept on the solution as ``table``.
 
     Monotonicity of the curves in rho is only guaranteed for small pressure
     coefficients; the residual of the match is always checked.
@@ -380,8 +518,9 @@ def solve_perturbed(
     _require_perturbed(params)
     if params.A <= 0.0 or params.B <= 0.0:
         raise InapplicableError("the pressured solver requires A > 0 and B > 0")
+    table = RarefactionTable(params)
     if right.u == left.u and right.rho == left.rho:
-        return RiemannSolution17(params, left, left, right, ())
+        return RiemannSolution17(params, left, left, right, (), table)
 
     # (backward u, forward u) at each rho g has seen, so no point is evaluated twice
     curves: dict[float, tuple[float, float]] = {}
@@ -389,8 +528,8 @@ def solve_perturbed(
     def g(rho: float) -> float:
         if rho not in curves:
             curves[rho] = (
-                _wave_curve_u(params, left, rho, BACKWARD),
-                _wave_curve_u(params, right, rho, FORWARD, -1.0),
+                _wave_curve_u(table, left, rho, BACKWARD),
+                _wave_curve_u(table, right, rho, FORWARD, -1.0),
             )
         u_bwd, u_fwd = curves[rho]
         return u_bwd - u_fwd
@@ -398,7 +537,7 @@ def solve_perturbed(
     lo = min(left.rho, right.rho)
     hi = max(left.rho, right.rho)
     if g(lo) < 0.0:
-        lo, hi = _vacuum_side_bracket(params, *curves[lo], lo)
+        lo, hi = _vacuum_side_bracket(table, *curves[lo], lo)
     rho_star = solve_decreasing(g, lo, hi, rtol=1e-15)
     u_star, u_fwd = curves[rho_star]
     residual = u_star - u_fwd
@@ -409,9 +548,12 @@ def solve_perturbed(
     if not u_star > 0.0:
         raise InapplicableError("intersection fell outside the positive-velocity region")
     star = State(u_star, rho_star)
-    waves = (_wave(params, BACKWARD, left, star), _wave(params, FORWARD, star, right))
+    waves = (
+        _wave(params, BACKWARD, left, star, table),
+        _wave(params, FORWARD, star, right, table),
+    )
     return RiemannSolution17(
-        params, left, star, right, tuple(w for w in waves if w is not None)
+        params, left, star, right, tuple(w for w in waves if w is not None), table
     )
 
 

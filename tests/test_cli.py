@@ -36,6 +36,12 @@ def fresh_python(code):
 
 
 BASE = ["--A", "0.1", "--B", "0.1", "--alpha", "0.5", "--left", "2,1", "--right", "1,2"]
+# a command that reads each numeric option, with its other required flags
+NUMERIC_COMMANDS = {
+    "xmin": ["simulate", "--system", "original", "--grid", "20", "--T", "0.05"],
+    "tol": ["weakcheck", "--bumps", "1"],
+    "seed": ["weakcheck", "--bumps", "1"],
+}
 
 
 class TestSolve:
@@ -478,6 +484,35 @@ print("simulate", run({simulate!r}), "numpy" in sys.modules)
         argv = ["solve", "--config", str(cfg), "--system", "original", *BASE]
         assert run([*argv, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "error: samples must be an integer >= 2, got True\n"
+
+    @pytest.mark.parametrize("key", ["xmin", "tol", "seed"])
+    @pytest.mark.parametrize("value", [[1], True, "1"])
+    def test_config_number_of_another_type_refused(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: value}))
+        argv = [*NUMERIC_COMMANDS[key], "--config", str(cfg), *BASE, "--out", str(tmp_path)]
+        assert run(argv) == 1
+        kind = "an integer" if key == "seed" else "a number"
+        assert capsys.readouterr().err == f"error: {key} must be {kind}, got {value!r}\n"
+
+    @pytest.mark.parametrize("key", ["xmin", "tol", "seed"])
+    def test_config_null_number_takes_the_default(self, tmp_path, key):
+        outputs = []
+        for opts in ({key: None}, {}):
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(opts))
+            out = tmp_path / f"out{len(outputs)}"
+            argv = [*NUMERIC_COMMANDS[key], "--config", str(cfg), *BASE, "--out", str(out)]
+            assert run(argv) == 0
+            outputs.append({name: read(out / name) for name in os.listdir(out)})
+        assert outputs[0] and outputs[0] == outputs[1]
+
+    def test_config_null_required_number_is_missing(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"T": None}))
+        argv = [*NUMERIC_COMMANDS["xmin"][:-2], "--config", str(cfg), *BASE]
+        assert run([*argv, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "error: missing required option --T\n"
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         env_out = str(tmp_path / "envout")

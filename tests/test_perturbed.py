@@ -412,26 +412,33 @@ class TestSolver:
         assert deep >= 30
 
     @pytest.mark.parametrize("A", [0.1, 1e-4])
-    def test_fan_samples_integrate_within_one_panel(self, monkeypatch, A):
-        # the first interior sample of a fan tabulates it; later ones integrate
-        # from one panel's start and reuse the curve value found at the root
-        sol = solve_perturbed(perturbed_params(A, A), LEFT_RR, RIGHT_RR)
+    def test_quad_calls_build_panels_or_touch_new_ones(self, monkeypatch, A):
+        # over a solve and 10 samples per fan, each rarefaction quad call
+        # either builds one unit panel [k, k+1] or answers a request over
+        # panels no earlier call covered; no call repeats, so no panel is
+        # built twice, and every built panel is on the solution's table
         bounds = []
 
         def recording_quad(f, a, b, **kwargs):
-            bounds.append((a, b))
+            bounds.append((min(a, b), max(a, b)))
             return quadrature.quad(f, a, b, **kwargs)
 
         monkeypatch.setattr(perturbed, "quad", recording_quad)
+        sol = solve_perturbed(perturbed_params(A, A), LEFT_RR, RIGHT_RR)
         for w in sol.waves:
-            for n, xi in enumerate(np.linspace(w.head, w.tail, 12)[1:-1]):
-                bounds.clear()
+            for xi in np.linspace(w.head, w.tail, 12)[1:-1]:
                 sol.sample(float(xi))
-                assert bounds
-                assert len(bounds) == len(set(bounds))
-                if n > 0:
-                    assert len({a for a, _ in bounds}) == 1
-                    assert all(abs(b - a) <= perturbed.PANEL for a, b in bounds)
+        assert len(bounds) == len(set(bounds))
+        covered: set[int] = set()
+        builds = 0
+        for a, b in bounds:
+            panels = set(range(math.floor(a), math.ceil(b)))
+            if a == math.floor(a) and b == a + 1:
+                builds += 1
+            else:
+                assert covered.isdisjoint(panels), (a, b)
+            covered |= panels
+        assert builds == sol.table.panels_built > 0
 
     def test_fan_sample_past_the_curve_end_gives_its_end(self):
         # the tail comes from the downstream state, the profile from the curve
@@ -443,6 +450,64 @@ class TestSolver:
         lam_end = eigenvalues_perturbed(P_REF, State(u_end, 2.0)).lambda2
         assert lam_end < fan.tail
         assert fan.profile(0.5 * (lam_end + fan.tail)) == (u_end, 2.0)
+
+
+class TestRarefactionTable:
+    def test_between_matches_scipy_quad(self):
+        # the panel sums and Chebyshev partials against QUADPACK over 2,000
+        # log-uniform pressure laws and intervals in [-60, 60], plus half a
+        # panel or more of the panel where the two pressure terms cross,
+        # which converges slowest; across each panel end the integral from
+        # t_a keeps rising
+        rng = np.random.default_rng(20261020)
+        for _ in range(2000):
+            A, B = 10.0 ** rng.uniform(-10.0, 1.0, size=2)
+            alpha = 10.0 ** rng.uniform(-3.0, math.log10(0.999))
+            t_a, t_b = rng.uniform(-60.0, 60.0, size=2)
+            table = perturbed.RarefactionTable(perturbed_params(A, B, alpha))
+            table.between(t_a, t_b)  # one direct quad; asking again builds the panels
+            got = table.between(t_a, t_b)
+            lo, hi = min(t_a, t_b), max(t_a, t_b)
+            assert table.panels_built == math.ceil(hi) - math.floor(lo)
+
+            def integrand(t):
+                return math.sqrt(A * math.exp(t) + B * alpha * math.exp(-alpha * t))
+
+            # break points keep QUADPACK's own error well below the bound
+            ends = range(math.floor(lo) + 1, math.ceil(hi))  # panel ends inside
+            expect, _ = quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, points=ends, limit=400)
+            assert got == pytest.approx(math.copysign(expect, t_b - t_a), rel=1e-13, abs=0.0)
+            for k in {*ends[:1], *ends[-1:]}:
+                values = [table.between(t_a, k + d) for d in (-1e-6, -1e-9, 0.0, 1e-9, 1e-6)]
+                assert values == sorted(values)
+            k = math.floor(math.log(B * alpha / A) / (1.0 + alpha))
+            table.panel(k)
+            t_c, t_d = k + rng.uniform(0.0, 0.25), k + rng.uniform(0.75, 1.0)
+            expect, _ = quad(integrand, t_c, t_d, epsabs=0.0, epsrel=1e-13)
+            assert table.between(t_c, t_d) == pytest.approx(expect, rel=1e-13, abs=0.0)
+
+    def test_solution_reports_its_table(self, monkeypatch):
+        # a two-shock solve needs one short integral: one direct quad and no
+        # panel; a two-rarefaction solve builds panels, and its fans add more
+        calls = []
+
+        def recording_quad(*args, **kwargs):
+            calls.append(quadrature.quad(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(perturbed, "quad", recording_quad)
+        shocks = solve_perturbed(P_REF, LEFT, RIGHT)
+        assert len(calls) == 1
+        assert shocks.table.panels_built == 0
+        assert shocks.table.max_abserr == calls[0][1] > 0.0
+        fans = solve_perturbed(P_REF, LEFT_RR, RIGHT_RR)
+        built = fans.table.panels_built
+        assert built > 0
+        w = fans.waves[1]
+        fans.sample(0.5 * (w.head + w.tail))
+        assert fans.table.panels_built >= built
+        assert fans.table.max_abserr == max(err for _, err in calls[1:])
+        assert fans.table.max_abserr < 1e-14
 
 
 class TestFanTable:
