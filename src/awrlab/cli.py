@@ -20,6 +20,7 @@ from .core import ORIGINAL, PERTURBED, TRANSPORT, PressureParams, State
 from .io import emit_csv, emit_svg_plot
 from .rootfind import BracketError
 
+DELTA_KINDS = ("transport", "special", "both")
 SWEEP_COLUMNS = ["A", "B", "rho_star", "u_star", "sigma1", "sigma2", "product", "A_rho_star"]
 
 _CONFIG_KEYS = {
@@ -94,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delta", help="transport-limit delta shock report")
     common(p)
-    p.add_argument("--kind", choices=["transport", "special", "both"])
+    p.add_argument("--kind", choices=DELTA_KINDS)
     return parser
 
 
@@ -125,6 +126,23 @@ def _require(opts: dict, key: str):
     raise ConfigError(f"missing required option --{key}")
 
 
+def _option(opts: dict, key: str, default, ok, expected: str):
+    """Option ``key``, or ``default`` when it is absent or JSON null; a value
+    that ``ok`` refuses is a ConfigError naming the key."""
+    value = opts.get(key)
+    if value is None:
+        return default
+    if not ok(value):
+        raise ConfigError(f"{key} must be {expected}, got {value!r}")
+    return value
+
+
+def _numbers(value) -> bool:
+    """Whether ``value`` is a list of JSON numbers."""
+    # type(), not isinstance: JSON true and false parse to bool, an int
+    return isinstance(value, list) and all(type(v) in (int, float) for v in value)
+
+
 def _states(opts: dict) -> tuple[State, State]:
     left = opts.get("left")
     right = opts.get("right")
@@ -136,9 +154,7 @@ def _states(opts: dict) -> tuple[State, State]:
         try:
             if isinstance(value, str):
                 return _parse_state(value)
-            pair = isinstance(value, list) and len(value) == 2
-            # type(), not isinstance: JSON true and false parse to bool, an int
-            if not (pair and all(type(v) in (int, float) for v in value)):
+            if not (_numbers(value) and len(value) == 2):
                 raise ConfigError(f"expected 'u,rho' or a pair of numbers, got {value!r}")
             return State(float(value[0]), float(value[1]))
         except (ValueError, OverflowError) as exc:
@@ -148,13 +164,10 @@ def _states(opts: dict) -> tuple[State, State]:
 
 
 def _count(opts: dict, key: str, default: int, least: int) -> int:
-    value = opts.get(key)
-    if value is None:
-        return default
     # type(), not isinstance: JSON true and false parse to bool, an int
-    if type(value) is not int or value < least:
-        raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
-    return value
+    return _option(
+        opts, key, default, lambda v: type(v) is int and v >= least, f"an integer >= {least}"
+    )
 
 
 def _number(opts: dict, key: str, default: float | None = None, integer: bool = False):
@@ -162,15 +175,11 @@ def _number(opts: dict, key: str, default: float | None = None, integer: bool = 
     null counts as absent, and an absent option without a ``default`` is
     missing; any value that is not a JSON number (an integer when
     ``integer``) is refused, bools included."""
-    value = opts.get(key)
+    kinds = (int,) if integer else (int, float)
+    expected = "an integer" if integer else "a number"
+    value = _option(opts, key, default, lambda v: type(v) in kinds, expected)
     if value is None:
-        if default is None:
-            raise ConfigError(f"missing required option --{key}")
-        return default
-    # type(), not isinstance: JSON true and false parse to bool, an int
-    if type(value) not in ((int,) if integer else (int, float)):
-        kind = "an integer" if integer else "a number"
-        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+        raise ConfigError(f"missing required option --{key}")
     try:
         return value if integer else float(value)
     except OverflowError as exc:
@@ -184,7 +193,8 @@ def _params(opts: dict, system: str) -> PressureParams:
 
 
 def _out_dir(opts: dict) -> str:
-    out = opts.get("out") or os.environ.get("AWRLAB_OUT") or "awrlab_out"
+    out = _option(opts, "out", None, lambda v: isinstance(v, str), "a string")
+    out = out or os.environ.get("AWRLAB_OUT") or "awrlab_out"
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -256,7 +266,10 @@ def _cmd_sweep(opts: dict) -> int:
         raise ConfigError("sweep requires a pressured system (original|perturbed)")
     left, right = _states(opts)
     alpha = _number(opts, "alpha")
-    schedule = opts.get("schedule") or "1e-1:1e-6"
+    schedule = _option(
+        opts, "schedule", "1e-1:1e-6", lambda v: isinstance(v, str) or _numbers(v),
+        "a 'lo:hi[:n]' string or a list of numbers",
+    )
     if isinstance(schedule, str):
         schedule = _parse_schedule(schedule)
     runner = transport.sweep_original if system == ORIGINAL else transport.sweep_perturbed
@@ -299,7 +312,8 @@ def _cmd_simulate(opts: dict) -> int:
         cfl=_number(opts, "cfl", 0.5),
         t_end=_number(opts, "T"),
     )
-    snaps = fv.simulate(system, params, left, right, grid, opts.get("snapshot_times"))
+    times = _option(opts, "snapshot_times", None, _numbers, "a list of numbers")
+    snaps = fv.simulate(system, params, left, right, grid, times)
     out = _out_dir(opts)
     t_prev, floored_prev = 0.0, 0
     for snap in snaps:
@@ -371,7 +385,9 @@ def _cmd_weakcheck(opts: dict) -> int:
 
 def _cmd_delta(opts: dict) -> int:
     left, right = _states(opts)
-    kind = opts.get("kind", "both")
+    kind = _option(
+        opts, "kind", "both", lambda v: v in DELTA_KINDS, f"one of {', '.join(DELTA_KINDS)}"
+    )
     if not right.u < left.u:
         print("error: delta shocks require u+ < u-", file=sys.stderr)
         return 1

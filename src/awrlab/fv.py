@@ -21,12 +21,13 @@ VACUUM_RECOVERY_RHO = 1e-8
 
 @dataclass(frozen=True)
 class GridConfig:
+    """Uniform grid of n_cells cells on [x_min, x_max], with outflow boundaries."""
+
     x_min: float
     x_max: float
     n_cells: int
     cfl: float = 0.5
     t_end: float = 0.5
-    boundary: str = "outflow"
 
     def __post_init__(self):
         if self.n_cells < 16:
@@ -37,8 +38,6 @@ class GridConfig:
             raise ValueError("end time must be positive")
         if self.x_min >= self.x_max:
             raise ValueError("empty domain")
-        if self.boundary != "outflow":
-            raise ValueError("only outflow boundaries are supported")
 
     @property
     def dx(self) -> float:

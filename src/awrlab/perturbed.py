@@ -9,11 +9,12 @@ which leaves (u_r - u_l)**2 = E1 with E1 affine in both velocities.
 Each :func:`solve_perturbed` call keeps one :class:`RarefactionTable`, which
 its star-state search, its vacuum-side bracket and both fans of the returned
 solution read.  The table holds the rarefaction integral in t = log(rho) on
-unit panels [k, k+1], built lazily: one adaptive ``quad`` gives a panel's
-integral, and a Chebyshev interpolant through CHEB_POINTS values gives its
-antiderivative inside the panel (the integrand is analytic within pi/2 of
-the real t axis, so the interpolant converges geometrically whatever A, B
-and alpha are; it agrees with QUADPACK to 1e-13 relative).  A request over
+unit panels [k, k+1], built lazily: a Chebyshev interpolant through
+CHEB_POINTS integrand values gives a panel's antiderivative, and its value
+at the panel's upper end is the panel's integral, so partial and whole
+values come from one rule (the integrand is analytic within pi/2 of the
+real t axis, so the interpolant converges geometrically whatever A, B and
+alpha are; it agrees with QUADPACK to 1e-13 relative).  A request over
 panels no earlier request has touched is answered by one direct ``quad``
 and builds nothing, so a solve that needs one short integral pays one
 ``quad``; panels are built when a request touches them again.  Panels stop
@@ -114,8 +115,8 @@ class RarefactionTable:
     integrand sqrt(A*s + B*alpha/s**alpha)/s after s = e^t, which is the
     smooth sqrt(A*e^t + B*alpha*e^(-alpha*t)), on lazily built unit panels
     (see the module docstring).  ``panels_built`` and ``max_abserr``, the
-    largest error estimate of the table's ``quad`` calls, say how it got
-    its values."""
+    largest error estimate of the table's direct ``quad`` calls (a panel
+    build makes none), say how it got its values."""
 
     def __init__(self, params: PressureParams):
         A, B, a = params.A, params.B, params.alpha
@@ -133,24 +134,14 @@ class RarefactionTable:
     def panels_built(self) -> int:
         return len(self._panels)
 
-    def _quad(self, t_a: float, t_b: float) -> float:
-        value, err = quad(self.integrand, t_a, t_b, epsabs=1e-14, epsrel=1e-12)
-        self.max_abserr = max(self.max_abserr, err)
-        return value
-
     def panel(self, k: int) -> tuple[float, list[float]]:
         """Panel [k, k+1]: its integral and the Chebyshev coefficients of its
-        antiderivative, built on first use."""
+        antiderivative, built on first use; the integral is the
+        antiderivative at the panel's upper end."""
         if k not in self._panels:
-            integral = self._quad(k, k + 1)
             values = [self.integrand(k + 0.5 + 0.5 * x) for x in _CHEB_X]
             c = [sum(map(mul, row, values)) for row in _CHEB_MATRIX]
-            # shift by the end mismatch (about 1e-15) so that partial values
-            # meet 0 and the integral at the panel ends
-            lo, hi = _clenshaw(c, -1.0), _clenshaw(c, 1.0)
-            c[0] += 0.5 * (integral - hi - lo)
-            c[1] += 0.5 * (integral - hi + lo)
-            self._panels[k] = (integral, c)
+            self._panels[k] = (_clenshaw(c, 1.0), c)
             self._touched.add(k)
         return self._panels[k]
 
@@ -168,7 +159,9 @@ class RarefactionTable:
         ks = range(k_a, k_b + 1)
         if k_a < PANEL_T_RANGE[0] or k_b >= PANEL_T_RANGE[1] or self._touched.isdisjoint(ks):
             self._touched.update(ks)
-            return self._quad(t_a, t_b)
+            value, err = quad(self.integrand, t_a, t_b, epsabs=1e-14, epsrel=1e-12)
+            self.max_abserr = max(self.max_abserr, err)
+            return value
         if k_a == k_b:
             return self.partial(k_a, t_b) - self.partial(k_a, t_a)
         total = self.panel(k_a)[0] - self.partial(k_a, t_a)

@@ -155,17 +155,17 @@ class SweepReport:
 
 
 def default_schedule(lo: float = 1e-1, hi: float = 1e-6, n: int = 6) -> tuple[float, ...]:
-    """Log-uniform, strictly decreasing schedule of coupled A = B values."""
+    """Log-uniform, strictly decreasing schedule of n >= 2 coupled A = B values."""
     if n < 2:
-        return (lo,)
+        raise ValueError(f"a sweep schedule needs at least two values, got n = {n}")
     r = (hi / lo) ** (1.0 / (n - 1))
     return tuple(lo * r**k for k in range(n))
 
 
 def _check_schedule(schedule) -> tuple[float, ...]:
     sched = tuple(float(a) for a in schedule)
-    if not sched:
-        raise ValueError("empty sweep schedule")
+    if len(sched) < 2:
+        raise ValueError(f"a sweep schedule needs at least two values, got {len(sched)}")
     if any(a <= 0.0 for a in sched):
         raise ValueError("schedule values must be positive")
     if any(b >= a for a, b in zip(sched, sched[1:])):
@@ -176,8 +176,6 @@ def _check_schedule(schedule) -> tuple[float, ...]:
 def _monotone_fraction(values, increasing: bool) -> float:
     """Fraction of consecutive steps moving in the requested direction."""
     steps = list(zip(values, values[1:]))
-    if not steps:
-        return 1.0
     good = sum(1 for a, b in steps if (b > a if increasing else b < a))
     return good / len(steps)
 

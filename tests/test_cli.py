@@ -42,6 +42,13 @@ NUMERIC_COMMANDS = {
     "tol": ["weakcheck", "--bumps", "1"],
     "seed": ["weakcheck", "--bumps", "1"],
 }
+# a command that reads each non-numeric option, and what its value must be
+OTHER_OPTIONS = {
+    "schedule": (["sweep", "--system", "original"], "a 'lo:hi[:n]' string or a list of numbers"),
+    "snapshot_times": (NUMERIC_COMMANDS["xmin"], "a list of numbers"),
+    "out": (["delta"], "a string"),
+    "kind": (["delta"], "one of transport, special, both"),
+}
 
 
 class TestSolve:
@@ -513,6 +520,51 @@ print("simulate", run({simulate!r}), "numpy" in sys.modules)
         argv = [*NUMERIC_COMMANDS["xmin"][:-2], "--config", str(cfg), *BASE]
         assert run([*argv, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "error: missing required option --T\n"
+
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [
+            ("schedule", 0.1),
+            ("schedule", [0.1, "a"]),
+            ("snapshot_times", 5),
+            ("snapshot_times", [0.1, "a"]),
+            ("snapshot_times", [True]),
+            ("out", 5),
+            ("kind", "foo"),
+            ("kind", ["both"]),
+        ],
+    )
+    def test_config_value_of_another_type_refused(self, tmp_path, capsys, key, value):
+        command, expected = OTHER_OPTIONS[key]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = [] if key == "out" else ["--out", str(tmp_path)]
+        assert run([*command, "--config", str(cfg), *BASE, *out]) == 1
+        assert capsys.readouterr().err == f"error: {key} must be {expected}, got {value!r}\n"
+
+    @pytest.mark.parametrize("key", ["schedule", "snapshot_times", "kind"])
+    def test_config_null_option_takes_the_default(self, tmp_path, key):
+        outputs = []
+        for opts in ({key: None}, {}):
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(opts))
+            out = tmp_path / f"out{len(outputs)}"
+            argv = [*OTHER_OPTIONS[key][0], "--config", str(cfg), *BASE, "--out", str(out)]
+            assert run(argv) == 0
+            outputs.append({name: read(out / name) for name in os.listdir(out)})
+        assert outputs[0] and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("schedule", ["1e-1:1e-6:1", "1e-1:1e-6:0", "1e-1:1e-6:-3", [0.1]])
+    def test_one_value_sweep_refused(self, tmp_path, capsys, schedule):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"schedule": schedule}))
+        given = ["--schedule", schedule] if isinstance(schedule, str) else ["--config", str(cfg)]
+        argv = ["sweep", "--system", "perturbed", *given, *BASE]
+        assert run([*argv, "--out", str(tmp_path / "s")]) == 1
+        captured = capsys.readouterr()
+        assert "needs at least two values" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "s").exists()
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         env_out = str(tmp_path / "envout")

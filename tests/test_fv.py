@@ -28,8 +28,6 @@ class TestGridConfig:
             GridConfig(-1.0, 1.0, 100, t_end=0.0)
         with pytest.raises(ValueError):
             GridConfig(1.0, -1.0, 100)
-        with pytest.raises(ValueError):
-            GridConfig(-1.0, 1.0, 100, boundary="periodic")
 
     def test_centers(self):
         g = GridConfig(-1.0, 1.0, 100)

@@ -412,33 +412,51 @@ class TestSolver:
         assert deep >= 30
 
     @pytest.mark.parametrize("A", [0.1, 1e-4])
-    def test_quad_calls_build_panels_or_touch_new_ones(self, monkeypatch, A):
+    def test_quad_calls_touch_new_panels_and_builds_make_none(self, monkeypatch, A):
         # over a solve and 10 samples per fan, each rarefaction quad call
-        # either builds one unit panel [k, k+1] or answers a request over
-        # panels no earlier call covered; no call repeats, so no panel is
-        # built twice, and every built panel is on the solution's table
-        bounds = []
+        # covers only panels no earlier call covered and no call repeats;
+        # each panel build makes no quad call and exactly CHEB_POINTS
+        # integrand calls, and every built panel is on the solution's table
+        table_cls = perturbed.RarefactionTable
+        init, panel = table_cls.__init__, table_cls.panel
+        bounds, evals, builds = [], [0], []
 
         def recording_quad(f, a, b, **kwargs):
             bounds.append((min(a, b), max(a, b)))
             return quadrature.quad(f, a, b, **kwargs)
 
+        def counting_init(self, params):
+            init(self, params)
+            integrand = self.integrand
+
+            def counted(t):
+                evals[0] += 1
+                return integrand(t)
+
+            self.integrand = counted
+
+        def recording_panel(self, k):
+            built, calls, evaluated = self.panels_built, len(bounds), evals[0]
+            result = panel(self, k)
+            if self.panels_built > built:
+                builds.append((len(bounds) - calls, evals[0] - evaluated))
+            return result
+
         monkeypatch.setattr(perturbed, "quad", recording_quad)
+        monkeypatch.setattr(table_cls, "__init__", counting_init)
+        monkeypatch.setattr(table_cls, "panel", recording_panel)
         sol = solve_perturbed(perturbed_params(A, A), LEFT_RR, RIGHT_RR)
         for w in sol.waves:
             for xi in np.linspace(w.head, w.tail, 12)[1:-1]:
                 sol.sample(float(xi))
-        assert len(bounds) == len(set(bounds))
+        assert bounds and len(bounds) == len(set(bounds))
         covered: set[int] = set()
-        builds = 0
         for a, b in bounds:
             panels = set(range(math.floor(a), math.ceil(b)))
-            if a == math.floor(a) and b == a + 1:
-                builds += 1
-            else:
-                assert covered.isdisjoint(panels), (a, b)
+            assert covered.isdisjoint(panels), (a, b)
             covered |= panels
-        assert builds == sol.table.panels_built > 0
+        assert builds == [(0, perturbed.CHEB_POINTS)] * len(builds)
+        assert len(builds) == sol.table.panels_built > 0
 
     def test_fan_sample_past_the_curve_end_gives_its_end(self):
         # the tail comes from the downstream state, the profile from the curve

@@ -142,6 +142,15 @@ class TestSchedules:
         with pytest.raises(ValueError):
             sweep_original(LEFT, RIGHT, 0.5, [1e-2, -1e-3])
 
+    def test_one_value_schedules_rejected(self):
+        # one record has no step to decay over, so no verdict could check it
+        for sweep in (sweep_original, sweep_perturbed):
+            with pytest.raises(ValueError, match="at least two values"):
+                sweep(LEFT, RIGHT, 0.5, [1e-2])
+        for n in (1, 0, -3):
+            with pytest.raises(ValueError, match="at least two values"):
+                default_schedule(1e-1, 1e-6, n)
+
 
 class TestSweepOriginal:
     def test_delta_forming_verdicts(self):
