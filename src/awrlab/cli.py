@@ -1,8 +1,10 @@
 """Command-line front end: solve / classify / sweep / simulate / weakcheck / delta.
 
 Configuration comes from flags plus an optional JSON file (flags override the
-file; unknown file keys are rejected).  Outputs are deterministic CSV files
-and static SVG plots under --out (or $AWRLAB_OUT, or ./awrlab_out).
+file; unknown file keys are rejected).  OPTIONS is the one place an option is
+defined: its flag, check, default and help; _COMMANDS gives each command its
+flags.  Outputs are deterministic CSV files and static SVG plots under --out
+(or $AWRLAB_OUT, or ./awrlab_out).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 # numpy is imported only inside the two commands that compute with it
 # (simulate, through fv, and weakcheck), so the other four start without it.
@@ -23,178 +26,171 @@ from .rootfind import BracketError
 DELTA_KINDS = ("transport", "special", "both")
 SWEEP_COLUMNS = ["A", "B", "rho_star", "u_star", "sigma1", "sigma2", "product", "A_rho_star"]
 
-_CONFIG_KEYS = {
-    "system", "A", "B", "alpha", "left", "right", "schedule", "grid",
-    "cfl", "T", "out", "seed", "samples", "xmin", "xmax", "kind",
-    "tol", "bumps", "log_density", "snapshot_times",
-}
-
 
 class ConfigError(ValueError):
     pass
 
 
-def _parse_state(text: str) -> State:
+def _real(v) -> float | None:
+    """``v`` as a float when it is a finite JSON number, else None."""
+    # type(), not isinstance: JSON true and false parse to bool, an int;
+    # math.isfinite raises OverflowError on an int too large for a float
+    return float(v) if type(v) in (int, float) and math.isfinite(v) else None
+
+
+def _reals(v) -> list[float] | None:
+    """``v`` as a list of floats when it is a list of finite JSON numbers, else None."""
+    if not isinstance(v, list):
+        return None
+    reals = [_real(x) for x in v]
+    return None if None in reals else reals
+
+
+def _state(v) -> State:
+    # a flag gives a string; a JSON config gives a string or any JSON value
+    if isinstance(v, str):
+        try:
+            u_s, rho_s = v.split(",")
+            return State(float(u_s), float(rho_s))
+        except ValueError as exc:
+            raise ConfigError(f"state must be 'u,rho' with positive entries: {exc}") from exc
+    pair = _reals(v)
+    if pair is None or len(pair) != 2:
+        raise ConfigError(f"expected 'u,rho' or a pair of numbers, got {v!r}")
+    return State(*pair)
+
+
+def _schedule(v) -> list[float] | tuple[float, ...] | None:
+    """A list of numbers as it is, or 'lo:hi[:n]' as its log-uniform schedule."""
+    if not isinstance(v, str):
+        return _reals(v)
     try:
-        u_s, rho_s = text.split(",")
-        return State(float(u_s), float(rho_s))
-    except ValueError as exc:
-        raise ConfigError(f"state must be 'u,rho' with positive entries: {exc}") from exc
+        lo, hi, *n = v.split(":")
+        lo, hi, n = float(lo), float(hi), [int(k) for k in n]
+        if len(n) > 1 or not (math.isfinite(lo) and 0.0 < hi < lo):
+            raise ValueError
+    except ValueError:
+        raise ConfigError(
+            f"expected 'lo:hi[:n]' with finite lo > hi > 0 and an integer n, got {v!r}"
+        ) from None
+    return transport.default_schedule(lo, hi, *n)
 
 
-def _parse_schedule(text: str) -> tuple[float, ...]:
-    parts = text.split(":")
-    if len(parts) not in (2, 3):
-        raise ConfigError(f"schedule must be 'lo:hi[:n]', got {text!r}")
-    lo, hi = float(parts[0]), float(parts[1])
-    n = int(parts[2]) if len(parts) == 3 else 6
-    if lo <= 0 or hi <= 0 or hi >= lo:
-        raise ConfigError("schedule must decrease through positive values")
-    return transport.default_schedule(lo, hi, n)
+class Option(NamedTuple):
+    """One option.  ``flag`` holds the argparse keywords of its flag (None for
+    a config-only key); ``check`` returns a given value, converted, or None to
+    refuse it as not ``expected`` (a check that raises ValueError states its
+    own reason); a None ``default`` leaves the option unset."""
+
+    flag: dict | None
+    check: Callable
+    expected: str | None
+    default: object = None
+    help: str | None = None
+
+
+def _choice(choices: tuple) -> tuple:
+    check = lambda v: v if v in choices else None
+    return {"choices": choices}, check, "one of " + ", ".join(choices)
+
+
+def _at_least(least: int) -> tuple:
+    check = lambda v: v if type(v) is int and v >= least else None
+    return {"type": int}, check, f"an integer >= {least}"
+
+
+_NUMBER = ({"type": float}, _real, "a number")
+_INTEGER = ({"type": int}, lambda v: v if type(v) is int else None, "an integer")
+_STRING = ({}, lambda v: v if isinstance(v, str) else None, "a string")
+_STATE = ({}, _state, None)
+
+# Every option, whichever commands read it: the keys of a JSON config, and
+# the flags of the commands in _COMMANDS.
+OPTIONS = {
+    "system": Option(*_choice((ORIGINAL, PERTURBED, TRANSPORT))),
+    "A": Option(*_NUMBER),
+    "B": Option(*_NUMBER),
+    "alpha": Option(*_NUMBER),
+    "left": Option(*_STATE, help="left state as 'u,rho'"),
+    "right": Option(*_STATE, help="right state as 'u,rho'"),
+    "out": Option(*_STRING, help="output directory (default $AWRLAB_OUT)"),
+    "seed": Option(*_INTEGER, 0),
+    "samples": Option(*_at_least(2), 401),
+    "schedule": Option(
+        {}, _schedule, "a 'lo:hi[:n]' string or a list of numbers",
+        transport.default_schedule(1e-1, 1e-6), "coupled A=B schedule as 'lo:hi[:n]'",
+    ),
+    "grid": Option(*_INTEGER, help="number of cells"),
+    "cfl": Option(*_NUMBER, 0.5),
+    "T": Option(*_NUMBER, help="end time"),
+    "xmin": Option(*_NUMBER, -1.0),
+    "xmax": Option(*_NUMBER, 1.5),
+    "log_density": Option(
+        {"action": "store_true", "default": None},
+        lambda v: v if type(v) is bool else None, "true or false", False,
+    ),
+    "tol": Option(*_NUMBER, 1e-8),
+    "bumps": Option(*_at_least(1), 5, "number of test functions"),
+    "kind": Option(*_choice(DELTA_KINDS), "both"),
+    "snapshot_times": Option(None, _reals, "a list of numbers"),
+}
+# the flags of every command, before its own
+_COMMON = ("system", "A", "B", "alpha", "left", "right", "out", "seed")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="awrlab")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (_run, help_text, own) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--system", choices=[ORIGINAL, PERTURBED, TRANSPORT])
-        p.add_argument("--A", type=float)
-        p.add_argument("--B", type=float)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--left", help="left state as 'u,rho'")
-        p.add_argument("--right", help="right state as 'u,rho'")
-        p.add_argument("--out", help="output directory (default $AWRLAB_OUT)")
-        p.add_argument("--seed", type=int)
-
-    p = sub.add_parser("solve", help="sample an exact Riemann solution")
-    common(p)
-    p.add_argument("--samples", type=int)
-
-    p = sub.add_parser("classify", help="report the phase-plane region of the data")
-    common(p)
-
-    p = sub.add_parser("sweep", help="vanishing-pressure sweep with verdicts")
-    common(p)
-    p.add_argument("--schedule", help="coupled A=B schedule as 'lo:hi[:n]'")
-
-    p = sub.add_parser("simulate", help="finite-volume run on Riemann data")
-    common(p)
-    p.add_argument("--grid", type=int, help="number of cells")
-    p.add_argument("--cfl", type=float)
-    p.add_argument("--T", type=float, help="end time")
-    p.add_argument("--xmin", type=float)
-    p.add_argument("--xmax", type=float)
-    p.add_argument("--log-density", action="store_true", default=None, dest="log_density")
-
-    p = sub.add_parser("weakcheck", help="weak-formulation residuals of an exact solution")
-    common(p)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--bumps", type=int, help="number of test functions")
-
-    p = sub.add_parser("delta", help="transport-limit delta shock report")
-    common(p)
-    p.add_argument("--kind", choices=DELTA_KINDS)
+        for key in _COMMON + own:
+            option = OPTIONS[key]
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=option.help, **option.flag)
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> dict:
-    """Merge CLI flags over the optional JSON config; validate keys."""
+    """Merge CLI flags over the optional JSON config, check every value
+    against OPTIONS and fill in the defaults."""
     cfg = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
             try:
                 cfg = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{args.config}: line {exc.lineno}: {exc.msg}") from exc
-        unknown = set(cfg) - _CONFIG_KEYS
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"{args.config}: expected a JSON object, got {cfg!r}")
+        unknown = set(cfg) - set(OPTIONS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    merged = dict(cfg)
-    for key, val in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if val is not None:
-            merged[key] = val
-    return merged
-
-
-def _require(opts: dict, key: str):
-    if key in opts and opts[key] is not None:
-        return opts[key]
-    raise ConfigError(f"missing required option --{key}")
-
-
-def _option(opts: dict, key: str, default, ok, expected: str):
-    """Option ``key``, or ``default`` when it is absent or JSON null; a value
-    that ``ok`` refuses is a ConfigError naming the key."""
-    value = opts.get(key)
-    if value is None:
-        return default
-    if not ok(value):
-        raise ConfigError(f"{key} must be {expected}, got {value!r}")
-    return value
-
-
-def _numbers(value) -> bool:
-    """Whether ``value`` is a list of JSON numbers."""
-    # type(), not isinstance: JSON true and false parse to bool, an int
-    return isinstance(value, list) and all(type(v) in (int, float) for v in value)
-
-
-def _states(opts: dict) -> tuple[State, State]:
-    left = opts.get("left")
-    right = opts.get("right")
-    if left is None or right is None:
-        raise ConfigError("both --left and --right are required")
-
-    def state(key: str, value) -> State:
-        # a flag gives a string; a JSON config gives a string or any JSON value
+    merged = {**cfg, **{k: v for k, v in vars(args).items() if v is not None}}
+    opts = {}
+    for key, option in OPTIONS.items():
+        value = merged.get(key)
         try:
-            if isinstance(value, str):
-                return _parse_state(value)
-            if not (_numbers(value) and len(value) == 2):
-                raise ConfigError(f"expected 'u,rho' or a pair of numbers, got {value!r}")
-            return State(float(value[0]), float(value[1]))
+            opts[key] = option.default if value is None else option.check(value)
         except (ValueError, OverflowError) as exc:
             raise ConfigError(f"{key}: {exc}") from exc
-
-    return state("left", left), state("right", right)
-
-
-def _count(opts: dict, key: str, default: int, least: int) -> int:
-    # type(), not isinstance: JSON true and false parse to bool, an int
-    return _option(
-        opts, key, default, lambda v: type(v) is int and v >= least, f"an integer >= {least}"
-    )
+        if opts[key] is None and value is not None:
+            raise ConfigError(f"{key} must be {option.expected}, got {value!r}")
+    return opts
 
 
-def _number(opts: dict, key: str, default: float | None = None, integer: bool = False):
-    """Numeric option ``key``: a float, or an int when ``integer``.  A JSON
-    null counts as absent, and an absent option without a ``default`` is
-    missing; any value that is not a JSON number (an integer when
-    ``integer``) is refused, bools included."""
-    kinds = (int,) if integer else (int, float)
-    expected = "an integer" if integer else "a number"
-    value = _option(opts, key, default, lambda v: type(v) in kinds, expected)
-    if value is None:
-        raise ConfigError(f"missing required option --{key}")
-    try:
-        return value if integer else float(value)
-    except OverflowError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+def _require(opts: dict, *keys: str) -> tuple:
+    for key in keys:
+        if opts[key] is None:
+            raise ConfigError(f"missing required option --{key}")
+    return tuple(opts[key] for key in keys)
 
 
 def _params(opts: dict, system: str) -> PressureParams:
-    return PressureParams(
-        _number(opts, "A"), _number(opts, "B"), _number(opts, "alpha"), system=system
-    )
+    return PressureParams(*_require(opts, "A", "B", "alpha"), system=system)
 
 
 def _out_dir(opts: dict) -> str:
-    out = _option(opts, "out", None, lambda v: isinstance(v, str), "a string")
-    out = out or os.environ.get("AWRLAB_OUT") or "awrlab_out"
+    out = opts["out"] or os.environ.get("AWRLAB_OUT") or "awrlab_out"
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -206,6 +202,11 @@ def _wave_window(sol) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+def _time_tag(t: float) -> str:
+    """``t`` as snapshot file names spell it: 0.2 -> 0p2."""
+    return f"{t:.6f}".rstrip("0").rstrip(".").replace(".", "p")
+
+
 def _linspace(lo: float, hi: float, n: int) -> list[float]:
     """n >= 2 evenly spaced points from lo to hi, equal bit for bit to
     numpy.linspace(lo, hi, n)."""
@@ -214,9 +215,8 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 
 
 def _cmd_solve(opts: dict) -> int:
-    system = _require(opts, "system")
-    left, right = _states(opts)
-    samples = _count(opts, "samples", 401, 2)
+    system, left, right = _require(opts, "system", "left", "right")
+    samples = opts["samples"]
     if system == TRANSPORT:
         sol = transport.transport_solve(left, right)
         lo, hi = min(left.u, right.u) - 1.0, max(left.u, right.u) + 1.0
@@ -245,8 +245,7 @@ def _cmd_solve(opts: dict) -> int:
 
 
 def _cmd_classify(opts: dict) -> int:
-    system = _require(opts, "system")
-    left, right = _states(opts)
+    system, left, right = _require(opts, "system", "left", "right")
     if system == TRANSPORT:
         kind = transport.transport_solve(left, right).kind
         print(f"transport solution kind: {kind}")
@@ -261,19 +260,11 @@ def _cmd_classify(opts: dict) -> int:
 
 
 def _cmd_sweep(opts: dict) -> int:
-    system = _require(opts, "system")
+    system, left, right = _require(opts, "system", "left", "right")
     if system == TRANSPORT:
         raise ConfigError("sweep requires a pressured system (original|perturbed)")
-    left, right = _states(opts)
-    alpha = _number(opts, "alpha")
-    schedule = _option(
-        opts, "schedule", "1e-1:1e-6", lambda v: isinstance(v, str) or _numbers(v),
-        "a 'lo:hi[:n]' string or a list of numbers",
-    )
-    if isinstance(schedule, str):
-        schedule = _parse_schedule(schedule)
     runner = transport.sweep_original if system == ORIGINAL else transport.sweep_perturbed
-    report = runner(left, right, alpha, schedule)
+    report = runner(left, right, *_require(opts, "alpha"), opts["schedule"])
     out = _out_dir(opts)
     if report.records:
         rows = [tuple(getattr(r, c) for c in SWEEP_COLUMNS) for r in report.records]
@@ -300,19 +291,19 @@ def _cmd_sweep(opts: dict) -> int:
 def _cmd_simulate(opts: dict) -> int:
     from . import fv
 
-    system = _require(opts, "system")
+    system, left, right = _require(opts, "system", "left", "right")
     if system == TRANSPORT:
         raise ConfigError("simulate requires a pressured system (original|perturbed)")
-    left, right = _states(opts)
     params = _params(opts, system)
-    grid = fv.GridConfig(
-        x_min=_number(opts, "xmin", -1.0),
-        x_max=_number(opts, "xmax", 1.5),
-        n_cells=_number(opts, "grid", integer=True),
-        cfl=_number(opts, "cfl", 0.5),
-        t_end=_number(opts, "T"),
-    )
-    times = _option(opts, "snapshot_times", None, _numbers, "a list of numbers")
+    n_cells, t_end = _require(opts, "grid", "T")
+    grid = fv.GridConfig(opts["xmin"], opts["xmax"], n_cells, opts["cfl"], t_end)
+    times = fv.snapshot_schedule(opts["snapshot_times"], t_end)
+    # sorted times, so two that share a file name are neighbours
+    for a, b in zip(times, times[1:]):
+        if _time_tag(a) == _time_tag(b):
+            raise ConfigError(
+                f"snapshot_times: {a!r} and {b!r} both write snapshot_t{_time_tag(a)}.csv"
+            )
     snaps = fv.simulate(system, params, left, right, grid, times)
     out = _out_dir(opts)
     t_prev, floored_prev = 0.0, 0
@@ -327,7 +318,7 @@ def _cmd_simulate(opts: dict) -> int:
                 [snap.time] * len(snap.x),
             )
         )
-        tag = f"{snap.time:.6f}".rstrip("0").rstrip(".").replace(".", "p")
+        tag = _time_tag(snap.time)
         emit_csv(
             ["x", "rho", "u", "q1", "q2", "t"],
             rows,
@@ -337,7 +328,7 @@ def _cmd_simulate(opts: dict) -> int:
             {"rho": (list(map(float, snap.x)), list(map(float, snap.rho)))},
             os.path.join(out, f"snapshot_t{tag}_rho.svg"),
             title=f"density at t={snap.time:.4f}",
-            log_y=bool(opts.get("log_density")),
+            log_y=opts["log_density"],
         )
         emit_svg_plot(
             {"u": (list(map(float, snap.x)), list(map(float, snap.u)))},
@@ -356,17 +347,16 @@ def _cmd_simulate(opts: dict) -> int:
 
 
 def _cmd_weakcheck(opts: dict) -> int:
-    left, right = _states(opts)
+    if opts["system"] not in (None, PERTURBED):
+        raise ConfigError(f"weakcheck checks the perturbed system only, got {opts['system']!r}")
+    left, right = _require(opts, "left", "right")
     params = _params(opts, PERTURBED)
-    tol = _number(opts, "tol", 1e-8)
-    n_bumps = _count(opts, "bumps", 5, 1)
-    seed = _number(opts, "seed", 0, integer=True)
     sol = perturbed.solve_perturbed(params, left, right)
     lo, hi = _wave_window(sol)
     import numpy as np
 
-    rng = np.random.RandomState(seed)
-    centers = sorted(rng.uniform(lo + 1.0, hi - 1.0, size=n_bumps))
+    rng = np.random.RandomState(opts["seed"])
+    centers = sorted(rng.uniform(lo + 1.0, hi - 1.0, size=opts["bumps"]))
     worst = 0.0
     rows = []
     for c in centers:
@@ -379,15 +369,13 @@ def _cmd_weakcheck(opts: dict) -> int:
         print(f"bump center={c:+.6f}: r1={r1:+.3e} r2={r2:+.3e}")
     out = _out_dir(opts)
     emit_csv(["center", "width", "r1", "r2"], rows, os.path.join(out, "weakcheck.csv"))
-    print(f"max |residual| = {worst:.3e} (tol {tol:.3e})")
-    return 0 if worst <= tol else 2
+    print(f"max |residual| = {worst:.3e} (tol {opts['tol']:.3e})")
+    return 0 if worst <= opts["tol"] else 2
 
 
 def _cmd_delta(opts: dict) -> int:
-    left, right = _states(opts)
-    kind = _option(
-        opts, "kind", "both", lambda v: v in DELTA_KINDS, f"one of {', '.join(DELTA_KINDS)}"
-    )
+    left, right = _require(opts, "left", "right")
+    kind = opts["kind"]
     if not right.u < left.u:
         print("error: delta shocks require u+ < u-", file=sys.stderr)
         return 1
@@ -414,13 +402,19 @@ def _cmd_delta(opts: dict) -> int:
     return 0
 
 
+# each command's function, help and own flags
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "classify": _cmd_classify,
-    "sweep": _cmd_sweep,
-    "simulate": _cmd_simulate,
-    "weakcheck": _cmd_weakcheck,
-    "delta": _cmd_delta,
+    "solve": (_cmd_solve, "sample an exact Riemann solution", ("samples",)),
+    "classify": (_cmd_classify, "report the phase-plane region of the data", ()),
+    "sweep": (_cmd_sweep, "vanishing-pressure sweep with verdicts", ("schedule",)),
+    "simulate": (
+        _cmd_simulate, "finite-volume run on Riemann data",
+        ("grid", "cfl", "T", "xmin", "xmax", "log_density"),
+    ),
+    "weakcheck": (
+        _cmd_weakcheck, "weak-formulation residuals of an exact solution", ("tol", "bumps"),
+    ),
+    "delta": (_cmd_delta, "transport-limit delta shock report", ("kind",)),
 }
 
 
@@ -429,7 +423,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         opts = _resolve(args)
-        return _COMMANDS[args.command](opts)
+        return _COMMANDS[args.command][0](opts)
     except (ConfigError, ValueError, OSError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

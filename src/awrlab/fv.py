@@ -34,8 +34,10 @@ class GridConfig:
             raise ValueError("need at least 16 cells")
         if not (0.0 < self.cfl <= 0.9):
             raise ValueError("CFL number must lie in (0, 0.9]")
-        if not self.t_end > 0.0:
-            raise ValueError("end time must be positive")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError("end time must be positive and finite")
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError("domain bounds must be finite")
         if self.x_min >= self.x_max:
             raise ValueError("empty domain")
 
@@ -93,6 +95,18 @@ def _max_speed(
     return float(max(lam2.max(), -lam1.min()))
 
 
+def snapshot_schedule(snapshot_times, t_end: float) -> list[float]:
+    """The times ``simulate`` stops at: the distinct requested times before
+    ``t_end``, then ``t_end`` (or the last requested time, when it is within
+    rounding of ``t_end``)."""
+    times = sorted(set(snapshot_times or []))
+    if not times or not math.isclose(times[-1], t_end):
+        times = [t for t in times if t < t_end] + [t_end]
+    if times[0] < 0.0:
+        raise ValueError("snapshot times must be nonnegative")
+    return times
+
+
 def simulate(
     system: str,
     params: PressureParams,
@@ -109,11 +123,7 @@ def simulate(
     """
     if system not in (ORIGINAL, PERTURBED):
         raise ValueError(f"unknown system tag {system!r}")
-    times = sorted(set(snapshot_times or [])) if snapshot_times else []
-    if not times or not math.isclose(times[-1], grid.t_end):
-        times = [t for t in times if t < grid.t_end] + [grid.t_end]
-    if times[0] < 0.0:
-        raise ValueError("snapshot times must be nonnegative")
+    times = snapshot_schedule(snapshot_times, grid.t_end)
 
     x = grid.centers()
     dx = grid.dx

@@ -566,6 +566,97 @@ print("simulate", run({simulate!r}), "numpy" in sys.modules)
         assert captured.out == ""
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize(
+        "schedule",
+        ["1e-1:1e-6:nan", "1e-1:1e-6:2.5", "inf:1e-6", "1e-1:nan", "1e-6:1e-1", "1e-1", "a:b",
+         "1e-1:1e-6:6:2"],
+    )
+    def test_schedule_string_errors_name_the_key(self, tmp_path, capsys, schedule):
+        argv = ["sweep", "--system", "perturbed", "--schedule", schedule, *BASE]
+        assert run([*argv, "--out", str(tmp_path / "s")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: schedule")
+        assert captured.out == ""
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("key", ["xmin", "tol"])
+    @pytest.mark.parametrize(
+        ("literal", "parsed"),
+        [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf")],
+    )
+    def test_non_finite_number_refused(self, tmp_path, capsys, given, key, literal, parsed):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(f'{{"{key}": {literal}}}')
+        source = [f"--{key}={literal}"] if given == "flag" else ["--config", str(cfg)]
+        argv = [*NUMERIC_COMMANDS[key], *source, *BASE, "--out", str(tmp_path / "o")]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {key} must be a number, got {parsed}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        ("key", "literal"),
+        [("snapshot_times", "[NaN]"), ("snapshot_times", "[0.1, 1e400]"),
+         ("schedule", "[0.1, -Infinity]")],
+    )
+    def test_non_finite_list_entry_refused(self, tmp_path, capsys, key, literal):
+        command, expected = OTHER_OPTIONS[key]
+        cfg = tmp_path / "c.json"
+        cfg.write_text(f'{{"{key}": {literal}}}')
+        assert run([*command, "--config", str(cfg), *BASE, "--out", str(tmp_path)]) == 1
+        value = json.loads(literal)
+        assert capsys.readouterr().err == f"error: {key} must be {expected}, got {value!r}\n"
+
+    @pytest.mark.parametrize(
+        ("times", "T"), [([0.0200001, 0.0200004], "0.05"), ([0.0199999], "0.02")]
+    )
+    def test_snapshot_times_sharing_a_file_name_refused(self, tmp_path, capsys, times, T):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"snapshot_times": times}))
+        argv = ["simulate", "--system", "original", "--grid", "20", "--T", T, *BASE]
+        assert run([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: snapshot_times: ")
+        assert f"{times[0]!r} and " in captured.err and "snapshot_t0p02.csv" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        ("system", "code"), [("original", 1), ("transport", 1), ("perturbed", 0)]
+    )
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_weakcheck_checks_the_perturbed_system_only(
+        self, tmp_path, capsys, system, code, given
+    ):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"system": system}))
+        source = ["--system", system] if given == "flag" else ["--config", str(cfg)]
+        argv = ["weakcheck", "--bumps", "1", *source, *BASE, "--out", str(tmp_path / "o")]
+        assert run(argv) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == f"error: weakcheck checks the perturbed system only, got {system!r}\n"
+
+    @pytest.mark.parametrize(
+        "key",
+        ["system", "A", "B", "alpha", "left", "right", "out", "seed", "samples", "schedule",
+         "grid", "cfl", "T", "xmin", "xmax", "log_density", "tol", "bumps", "kind",
+         "snapshot_times"],
+    )
+    def test_every_option_checked_whatever_the_command(self, tmp_path, capsys, key):
+        # no option takes a JSON object, and classify reads few of them
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({key: {"x": 1}}))
+        assert run(["classify", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}")
+
+    @pytest.mark.parametrize("config", ["[1, 2]", "5", '"A"'])
+    def test_config_that_is_not_an_object_refused(self, tmp_path, capsys, config):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(config)
+        assert run(["classify", "--config", str(cfg)]) == 1
+        assert "expected a JSON object" in capsys.readouterr().err
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         env_out = str(tmp_path / "envout")
         monkeypatch.setenv("AWRLAB_OUT", env_out)

@@ -29,6 +29,20 @@ class TestGridConfig:
         with pytest.raises(ValueError):
             GridConfig(1.0, -1.0, 100)
 
+    @pytest.mark.parametrize(
+        ("x_min", "x_max", "t_end"),
+        [
+            (float("nan"), 1.0, 0.5),
+            (-1.0, float("nan"), 0.5),
+            (float("-inf"), 1.0, 0.5),
+            (-1.0, float("inf"), 0.5),
+            (-1.0, 1.0, float("inf")),
+        ],
+    )
+    def test_non_finite_domain_or_end_time_refused(self, x_min, x_max, t_end):
+        with pytest.raises(ValueError, match="finite"):
+            GridConfig(x_min, x_max, 100, t_end=t_end)
+
     def test_centers(self):
         g = GridConfig(-1.0, 1.0, 100)
         x = g.centers()
