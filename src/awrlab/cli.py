@@ -226,17 +226,12 @@ def _cmd_solve(opts: dict) -> int:
             params, left, right
         )
         lo, hi = _wave_window(sol)
-    rows = []
-    for x in _linspace(lo, hi, samples):
-        u, rho = sol.sample(x)
-        rows.append((x, u, rho))
+    xs = _linspace(lo, hi, samples)
+    us, rhos = zip(*map(sol.sample, xs))
     out = _out_dir(opts)
-    emit_csv(["xi", "u", "rho"], rows, os.path.join(out, "profile.csv"))
+    emit_csv(["xi", "u", "rho"], zip(xs, us, rhos), os.path.join(out, "profile.csv"))
     emit_svg_plot(
-        {
-            "u": ([r[0] for r in rows], [r[1] for r in rows]),
-            "rho": ([r[0] for r in rows], [r[2] for r in rows]),
-        },
+        {"u": (xs, us), "rho": (xs, rhos)},
         os.path.join(out, "profile.svg"),
         title=f"{system} Riemann profile",
     )
@@ -308,30 +303,21 @@ def _cmd_simulate(opts: dict) -> int:
     out = _out_dir(opts)
     t_prev, floored_prev = 0.0, 0
     for snap in snaps:
-        rows = list(
-            zip(
-                (float(v) for v in snap.x),
-                (float(v) for v in snap.rho),
-                (float(v) for v in snap.u),
-                (float(v) for v in snap.q1),
-                (float(v) for v in snap.q2),
-                [snap.time] * len(snap.x),
-            )
-        )
+        x, rho, u = snap.x.tolist(), snap.rho.tolist(), snap.u.tolist()
         tag = _time_tag(snap.time)
         emit_csv(
             ["x", "rho", "u", "q1", "q2", "t"],
-            rows,
+            zip(x, rho, u, snap.q1.tolist(), snap.q2.tolist(), [snap.time] * len(x)),
             os.path.join(out, f"snapshot_t{tag}.csv"),
         )
         emit_svg_plot(
-            {"rho": (list(map(float, snap.x)), list(map(float, snap.rho)))},
+            {"rho": (x, rho)},
             os.path.join(out, f"snapshot_t{tag}_rho.svg"),
             title=f"density at t={snap.time:.4f}",
             log_y=opts["log_density"],
         )
         emit_svg_plot(
-            {"u": (list(map(float, snap.x)), list(map(float, snap.u)))},
+            {"u": (x, u)},
             os.path.join(out, f"snapshot_t{tag}_u.svg"),
             title=f"velocity at t={snap.time:.4f}",
         )

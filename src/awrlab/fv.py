@@ -70,15 +70,10 @@ class FieldSnapshot:
 
 
 def _primitives(
-    system: str,
-    params: PressureParams,
-    q1: np.ndarray,
-    q2: np.ndarray,
-    x: np.ndarray,
-    t: float,
+    system: str, params: PressureParams, q: np.ndarray, x: np.ndarray, t: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    rho = np.maximum(q1, RHO_POSITIVITY_FLOOR)
-    u = q2 / rho - offset(system, params, rho)
+    rho = np.maximum(q[0], RHO_POSITIVITY_FLOOR)
+    u = q[1] / rho - offset(system, params, rho)
     near_vac = rho < VACUUM_RECOVERY_RHO
     if t > 0.0 and np.any(near_vac):
         # exact vacuum fans carry u = x/t; avoids 0/0 noise in empty cells
@@ -129,39 +124,34 @@ def simulate(
     dx = grid.dx
     rho = np.where(x < 0.0, left.rho, right.rho)
     u = np.where(x < 0.0, left.u, right.u)
-    q1 = rho.copy()
-    q2 = rho * (u + offset(system, params, rho))
+    # conserved state: q[0] = rho, q[1] = rho * (u + offset)
+    q = np.array([rho, rho * (u + offset(system, params, rho))])
 
     snapshots: list[FieldSnapshot] = []
     floored = 0
     t = 0.0
     for t_stop in times:
         while t < t_stop - 1e-14:
-            rho, u = _primitives(system, params, q1, q2, x, t)
+            rho, u = _primitives(system, params, q, x, t)
             a_max = _max_speed(system, params, rho, u)
             if a_max <= 0.0:
                 raise RuntimeError("non-positive wave speed bound; cannot advance")
             dt = min(grid.cfl * dx / a_max, t_stop - t)
             if dt * a_max / dx > grid.cfl + 1e-12:
                 raise RuntimeError("CFL violation detected; aborting")
-            f1, f2 = flux(params, u, rho)
-            # outflow ghosts: zeroth-order extrapolation
-            q1e = np.concatenate(([q1[0]], q1, [q1[-1]]))
-            q2e = np.concatenate(([q2[0]], q2, [q2[-1]]))
-            f1e = np.concatenate(([f1[0]], f1, [f1[-1]]))
-            f2e = np.concatenate(([f2[0]], f2, [f2[-1]]))
-            F1 = 0.5 * (f1e[:-1] + f1e[1:]) - 0.5 * a_max * (q1e[1:] - q1e[:-1])
-            F2 = 0.5 * (f2e[:-1] + f2e[1:]) - 0.5 * a_max * (q2e[1:] - q2e[:-1])
-            q1 = q1 - dt / dx * (F1[1:] - F1[:-1])
-            q2 = q2 - dt / dx * (F2[1:] - F2[:-1])
-            low = q1 < RHO_POSITIVITY_FLOOR
+            f = np.array(flux(params, u, rho))
+            # outflow ghosts: zeroth-order extrapolation repeats the edge cells
+            qe, fe = (np.concatenate((a[:, :1], a, a[:, -1:]), axis=1) for a in (q, f))
+            F = 0.5 * (fe[:, :-1] + fe[:, 1:]) - 0.5 * a_max * (qe[:, 1:] - qe[:, :-1])
+            q = q - dt / dx * (F[:, 1:] - F[:, :-1])
+            low = q[0] < RHO_POSITIVITY_FLOOR
             if np.any(low):
                 floored += int(np.sum(low))
-                q1 = np.maximum(q1, RHO_POSITIVITY_FLOOR)
+                q[0] = np.maximum(q[0], RHO_POSITIVITY_FLOOR)
             t += dt
-        rho, u = _primitives(system, params, q1, q2, x, t)
+        rho, u = _primitives(system, params, q, x, t)
         snapshots.append(
-            FieldSnapshot(x.copy(), q1.copy(), q2.copy(), rho, u, t, floored)
+            FieldSnapshot(x.copy(), q[0].copy(), q[1].copy(), rho, u, t, floored)
         )
     return snapshots
 
