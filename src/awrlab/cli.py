@@ -13,11 +13,12 @@ import argparse
 import json
 import math
 import os
+import random
 import sys
 from typing import Callable, NamedTuple
 
-# numpy is imported only inside the two commands that compute with it
-# (simulate, through fv, and weakcheck), so the other four start without it.
+# numpy is imported only by simulate, through fv, so the other five commands
+# start without it.
 from . import original, perturbed, transport
 from .core import ORIGINAL, PERTURBED, TRANSPORT, PressureParams, State
 from .io import emit_csv, emit_svg_plot
@@ -99,8 +100,16 @@ def _at_least(least: int) -> tuple:
     return {"type": int}, check, f"an integer >= {least}"
 
 
+def _seed(v) -> int | None:
+    """``v`` when it is an integer MT19937 takes as a seed (32 bits)."""
+    if type(v) is not int:
+        return None
+    if not 0 <= v < 2**32:
+        raise ValueError(f"must lie between 0 and 2**32 - 1, got {v}")
+    return v
+
+
 _NUMBER = ({"type": float}, _real, "a number")
-_INTEGER = ({"type": int}, lambda v: v if type(v) is int else None, "an integer")
 _STRING = ({}, lambda v: v if isinstance(v, str) else None, "a string")
 _STATE = ({}, _state, None)
 
@@ -114,13 +123,13 @@ OPTIONS = {
     "left": Option(*_STATE, help="left state as 'u,rho'"),
     "right": Option(*_STATE, help="right state as 'u,rho'"),
     "out": Option(*_STRING, help="output directory (default $AWRLAB_OUT)"),
-    "seed": Option(*_INTEGER, 0),
+    "seed": Option({"type": int}, _seed, "an integer", 0),
     "samples": Option(*_at_least(2), 401),
     "schedule": Option(
         {}, _schedule, "a 'lo:hi[:n]' string or a list of numbers",
         transport.default_schedule(1e-1, 1e-6), "coupled A=B schedule as 'lo:hi[:n]'",
     ),
-    "grid": Option(*_INTEGER, help="number of cells"),
+    "grid": Option(*_at_least(16), help="number of cells"),
     "cfl": Option(*_NUMBER, 0.5),
     "T": Option(*_NUMBER, help="end time"),
     "xmin": Option(*_NUMBER, -1.0),
@@ -135,7 +144,7 @@ OPTIONS = {
     "snapshot_times": Option(None, _reals, "a list of numbers"),
 }
 # the flags of every command, before its own
-_COMMON = ("system", "A", "B", "alpha", "left", "right", "out", "seed")
+_COMMON = ("system", "A", "B", "alpha", "left", "right", "out")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -292,7 +301,10 @@ def _cmd_simulate(opts: dict) -> int:
     params = _params(opts, system)
     n_cells, t_end = _require(opts, "grid", "T")
     grid = fv.GridConfig(opts["xmin"], opts["xmax"], n_cells, opts["cfl"], t_end)
-    times = fv.snapshot_schedule(opts["snapshot_times"], t_end)
+    try:
+        times = fv.snapshot_schedule(opts["snapshot_times"], t_end)
+    except ValueError as exc:
+        raise ConfigError(f"snapshot_times: {exc}") from exc
     # sorted times, so two that share a file name are neighbours
     for a, b in zip(times, times[1:]):
         if _time_tag(a) == _time_tag(b):
@@ -332,6 +344,18 @@ def _cmd_simulate(opts: dict) -> int:
     return 0
 
 
+def _legacy_random(seed: int) -> random.Random:
+    """A generator whose ``uniform`` draws equal, bit for bit, those of
+    ``numpy.random.RandomState(seed)``: both are MT19937 seeded by
+    init_genrand and draw 53-bit doubles alike."""
+    mt = [seed]
+    for i in range(1, 624):
+        mt.append((1812433253 * (mt[-1] ^ (mt[-1] >> 30)) + i) & 0xFFFFFFFF)
+    rng = random.Random()
+    rng.setstate((3, (*mt, 624), None))
+    return rng
+
+
 def _cmd_weakcheck(opts: dict) -> int:
     if opts["system"] not in (None, PERTURBED):
         raise ConfigError(f"weakcheck checks the perturbed system only, got {opts['system']!r}")
@@ -339,19 +363,17 @@ def _cmd_weakcheck(opts: dict) -> int:
     params = _params(opts, PERTURBED)
     sol = perturbed.solve_perturbed(params, left, right)
     lo, hi = _wave_window(sol)
-    import numpy as np
-
-    rng = np.random.RandomState(opts["seed"])
-    centers = sorted(rng.uniform(lo + 1.0, hi - 1.0, size=opts["bumps"]))
+    rng = _legacy_random(opts["seed"])
+    centers = sorted(rng.uniform(lo + 1.0, hi - 1.0) for _ in range(opts["bumps"]))
     worst = 0.0
     rows = []
     for c in centers:
-        bump = perturbed.BumpTestFunction(float(c), 1.0)
+        bump = perturbed.BumpTestFunction(c, 1.0)
         r1, r2 = perturbed.weak_form_residual(
             params, sol, bump, window=(lo - 2.0, hi + 2.0)
         )
         worst = max(worst, abs(r1), abs(r2))
-        rows.append((float(c), 1.0, r1, r2))
+        rows.append((c, 1.0, r1, r2))
         print(f"bump center={c:+.6f}: r1={r1:+.3e} r2={r2:+.3e}")
     out = _out_dir(opts)
     emit_csv(["center", "width", "r1", "r2"], rows, os.path.join(out, "weakcheck.csv"))
@@ -398,7 +420,8 @@ _COMMANDS = {
         ("grid", "cfl", "T", "xmin", "xmax", "log_density"),
     ),
     "weakcheck": (
-        _cmd_weakcheck, "weak-formulation residuals of an exact solution", ("tol", "bumps"),
+        _cmd_weakcheck, "weak-formulation residuals of an exact solution",
+        ("tol", "bumps", "seed"),
     ),
     "delta": (_cmd_delta, "transport-limit delta shock report", ("kind",)),
 }

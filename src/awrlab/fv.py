@@ -91,14 +91,17 @@ def _max_speed(
 
 
 def snapshot_schedule(snapshot_times, t_end: float) -> list[float]:
-    """The times ``simulate`` stops at: the distinct requested times before
-    ``t_end``, then ``t_end`` (or the last requested time, when it is within
-    rounding of ``t_end``)."""
+    """The times ``simulate`` stops at: the distinct requested times, then
+    ``t_end`` (or the last requested time, when it is within rounding of
+    ``t_end``).  A negative time, or one after ``t_end`` beyond rounding,
+    raises ValueError."""
     times = sorted(set(snapshot_times or []))
-    if not times or not math.isclose(times[-1], t_end):
-        times = [t for t in times if t < t_end] + [t_end]
-    if times[0] < 0.0:
+    if times and times[0] < 0.0:
         raise ValueError("snapshot times must be nonnegative")
+    if times and times[-1] > t_end and not math.isclose(times[-1], t_end):
+        raise ValueError(f"snapshot time {times[-1]!r} lies after the end time {t_end!r}")
+    if not times or not math.isclose(times[-1], t_end):
+        times.append(t_end)
     return times
 
 
@@ -112,8 +115,11 @@ def simulate(
 ) -> list[FieldSnapshot]:
     """March Riemann initial data (jump at x = 0) to ``grid.t_end``.
 
-    Returns snapshots at the requested times (the end time is always
-    included).  Density positivity is enforced by flooring, with the number
+    Returns snapshots at the times of ``snapshot_schedule`` (the end time is
+    always included; a requested time after it raises ValueError).  The
+    conserved state is one (2, n) array, rows rho and rho * (u + offset),
+    advanced by the global Lax-Friedrichs step with zeroth-order outflow
+    ghost cells.  Density positivity is enforced by flooring, with the number
     of floored cells flagged on each snapshot.
     """
     if system not in (ORIGINAL, PERTURBED):
@@ -124,7 +130,6 @@ def simulate(
     dx = grid.dx
     rho = np.where(x < 0.0, left.rho, right.rho)
     u = np.where(x < 0.0, left.u, right.u)
-    # conserved state: q[0] = rho, q[1] = rho * (u + offset)
     q = np.array([rho, rho * (u + offset(system, params, rho))])
 
     snapshots: list[FieldSnapshot] = []

@@ -10,8 +10,8 @@ import pytest
 
 import awrlab
 from awrlab import fv, original, perturbed
-from awrlab.core import State
-from awrlab.cli import _linspace, run
+from awrlab.core import PressureParams, State
+from awrlab.cli import _linspace, _wave_window, run
 from awrlab.rootfind import BracketError
 
 
@@ -314,6 +314,32 @@ class TestWeakcheck:
             os.path.join(out2, "weakcheck.csv")
         )
 
+    def test_loads_no_numpy_and_draws_the_centres_of_numpy(self, tmp_path):
+        # each seed's bump centres are the draws of numpy's legacy generator
+        generators = {
+            0: np.random.RandomState(0),
+            3: np.random.RandomState(3),
+            7: np.random.RandomState(7),
+            4294967295: np.random.RandomState(4294967295),
+        }
+        seeds = tuple(generators)
+        argv = ["weakcheck", *BASE, "--bumps", "3"]
+        code = f"""
+import contextlib, io, sys, awrlab.cli
+for seed in {seeds!r}:
+    out = {str(tmp_path)!r} + "/w" + str(seed)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = awrlab.cli.run({argv!r} + ["--seed", str(seed), "--out", out])
+    print(code, "numpy" in sys.modules)
+"""
+        assert fresh_python(code).splitlines() == ["0 False"] * len(seeds)
+        params = PressureParams(0.1, 0.1, 0.5, system="perturbed")
+        lo, hi = _wave_window(perturbed.solve_perturbed(params, State(2, 1), State(1, 2)))
+        for seed, rng in generators.items():
+            expected = sorted(rng.uniform(lo + 1.0, hi - 1.0, size=3).tolist())
+            lines = read(tmp_path / f"w{seed}" / "weakcheck.csv").splitlines()[1:]
+            assert [float(line.split(",")[0]) for line in lines] == expected
+
 
 class TestDelta:
     def test_both_kinds_reported(self, tmp_path, capsys):
@@ -478,6 +504,8 @@ print("simulate", run({simulate!r}), "numpy" in sys.modules)
             (["solve", "--system", "original", "--samples", "-1"], "samples", 2),
             (["weakcheck", "--bumps", "0"], "bumps", 1),
             (["weakcheck", "--bumps", "-1"], "bumps", 1),
+            (["simulate", "--system", "original", "--T", "0.05", "--grid", "15"], "grid", 16),
+            (["simulate", "--system", "original", "--T", "0.05", "--grid", "0"], "grid", 16),
         ],
     )
     def test_count_options_bounded(self, tmp_path, capsys, argv, key, least):
@@ -620,6 +648,36 @@ print("simulate", run({simulate!r}), "numpy" in sys.modules)
         assert f"{times[0]!r} and " in captured.err and "snapshot_t0p02.csv" in captured.err
         assert captured.out == ""
         assert not (tmp_path / "o").exists()
+
+    def test_snapshot_time_after_the_end_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"snapshot_times": [0.1, 0.5]}))
+        argv = ["simulate", "--system", "original", "--grid", "20", "--T", "0.2", *BASE]
+        assert run([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: snapshot_times: snapshot time 0.5 lies after the end time 0.2\n"
+        )
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("seed", [-1, 2**32, 2**70])
+    def test_seed_outside_the_generator_range_refused(self, tmp_path, capsys, given, seed):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": seed}))
+        source = [f"--seed={seed}"] if given == "flag" else ["--config", str(cfg)]
+        argv = [*NUMERIC_COMMANDS["seed"], *source, *BASE, "--out", str(tmp_path / "o")]
+        assert run(argv) == 1
+        expected = f"error: seed: must lie between 0 and 2**32 - 1, got {seed}\n"
+        assert capsys.readouterr().err == expected
+        assert not (tmp_path / "o").exists()
+
+    def test_seed_is_a_flag_of_weakcheck_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["classify", "--system", "original", *BASE, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         ("system", "code"), [("original", 1), ("transport", 1), ("perturbed", 0)]

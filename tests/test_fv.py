@@ -13,6 +13,7 @@ from awrlab import (
     solve,
     solve_perturbed,
 )
+from awrlab.fv import snapshot_schedule
 
 LEFT = State(2.0, 1.0)
 RIGHT = State(1.0, 2.0)
@@ -87,6 +88,16 @@ class TestConservation:
         g = GridConfig(-2.0, 3.0, 100, t_end=0.4)
         snaps = simulate("original", p, LEFT, RIGHT, g, snapshot_times=[0.1, 0.25])
         assert [round(s.time, 10) for s in snaps] == [0.1, 0.25, 0.4]
+
+    @pytest.mark.parametrize("late", [0.5, 0.4 + 1e-6])
+    def test_snapshot_time_after_the_end_refused(self, late):
+        with pytest.raises(ValueError, match=f"snapshot time {late!r} lies after the end time 0.4"):
+            snapshot_schedule([0.1, late], 0.4)
+
+    def test_snapshot_time_within_rounding_of_the_end_replaces_it(self):
+        for last in (0.4 - 1e-12, 0.4 + 1e-12):
+            assert snapshot_schedule([last, 0.1], 0.4) == [0.1, last]
+        assert snapshot_schedule(None, 0.4) == [0.4]
 
 
 class TestRefinement:
