@@ -100,6 +100,11 @@ def _at_least(least: int) -> tuple:
     return {"type": int}, check, f"an integer >= {least}"
 
 
+def _number_in(interval: str, inside: Callable[[float], bool]) -> tuple:
+    check = lambda v: x if (x := _real(v)) is not None and inside(x) else None
+    return {"type": float}, check, "a number in " + interval
+
+
 def _seed(v) -> int | None:
     """``v`` when it is an integer MT19937 takes as a seed (32 bits)."""
     if type(v) is not int:
@@ -130,8 +135,8 @@ OPTIONS = {
         transport.default_schedule(1e-1, 1e-6), "coupled A=B schedule as 'lo:hi[:n]'",
     ),
     "grid": Option(*_at_least(16), help="number of cells"),
-    "cfl": Option(*_NUMBER, 0.5),
-    "T": Option(*_NUMBER, help="end time"),
+    "cfl": Option(*_number_in("(0, 0.9]", lambda x: 0.0 < x <= 0.9), 0.5),
+    "T": Option(*_number_in("(0, inf)", lambda x: x > 0.0), help="end time"),
     "xmin": Option(*_NUMBER, -1.0),
     "xmax": Option(*_NUMBER, 1.5),
     "log_density": Option(
@@ -300,6 +305,8 @@ def _cmd_simulate(opts: dict) -> int:
         raise ConfigError("simulate requires a pressured system (original|perturbed)")
     params = _params(opts, system)
     n_cells, t_end = _require(opts, "grid", "T")
+    if not opts["xmin"] < opts["xmax"]:
+        raise ConfigError(f"xmin must lie below xmax, got {opts['xmin']!r} and {opts['xmax']!r}")
     grid = fv.GridConfig(opts["xmin"], opts["xmax"], n_cells, opts["cfl"], t_end)
     try:
         times = fv.snapshot_schedule(opts["snapshot_times"], t_end)

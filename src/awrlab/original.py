@@ -4,13 +4,14 @@ The first family is genuinely nonlinear (shock or rarefaction), the second
 linearly degenerate (contact).  Shock and rarefaction loci coincide on the
 curve u + A*rho - B/rho**alpha = const, so the system is of Temple type and
 the solution is always a 1-wave followed by a contact moving at the
-downstream velocity.
+downstream velocity.  A fan solves lambda1 = xi for t = log(rho) by the
+safeguarded Newton iteration of both solvers' fans, then u from the 1-curve.
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
-from typing import Callable
 
 from .core import (
     ORIGINAL,
@@ -25,7 +26,8 @@ from .core import (
     eigenvalues_original,
     jump_residual,
 )
-from .rootfind import bisect_decreasing, solve_decreasing
+from .rootfind import safeguarded_newton, solve_decreasing
+from .rootfind import bisect_decreasing  # noqa: F401  perfbench/tracer.py wraps it here
 
 BOUNDARY_TOL = 1e-12
 Rarefaction = Fan
@@ -131,26 +133,6 @@ class RiemannSolution14(RiemannSolution):
     """Solution of the original system: (R or S) then J."""
 
 
-def _fan_profile(
-    params: PressureParams, c: float, rho_lo: float, rho_hi: float
-) -> Callable[[float], tuple[float, float]]:
-    """Pointwise inversion of xi = lambda1 along the 1-curve u = -A*rho + B/rho**a + c."""
-    a = params.alpha
-
-    def lam1_of_rho(rho: float) -> float:
-        return c - 2.0 * params.A * rho + params.B * (1.0 - a) / rho**a
-
-    def profile(xi: float) -> tuple[float, float]:
-        # lam1_of_rho is strictly decreasing, so lam1 - xi brackets on [lo, hi]
-        rho = bisect_decreasing(
-            lambda r: lam1_of_rho(r) - xi, rho_lo, rho_hi, rtol=1e-15
-        )
-        u = -params.A * rho + params.B / rho**a + c
-        return u, rho
-
-    return profile
-
-
 def solve(params: PressureParams, left: State, right: State) -> RiemannSolution14:
     """Assemble the exact solution: a 1-wave (R or S) followed by a contact.
 
@@ -164,7 +146,19 @@ def solve(params: PressureParams, left: State, right: State) -> RiemannSolution1
     elif right.u > left.u:
         head = eigenvalues_original(params, left).lambda1
         tail = eigenvalues_original(params, star).lambda1
-        profile = _fan_profile(params, curve_constant(params, left), star.rho, left.rho)
+        A, B, a, c = params.A, params.B, params.alpha, curve_constant(params, left)
+        t_head, t_tail = math.log(left.rho), math.log(star.rho)
+
+        def profile(xi: float) -> tuple[float, float]:
+            def excess(t: float) -> tuple[float, float]:  # lambda1 - xi, falling, and its slope
+                rho = math.exp(t)  # B/rho**a, as B*e^(-a*t) overflows where rho is subnormal
+                e_a, e_b = 2.0 * A * rho, (1.0 - a) * B / rho**a
+                return c - e_a + e_b - xi, -e_a - a * e_b
+
+            t_start = t_head + (t_tail - t_head) * (xi - head) / (tail - head)
+            rho = math.exp(safeguarded_newton(excess, t_head, t_tail, t_start))
+            return -A * rho + B / rho**a + c, rho
+
         waves = (Fan(head, tail, profile), contact)
     else:
         waves = (contact,) if right.rho != left.rho else ()

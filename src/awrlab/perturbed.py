@@ -45,7 +45,7 @@ from .core import (
     speeds,
 )
 from .quadrature import quad
-from .rootfind import EXPAND_FACTOR, solve_decreasing
+from .rootfind import EXPAND_FACTOR, safeguarded_newton, solve_decreasing
 from .rootfind import bisect_decreasing  # noqa: F401  perfbench/tracer.py wraps it here
 
 BOUNDARY_TOL = 1e-12
@@ -404,6 +404,7 @@ def _wave(
     k = 0 if direction == BACKWARD else 1
     table = table or RarefactionTable(params)
     A, B, a = params.A, params.B, params.alpha
+    kappa, r_l = 2.0 * k - 1.0, math.sqrt(sl.u)
     # the fan's ends and the panel ends between them (log density, density,
     # integral from sl, velocity) and their speeds, built on the first
     # interior sample, so that a solve never sampled inside the fan pays
@@ -433,35 +434,22 @@ def _wave(
         # nodes i and i + 1 bound one panel p, where the integral from sl is
         # base + partial(p, t).  Along the curve r = sqrt(u) moves by half the
         # integral, so with f the integrand dr/dt = -/+ f/2 and lambda_k =
-        # r*(r -/+ f).  Newton in t on lambda_k = xi within [lo, hi], where
-        # lambda_k(lo) <= xi < lambda_k(hi), bisecting when a step would leave
-        # it.  A step below 1e-9 leaves an error at the rounding level, so
-        # the search stops at that iterate (kept in [lo, hi] against noise).
+        # r*(r -/+ f); lambda_k - xi is <= 0 at t_i and > 0 at t_j.
         p = math.floor(min(t_i, t_j))
-        base = integral_i - table.partial(p, t_i)
-        kappa, r_l = 2.0 * k - 1.0, math.sqrt(sl.u)
-        lo, hi = t_i, t_j
-        t_next = t_i + (t_j - t_i) * (xi - xis[i]) / (xis[i + 1] - xis[i])
-        converged = False
-        for _ in range(100):
-            t = t_next
-            r = r_l + 0.5 * kappa * (base + table.partial(p, t))
+        c = table.panel(p)[1]  # partial(p, t) is the Clenshaw sum of c
+        base = integral_i - _clenshaw(c, 2.0 * (t_i - p) - 1.0)
+        r = r_l  # excess sets it at each point it evaluates
+
+        def excess(t: float) -> tuple[float, float]:
+            nonlocal r
+            r = r_l + 0.5 * kappa * (base + _clenshaw(c, 2.0 * (t - p) - 1.0))
             e_a, e_b = A * math.exp(t), B * a * math.exp(-a * t)
             f = math.sqrt(e_a + e_b)
-            excess = r * (r + kappa * f) - xi
-            if converged or excess == 0.0:
-                break
-            if excess < 0.0:
-                lo = t
-            else:
-                hi = t
             slope = kappa * f * (r + 0.5 * kappa * f) + kappa * r * (e_a - a * e_b) / (2.0 * f)
-            t_next = t - excess / slope
-            converged = abs(t_next - t) <= 1e-9
-            if converged:
-                t_next = min(max(t_next, min(lo, hi)), max(lo, hi))
-            elif not min(lo, hi) < t_next < max(lo, hi):
-                t_next = 0.5 * (lo + hi)
+            return r * (r + kappa * f) - xi, slope
+
+        t_start = t_i + (t_j - t_i) * (xi - xis[i]) / (xis[i + 1] - xis[i])
+        t = safeguarded_newton(excess, t_i, t_j, t_start)  # r is the value at t
         return r * r, math.exp(t)
 
     head = speeds(PERTURBED, params, sl.u, sl.rho)[k]

@@ -1,4 +1,4 @@
-"""Bracketing and Brent root finding for strictly monotone scalar maps."""
+"""Monotone root finding: Brent's method on the curve maps, Newton in t = log(rho) on the fans."""
 
 from __future__ import annotations
 
@@ -138,3 +138,27 @@ def solve_decreasing(
 
     lo, hi = expand_bracket(once, lo_guess, hi_guess)
     return bisect_decreasing(once, lo, hi, rtol=rtol)
+
+
+def safeguarded_newton(
+    f: Callable[[float], tuple[float, float]], lo: float, hi: float, t: float
+) -> float:
+    """Root of a monotone map by Newton's method from ``t``.  ``f`` returns
+    value and slope; the value is <= 0 at ``lo`` and > 0 at ``hi``, in either
+    order.  Each point narrows [lo, hi]; a step leaving it, or a zero or
+    non-finite slope, bisects.  The search stops one point after a step of
+    1e-9 or less, or at 100 points, returning the last point evaluated."""
+    t_next, converged = t, False
+    for _ in range(100):
+        t = t_next
+        value, slope = f(t)
+        if converged or value == 0.0:
+            break
+        lo, hi = (t, hi) if value < 0.0 else (lo, t)
+        t_next = t - value / slope if 0.0 < abs(slope) < math.inf else math.nan  # nan bisects
+        converged = abs(t_next - t) <= 1e-9
+        if converged:
+            t_next = min(max(t_next, min(lo, hi)), max(lo, hi))
+        elif not min(lo, hi) < t_next < max(lo, hi):
+            t_next = 0.5 * (lo + hi)
+    return t

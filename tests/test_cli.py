@@ -513,6 +513,29 @@ print("simulate", run({simulate!r}), "numpy" in sys.modules)
         expected = f"error: {key} must be an integer >= {least}, got {argv[-1]}\n"
         assert capsys.readouterr().err == expected
 
+    @pytest.mark.parametrize(
+        ("flags", "expected"),
+        [
+            (["--cfl", "2"], "cfl must be a number in (0, 0.9], got 2.0"),
+            (["--cfl", "0"], "cfl must be a number in (0, 0.9], got 0.0"),
+            (["--T", "-1"], "T must be a number in (0, inf), got -1.0"),
+            (["--T", "0"], "T must be a number in (0, inf), got 0.0"),
+            (["--xmin", "2", "--xmax", "1"], "xmin must lie below xmax, got 2.0 and 1.0"),
+            (["--xmin", "1", "--xmax", "1"], "xmin must lie below xmax, got 1.0 and 1.0"),
+        ],
+    )
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_grid_options_bounded(self, tmp_path, capsys, flags, expected, given):
+        # the bounds fv.GridConfig also checks, refused with the option's name
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({k[2:]: float(v) for k, v in zip(flags[::2], flags[1::2])}))
+        source = flags if given == "flag" else ["--config", str(cfg)]
+        end = [] if "--T" in flags else ["--T", "0.1"]
+        argv = ["simulate", "--system", "original", "--grid", "20", *end, *BASE]
+        assert run([*argv, *source, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_config_count_must_be_an_integer(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"samples": True}))

@@ -2,6 +2,7 @@
 intermediate state, wave speeds and sampling."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from awrlab.original import (
     rh_residual,
     shock_speed,
 )
+from awrlab.rootfind import BracketError
 
 RNG = np.random.RandomState(20240818)
 
@@ -267,3 +269,67 @@ class TestSolutionSampling:
         sol = solve(P_REF, LEFT, LEFT)
         assert sol.waves == ()
         assert sol.sample(0.0) == (LEFT.u, LEFT.rho)
+
+
+def wide_box_fans(n, seed=20261018):
+    """The deep-vacuum fan, a fan to the subnormal density 1e-309 at alpha =
+    0.999 (where e^(-alpha*t) overflows), then ``n`` seeded fans with A, B in
+    [1e-12, 1e2], alpha in [1e-3, 0.999] (one draw in five at alpha = 1), and
+    u, rho log-uniform; draws whose star state leaves the double range are
+    skipped."""
+    rng = random.Random(seed)
+    yield (
+        PressureParams(2.338e-4, 2.020e-6, 0.05107),
+        State(2.0902, 1.0170),
+        State(8.6304, 0.56526),
+    )
+    p = PressureParams(1e-12, 1e-20, 0.999)
+    yield p, State(1.0, 1.0), State(1.0 + p.B / 1e-309**p.alpha, 1.0)
+    drawn = 0
+    while drawn < n:
+        A, B = 10.0 ** rng.uniform(-12, 2), 10.0 ** rng.uniform(-12, 2)
+        alpha = 1.0 if rng.random() < 0.2 else rng.uniform(1e-3, 0.999)
+        u_l, u_r = sorted(10.0 ** rng.uniform(-6, 6) for _ in range(2))
+        rho_l, rho_r = 10.0 ** rng.uniform(-8, 8), 10.0 ** rng.uniform(-8, 8)
+        p, left, right = PressureParams(A, B, alpha), State(u_l, rho_l), State(u_r, rho_r)
+        try:
+            intermediate_state(p, left, right.u)
+        except BracketError:  # rho* below the double range
+            continue
+        drawn += 1
+        yield p, left, right
+
+
+class TestFanInversion:
+    def test_fan_flat_to_rounding_samples_inside(self):
+        # at alpha = 1 lambda1 = c - 2*A*rho; with A ~ 4e-10 the fan is 5e-13
+        # wide and lambda1 - xi has one sign over the whole density bracket
+        p = PressureParams(3.7354534566287205e-10, 0.00479662718161354, 1.0)
+        left = State(0.20577626876284488, 3.2955806904965204e-06)
+        sol = solve(p, left, State(19.6518174227967, 6.562076742353124e-05))
+        fan = sol.waves[0]
+        assert isinstance(fan, Rarefaction) and fan.head < -1455.2667586461287 < fan.tail
+        u, rho = sol.sample(-1455.2667586461287)
+        assert sol.star.rho * (1.0 - 1e-12) <= rho <= left.rho * (1.0 + 1e-12)
+        assert left.u <= u <= sol.star.u * (1.0 + 1e-12)
+
+    def test_fan_samples_in_a_wide_box(self):
+        # lambda1(u, rho) = u - A*rho - alpha*B/rho**alpha cancels where u is
+        # far above |xi|, and half an ulp of u is then the floor of its error
+        for p, left, right in wide_box_fans(1000):
+            sol = solve(p, left, right)
+            fan, star = sol.waves[0], sol.star
+            assert isinstance(fan, Rarefaction)
+            c = curve_constant(p, left)
+            prev_u = left.u
+            for k in range(1, 33):
+                xi = fan.head + (fan.tail - fan.head) * k / 33.0
+                if not fan.head < xi < fan.tail:
+                    continue
+                u, rho = sol.sample(xi)
+                lam1 = eigenvalues_original(p, State(u, rho)).lambda1
+                assert abs(lam1 - xi) <= 1e-12 * max(1.0, abs(xi), u)
+                assert -p.A * rho + p.B / rho**p.alpha + c == pytest.approx(u, rel=1e-10)
+                assert star.rho * (1.0 - 1e-12) <= rho <= left.rho * (1.0 + 1e-12)
+                assert u >= prev_u * (1.0 - 1e-15)
+                prev_u = u
