@@ -102,31 +102,38 @@ class WaveSpeedPair:
     lambda2: float
 
 
-def offset(system: str, params: PressureParams, rho):
+def offset(system: str, params: PressureParams, rho, ra=None):
     """Velocity offset of ``system``, so that q2 = rho*(u + offset).
 
     The original offset is the pressure A*rho - B/rho**alpha itself.  No
-    domain check: ``rho`` is a positive float or an array of them.
+    domain check: ``rho`` is a positive float or an array of them.  Here and
+    in :func:`flux` and :func:`speeds`, ``ra`` is rho**alpha when the caller
+    already holds it (the finite-volume step forms it once per step); the
+    result is the same bits either way.
     """
+    if ra is None:
+        ra = rho**params.alpha
     if system == ORIGINAL:
-        return params.A * rho - params.B / rho**params.alpha
+        return params.A * rho - params.B / ra
     if system == PERTURBED:
-        return 0.5 * params.A * rho - params.B / ((1.0 - params.alpha) * rho**params.alpha)
+        return 0.5 * params.A * rho - params.B / ((1.0 - params.alpha) * ra)
     raise ValueError(f"unknown system tag {system!r}")
 
 
-def flux(params: PressureParams, u, rho):
+def flux(params: PressureParams, u, rho, ra=None):
     """Flux (rho*u, rho*u*(u + P(rho))), the same for both systems."""
     m = rho * u
-    return m, m * (u + offset(ORIGINAL, params, rho))
+    return m, m * (u + offset(ORIGINAL, params, rho, ra))
 
 
-def speeds(system: str, params: PressureParams, u, rho, sqrt=math.sqrt):
+def speeds(system: str, params: PressureParams, u, rho, sqrt=math.sqrt, ra=None):
     """Characteristic speeds (lambda1, lambda2) of ``system`` at (u, rho);
     arrays need an array ``sqrt``."""
+    if ra is None:
+        ra = rho**params.alpha
     if system == ORIGINAL:
-        return u - params.A * rho - params.B * params.alpha / rho**params.alpha, u
-    gap = sqrt(u * (params.A * rho + params.B * params.alpha / rho**params.alpha))
+        return u - params.A * rho - params.B * params.alpha / ra, u
+    gap = sqrt(u * (params.A * rho + params.B * params.alpha / ra))
     return u - gap, u + gap
 
 

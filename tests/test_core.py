@@ -23,8 +23,11 @@ from awrlab import (
 from awrlab.core import (
     Fan,
     RiemannSolution,
+    flux,
+    offset,
     pressure_derivative,
     perturbed_nondegeneracy_gap,
+    speeds,
 )
 
 RNG = np.random.RandomState(20240817)
@@ -139,6 +142,53 @@ class TestEigenvalues:
             got = perturbed_nondegeneracy_gap(p, State(u, rho))
             assert got == pytest.approx(expect, rel=1e-12, abs=1e-300)
             assert math.isfinite(got)
+
+
+class TestPrecomputedPower:
+    """offset, flux and speeds read rho**alpha from ``ra`` when given it;
+    the finite-volume step relies on the result being the same bits."""
+
+    @staticmethod
+    def written_out(system, p, u, rho):
+        """offset, flux and speeds at floats, each forming its own rho**alpha."""
+        A, B, a = p.A, p.B, p.alpha
+        if system == "original":
+            off = A * rho - B / rho**a
+            lam = (u - A * rho - B * a / rho**a, u)
+        else:
+            off = 0.5 * A * rho - B / ((1.0 - a) * rho**a)
+            gap = math.sqrt(u * (A * rho + B * a / rho**a))
+            lam = (u - gap, u + gap)
+        m = rho * u
+        return off, m, m * (u + (A * rho - B / rho**a)), *lam
+
+    @pytest.mark.parametrize("system", ["original", "perturbed"])
+    def test_same_bits_as_the_plain_forms(self, system):
+        def forms(p, u, rho, **kw):
+            # the FV kernel's array sqrt for arrays, math.sqrt for floats
+            sqrt = (lambda x: np.sqrt(np.maximum(x, 0.0))) if np.ndim(u) else math.sqrt
+            lam = speeds(system, p, u, rho, sqrt, **kw)
+            return offset(system, p, rho, **kw), *flux(p, u, rho, **kw), *lam
+
+        def bits(values):
+            return [float(v).hex() for v in values]
+
+        rng = np.random.RandomState(8128)
+        for _ in range(40):
+            A, B = (10.0 ** rng.uniform(-12, 2, size=2)).tolist()
+            p = PressureParams(A, B, rng.uniform(0.01, 0.99), system=system)
+            u = 10.0 ** rng.uniform(-6, 6, size=64)
+            rho = 10.0 ** rng.uniform(-8, 8, size=64)
+            ra = rho**p.alpha
+            given = forms(p, u, rho, ra=ra)
+            assert [g.tobytes() for g in given] == [g.tobytes() for g in forms(p, u, rho)]
+            for i in range(64):
+                ui, ri = u[i].item(), rho[i].item()
+                expect = bits(self.written_out(system, p, ui, ri))
+                assert bits(forms(p, ui, ri)) == expect
+                assert bits(forms(p, ui, ri, ra=ri**p.alpha)) == expect
+                # each array cell is the float form at that cell's power
+                assert bits(g[i] for g in given) == bits(forms(p, ui, ri, ra=ra[i].item()))
 
 
 class TestConversions:

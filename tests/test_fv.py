@@ -13,6 +13,8 @@ from awrlab import (
     solve,
     solve_perturbed,
 )
+from awrlab import fv
+from awrlab.core import Contact, Fan, Shock
 from awrlab.fv import snapshot_schedule
 
 LEFT = State(2.0, 1.0)
@@ -43,6 +45,15 @@ class TestGridConfig:
     def test_non_finite_domain_or_end_time_refused(self, x_min, x_max, t_end):
         with pytest.raises(ValueError, match="finite"):
             GridConfig(x_min, x_max, 100, t_end=t_end)
+
+    @pytest.mark.parametrize("n_cells", [20.5, 20.0, float("nan"), True, "20"])
+    def test_non_integer_cell_count_refused(self, n_cells):
+        # 20.5 once built 21 cells whose spacing was not dx; NaN passed `< 16`
+        with pytest.raises(ValueError, match=f"n_cells must be an integer, got {n_cells!r}"):
+            GridConfig(-1.0, 1.0, n_cells)
+
+    def test_numpy_integer_cell_count_accepted(self):
+        assert len(GridConfig(-1.0, 1.0, np.int64(20)).centers()) == 20
 
     def test_centers(self):
         g = GridConfig(-1.0, 1.0, 100)
@@ -98,6 +109,93 @@ class TestConservation:
         for last in (0.4 - 1e-12, 0.4 + 1e-12):
             assert snapshot_schedule([last, 0.1], 0.4) == [0.1, last]
         assert snapshot_schedule(None, 0.4) == [0.4]
+
+
+def three_power_lax_friedrichs(system, p, left, right, grid):
+    """simulate's step written from the formulas, with the offset, the speeds
+    and the flux each forming rho**alpha anew, as the step once did.  Returns
+    the final (q1, q2) and the number of steps; the data must stay clear of
+    the floors."""
+    A, B, a = p.A, p.B, p.alpha
+
+    def off(rho):
+        if system == "original":
+            return A * rho - B / rho**a
+        return 0.5 * A * rho - B / ((1.0 - a) * rho**a)
+
+    x, dx = grid.centers(), grid.dx
+    rho = np.where(x < 0.0, left.rho, right.rho)
+    u = np.where(x < 0.0, left.u, right.u)
+    q = np.array([rho, rho * (u + off(rho))])
+    t, steps = 0.0, 0
+    while t < grid.t_end - 1e-14:
+        rho = q[0]
+        assert rho.min() > 1e-8
+        u = q[1] / rho - off(rho)
+        if system == "original":
+            lam1, lam2 = u - A * rho - B * a / rho**a, u
+        else:
+            gap = np.sqrt(np.maximum(u * (A * rho + B * a / rho**a), 0.0))
+            lam1, lam2 = u - gap, u + gap
+        a_max = float(max(lam2.max(), -lam1.min()))
+        dt = min(grid.cfl * dx / a_max, grid.t_end - t)
+        m = rho * u
+        f = np.array([m, m * (u + (A * rho - B / rho**a))])
+        qe, fe = (np.concatenate((v[:, :1], v, v[:, -1:]), axis=1) for v in (q, f))
+        F = 0.5 * (fe[:, :-1] + fe[:, 1:]) - 0.5 * a_max * (qe[:, 1:] - qe[:, :-1])
+        q = q - dt / dx * (F[:, 1:] - F[:, :-1])
+        t += dt
+        steps += 1
+    return q, steps
+
+
+class TestOnePowerPerStep:
+    @pytest.mark.parametrize("system", ["original", "perturbed"])
+    def test_bit_identical_to_three_powers_at_general_alpha(self, system, monkeypatch):
+        # alpha = 0.5 lets numpy take sqrt for the power; 0.37 takes pow
+        p = PressureParams(0.1, 0.1, 0.37, system=system)
+        g = GridConfig(-2.0, 3.0, 300, cfl=0.5, t_end=1.0)
+        steps = []
+        max_speed = fv._max_speed
+
+        def counted(*args):
+            steps.append(1)
+            return max_speed(*args)
+
+        monkeypatch.setattr(fv, "_max_speed", counted)
+        last = simulate(system, p, LEFT, RIGHT, g)[-1]
+        q, n_steps = three_power_lax_friedrichs(system, p, LEFT, RIGHT, g)
+        assert n_steps > 200
+        assert len(steps) == n_steps
+        assert last.q1.tobytes() == q[0].tobytes()
+        assert last.q2.tobytes() == q[1].tobytes()
+
+
+class TestL1Error:
+    @staticmethod
+    def numpy_scalar_l1(snap, sampler):
+        err = 0.0
+        for xc, rho_n, u_n in zip(snap.x, snap.rho, snap.u):
+            u_e, rho_e = sampler(xc / snap.time)
+            err += abs(rho_n - rho_e) * snap.dx
+            err += abs(rho_n * u_n - rho_e * u_e) * snap.dx
+        return err
+
+    @pytest.mark.parametrize(
+        ("system", "left", "right", "A"),
+        [
+            ("original", State(1.0, 2.0), State(2.0, 1.0), 0.1),  # fan and contact
+            ("perturbed", LEFT, RIGHT, 1e-2),  # two shocks
+        ],
+    )
+    def test_equals_a_numpy_scalar_loop(self, system, left, right, A):
+        p = PressureParams(A, A, 0.37, system=system)
+        snap = simulate(system, p, left, right, GridConfig(-2.0, 3.0, 300, t_end=0.4))[-1]
+        exact = (solve if system == "original" else solve_perturbed)(p, left, right)
+        kinds = [type(w) for w in exact.waves]
+        assert kinds == ([Fan, Contact] if system == "original" else [Shock, Shock])
+        err = l1_error_vs_exact(snap, exact.sample)
+        assert err.hex() == float(self.numpy_scalar_l1(snap, exact.sample)).hex()
 
 
 class TestRefinement:
