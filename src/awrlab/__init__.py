@@ -15,6 +15,7 @@ from .core import (
     PressureParams,
     State,
     WaveSpeedPair,
+    default_schedule,
     eigenvalues_original,
     eigenvalues_perturbed,
     from_conserved,
@@ -22,46 +23,41 @@ from .core import (
     pressure,
     to_conserved,
 )
-from .original import RegionLabel14, RiemannSolution14, classify, solve, threshold_A0
-from .perturbed import (
-    BumpTestFunction,
-    RegionLabel17,
-    RiemannSolution17,
-    classify_perturbed,
-    solve_perturbed,
-    weak_form_residual,
-)
-from .transport import (
-    DeltaShock,
-    EntropyClass,
-    SweepRecord,
-    SweepReport,
-    TransportSolution,
-    Verdict,
-    default_schedule,
-    entropy_check,
-    grh_residual,
-    limit_delta_consistency,
-    special_delta,
-    sweep_original,
-    sweep_perturbed,
-    transport_solve,
-)
 
 __version__ = "0.1.0"
 
-# fv is the only module that needs numpy.  It loads on first use, so that
-# ``import awrlab`` and the CLI commands that do no array work start without
-# numpy (PEP 562).
-_FV_NAMES = {
-    "FieldSnapshot", "GridConfig", "delta_weight_estimate", "l1_error_vs_exact", "simulate",
+# Every other submodule the package serves, with the public names it serves
+# from each.  A submodule loads on first access (PEP 562), so ``import awrlab``
+# loads ``core`` alone and each CLI command loads only what it runs; of them
+# only fv needs numpy.
+_LAZY = {
+    "original": ("RegionLabel14", "RiemannSolution14", "classify", "solve", "threshold_A0"),
+    "perturbed": (
+        "BumpTestFunction", "RegionLabel17", "RiemannSolution17", "classify_perturbed",
+        "solve_perturbed", "weak_form_residual",
+    ),
+    "transport": (
+        "DeltaShock", "EntropyClass", "SweepRecord", "SweepReport", "TransportSolution",
+        "Verdict", "entropy_check", "grh_residual", "limit_delta_consistency",
+        "special_delta", "sweep_original", "sweep_perturbed", "transport_solve",
+    ),
+    "fv": (
+        "FieldSnapshot", "GridConfig", "delta_weight_estimate", "l1_error_vs_exact", "simulate",
+    ),
+    "rootfind": (), "quadrature": (),
 }
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 
 def __getattr__(name: str):
-    if name == "fv" or name in _FV_NAMES:
-        # import_module, not ``from . import fv``: the latter looks the name
-        # up on this package first and would call back into __getattr__
-        fv = importlib.import_module(".fv", __name__)
-        return fv if name == "fv" else getattr(fv, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = name if name in _LAZY else _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module, not ``from . import <module>``: the latter looks the name
+    # up on this package first and would call back into __getattr__
+    mod = importlib.import_module("." + module, __name__)
+    return mod if module == name else getattr(mod, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_HOME})

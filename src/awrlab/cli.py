@@ -10,17 +10,15 @@ flags.  Outputs are deterministic CSV files and static SVG plots under --out
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import random
 import sys
 from typing import Callable, NamedTuple
 
-# numpy is imported only by simulate, through fv, so the other five commands
-# start without it.
-from . import original, perturbed, transport
-from .core import ORIGINAL, PERTURBED, TRANSPORT, PressureParams, State
+# Each command imports the modules it runs, so no command loads a solver it
+# does not call, and only simulate loads numpy (through fv).
+from .core import ORIGINAL, PERTURBED, TRANSPORT, PressureParams, State, default_schedule
 from .io import emit_csv, emit_svg_plot
 from .rootfind import BracketError
 
@@ -74,7 +72,7 @@ def _schedule(v) -> list[float] | tuple[float, ...] | None:
         raise ConfigError(
             f"expected 'lo:hi[:n]' with finite lo > hi > 0 and an integer n, got {v!r}"
         ) from None
-    return transport.default_schedule(lo, hi, *n)
+    return default_schedule(lo, hi, *n)
 
 
 class Option(NamedTuple):
@@ -132,7 +130,7 @@ OPTIONS = {
     "samples": Option(*_at_least(2), 401),
     "schedule": Option(
         {}, _schedule, "a 'lo:hi[:n]' string or a list of numbers",
-        transport.default_schedule(1e-1, 1e-6), "coupled A=B schedule as 'lo:hi[:n]'",
+        default_schedule(1e-1, 1e-6), "coupled A=B schedule as 'lo:hi[:n]'",
     ),
     "grid": Option(*_at_least(16), help="number of cells"),
     "cfl": Option(*_number_in("(0, 0.9]", lambda x: 0.0 < x <= 0.9), 0.5),
@@ -169,6 +167,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     against OPTIONS and fill in the defaults."""
     cfg = {}
     if args.config:
+        import json
         with open(args.config, encoding="utf-8") as fh:
             try:
                 cfg = json.load(fh)
@@ -232,13 +231,16 @@ def _cmd_solve(opts: dict) -> int:
     system, left, right = _require(opts, "system", "left", "right")
     samples = opts["samples"]
     if system == TRANSPORT:
+        from . import transport
         sol = transport.transport_solve(left, right)
         lo, hi = min(left.u, right.u) - 1.0, max(left.u, right.u) + 1.0
+    elif system == ORIGINAL:
+        from . import original
+        sol = original.solve(_params(opts, system), left, right)
+        lo, hi = _wave_window(sol)
     else:
-        params = _params(opts, system)
-        sol = (original.solve if system == ORIGINAL else perturbed.solve_perturbed)(
-            params, left, right
-        )
+        from . import perturbed
+        sol = perturbed.solve_perturbed(_params(opts, system), left, right)
         lo, hi = _wave_window(sol)
     xs = _linspace(lo, hi, samples)
     us, rhos = zip(*map(sol.sample, xs))
@@ -256,13 +258,16 @@ def _cmd_solve(opts: dict) -> int:
 def _cmd_classify(opts: dict) -> int:
     system, left, right = _require(opts, "system", "left", "right")
     if system == TRANSPORT:
+        from . import transport
         kind = transport.transport_solve(left, right).kind
         print(f"transport solution kind: {kind}")
         return 0
     params = _params(opts, system)
     if system == ORIGINAL:
+        from . import original
         label = original.classify(params, left, right)
     else:
+        from . import perturbed
         label = perturbed.classify_perturbed(params, left, right)
     print(f"region: {label.value}")
     return 0
@@ -272,6 +277,7 @@ def _cmd_sweep(opts: dict) -> int:
     system, left, right = _require(opts, "system", "left", "right")
     if system == TRANSPORT:
         raise ConfigError("sweep requires a pressured system (original|perturbed)")
+    from . import transport
     runner = transport.sweep_original if system == ORIGINAL else transport.sweep_perturbed
     report = runner(left, right, *_require(opts, "alpha"), opts["schedule"])
     out = _out_dir(opts)
@@ -299,7 +305,6 @@ def _cmd_sweep(opts: dict) -> int:
 
 def _cmd_simulate(opts: dict) -> int:
     from . import fv
-
     system, left, right = _require(opts, "system", "left", "right")
     if system == TRANSPORT:
         raise ConfigError("simulate requires a pressured system (original|perturbed)")
@@ -364,6 +369,7 @@ def _legacy_random(seed: int) -> random.Random:
 
 
 def _cmd_weakcheck(opts: dict) -> int:
+    from . import perturbed
     if opts["system"] not in (None, PERTURBED):
         raise ConfigError(f"weakcheck checks the perturbed system only, got {opts['system']!r}")
     left, right = _require(opts, "left", "right")
@@ -389,6 +395,7 @@ def _cmd_weakcheck(opts: dict) -> int:
 
 
 def _cmd_delta(opts: dict) -> int:
+    from . import transport
     left, right = _require(opts, "left", "right")
     kind = opts["kind"]
     if not right.u < left.u:

@@ -261,3 +261,11 @@ class RiemannSolution:
                 return (upstream.u, upstream.rho) if xi <= head else wave.profile(xi)
             upstream = self.star
         return self.right.u, self.right.rho
+
+
+def default_schedule(lo: float = 1e-1, hi: float = 1e-6, n: int = 6) -> tuple[float, ...]:
+    """Log-uniform, strictly decreasing schedule of n >= 2 coupled A = B values."""
+    if n < 2:
+        raise ValueError(f"a sweep schedule needs at least two values, got n = {n}")
+    r = (hi / lo) ** (1.0 / (n - 1))
+    return tuple(lo * r**k for k in range(n))

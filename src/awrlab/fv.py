@@ -129,7 +129,8 @@ def simulate(
     conserved state is one (2, n) array, rows rho and rho * (u + offset),
     advanced by the global Lax-Friedrichs step with zeroth-order outflow
     ghost cells.  Density positivity is enforced by flooring, with the number
-    of floored cells flagged on each snapshot.
+    of floored cells flagged on each snapshot.  A wave speed bound that is not
+    positive and finite (an overflowed state) raises ValueError.
     """
     if system not in (ORIGINAL, PERTURBED):
         raise ValueError(f"unknown system tag {system!r}")
@@ -142,14 +143,15 @@ def simulate(
     q = np.array([rho, rho * (u + offset(system, params, rho))])
 
     snapshots: list[FieldSnapshot] = []
-    floored = 0
+    floored = steps = 0
     t = 0.0
     for t_stop in times:
         while t < t_stop - 1e-14:
             rho, u, ra = _primitives(system, params, q, x, t)
             a_max = _max_speed(system, params, rho, u, ra)
-            if a_max <= 0.0:
-                raise RuntimeError("non-positive wave speed bound; cannot advance")
+            if not 0.0 < a_max < math.inf:  # false for NaN too
+                raise ValueError(f"wave speed bound {a_max!r} at t = {t!r} after {steps} step(s)")
+            steps += 1
             dt = min(grid.cfl * dx / a_max, t_stop - t)
             if dt * a_max / dx > grid.cfl + 1e-12:
                 raise RuntimeError("CFL violation detected; aborting")

@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from . import core, original, perturbed
+from . import core
 from .core import InapplicableError, PressureParams, State
+from .core import default_schedule  # noqa: F401  served here as well as from core
 
 TRANSPORT_KIND = "TRANSPORT"
 SPECIAL_KIND = "SPECIAL"
@@ -154,14 +155,6 @@ class SweepReport:
         return all(v.passed for v in self.verdicts)
 
 
-def default_schedule(lo: float = 1e-1, hi: float = 1e-6, n: int = 6) -> tuple[float, ...]:
-    """Log-uniform, strictly decreasing schedule of n >= 2 coupled A = B values."""
-    if n < 2:
-        raise ValueError(f"a sweep schedule needs at least two values, got n = {n}")
-    r = (hi / lo) ** (1.0 / (n - 1))
-    return tuple(lo * r**k for k in range(n))
-
-
 def _check_schedule(schedule) -> tuple[float, ...]:
     sched = tuple(float(a) for a in schedule)
     if len(sched) < 2:
@@ -181,11 +174,11 @@ def _monotone_fraction(values, increasing: bool) -> float:
 
 
 def _sweep_records(
-    system: str, left: State, right: State, alpha: float, sched
+    solver, system: str, left: State, right: State, alpha: float, sched
 ) -> list[SweepRecord]:
-    """One record per coupled A = B value of a two-wave solution: sigma1 is the
-    leading edge of the first wave, sigma2 the trailing edge of the second."""
-    solver = original.solve if system == "original" else perturbed.solve_perturbed
+    """One record per coupled A = B value of the two-wave solution ``solver``
+    returns: sigma1 is the leading edge of the first wave, sigma2 the trailing
+    edge of the second."""
     records = []
     for a_val in sched:
         sol = solver(PressureParams(a_val, a_val, alpha, system=system), left, right)
@@ -236,7 +229,8 @@ def sweep_original(
     sched = _check_schedule(schedule)
     if right.u == left.u:
         return SweepReport("original", (), (Verdict("zero-strength data", 0.0, 0.0, 0.0),))
-    records = _sweep_records("original", left, right, alpha, sched)
+    from . import original
+    records = _sweep_records(original.solve, "original", left, right, alpha, sched)
     last = records[-1]
     verdicts = []
     threshold = None
@@ -263,7 +257,9 @@ def sweep_original(
             ),
             Verdict("shock speed reaches downstream velocity", right.u, last.sigma1, 1e-5),
             Verdict("contact speed equals downstream velocity", right.u, last.sigma2, 1e-12),
-            Verdict("intermediate velocity equals downstream velocity", right.u, last.u_star, 1e-12),
+            Verdict(
+                "intermediate velocity equals downstream velocity", right.u, last.u_star, 1e-12
+            ),
             Verdict(
                 "concentrated mass rate",
                 left.rho * (left.u - right.u),
@@ -294,7 +290,8 @@ def sweep_perturbed(
     sched = _check_schedule(schedule)
     if right.u == left.u:
         return SweepReport("perturbed", (), (Verdict("zero-strength data", 0.0, 0.0, 0.0),))
-    records = _sweep_records("perturbed", left, right, alpha, sched)
+    from . import perturbed
+    records = _sweep_records(perturbed.solve_perturbed, "perturbed", left, right, alpha, sched)
     last = records[-1]
     verdicts = []
     if right.u < left.u:
@@ -352,6 +349,7 @@ def limit_delta_consistency(
     against the transport delta-shock weights."""
     if not right.u < left.u:
         raise InapplicableError("delta consistency requires u+ < u-")
+    from . import perturbed
     params = PressureParams(A, B, alpha, system="perturbed")
     label = perturbed.classify_perturbed(params, left, right)
     if label is not perturbed.RegionLabel17.SS:

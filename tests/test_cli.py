@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import awrlab
-from awrlab import fv, original, perturbed
+from awrlab import core, fv, original, perturbed, transport
 from awrlab.core import PressureParams, State
 from awrlab.cli import _linspace, _wave_window, run
 from awrlab.rootfind import BracketError
@@ -260,6 +260,20 @@ class TestSimulate:
         ]
         assert warnings == ["warning: density floor triggered in 3 cell-updates over t in (0, 0.1]"]
 
+    def test_overflowing_state_is_refused_before_any_file(self, tmp_path, capsys):
+        # the flux of rho = u = 1e150 overflows, so the second step's wave
+        # speed bound is NaN; numpy warns on the way there
+        out = tmp_path / "sim"
+        argv = [
+            "simulate", "--system", "original", "--A", "0.1", "--B", "0.1", "--alpha", "0.37",
+            "--left", "1e150,1e150", "--right", "1,1", "--grid", "16", "--T", "0.1",
+            "--out", str(out),
+        ]
+        with pytest.warns(RuntimeWarning):
+            assert run(argv) == 1
+        assert capsys.readouterr().err.startswith("error: wave speed bound nan at t = ")
+        assert not out.exists()
+
 
 class TestWeakcheck:
     def test_residuals_below_tolerance(self, tmp_path, capsys):
@@ -486,11 +500,68 @@ print("simulate", run({simulate!r}), "numpy" in sys.modules)
             "simulate 0 True",
         ]
 
+    def test_import_loads_core_only(self):
+        code = "import sys, awrlab; print(sorted(m for m in sys.modules if m.startswith('awrlab')))"
+        assert fresh_python(code).strip() == "['awrlab', 'awrlab.core']"
+
+    @pytest.mark.parametrize(
+        ("argv", "loaded", "absent"),
+        [
+            (["classify", "--system", "original"], {"original"},
+             {"perturbed", "quadrature", "transport"}),
+            (["delta"], {"transport"}, {"original", "perturbed"}),
+            (["solve", "--system", "transport", "--samples", "11"], {"transport"},
+             {"original", "perturbed"}),
+            (["simulate", "--system", "original", "--grid", "20", "--T", "0.05"], {"fv"},
+             {"original", "perturbed", "transport"}),
+            (["sweep", "--system", "original"], {"original", "transport"}, {"perturbed"}),
+        ],
+        ids=["classify-original", "delta", "solve-transport", "simulate", "sweep-original"],
+    )
+    def test_command_imports_only_what_it_runs(self, tmp_path, argv, loaded, absent):
+        code = f"""
+import contextlib, io, sys, awrlab.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = awrlab.cli.run({argv!r} + {BASE!r} + ["--out", {str(tmp_path)!r}])
+print(code, *sorted(m.split('.')[1] for m in sys.modules if m.startswith('awrlab.')))
+"""
+        code, *modules = fresh_python(code).split()
+        assert code == "0"
+        assert loaded <= set(modules)
+        assert not absent & set(modules)
+
     def test_fv_names_resolve_on_the_package(self):
-        assert awrlab.fv is fv
-        for name in ("FieldSnapshot", "GridConfig", "delta_weight_estimate",
-                     "l1_error_vs_exact", "simulate"):
-            assert getattr(awrlab, name) is getattr(fv, name)
+        # every name the package exports, written out rather than read from its table
+        exported = {
+            core: (
+                "ORIGINAL", "PERTURBED", "TRANSPORT", "BranchError", "Conserved",
+                "DegenerateDensityError", "InapplicableError", "NoThresholdError",
+                "PressureParams", "State", "WaveSpeedPair", "eigenvalues_original",
+                "eigenvalues_perturbed", "from_conserved", "genuine_nonlinearity_original",
+                "pressure", "to_conserved",
+            ),
+            original: ("RegionLabel14", "RiemannSolution14", "classify", "solve", "threshold_A0"),
+            perturbed: (
+                "BumpTestFunction", "RegionLabel17", "RiemannSolution17", "classify_perturbed",
+                "solve_perturbed", "weak_form_residual",
+            ),
+            transport: (
+                "DeltaShock", "EntropyClass", "SweepRecord", "SweepReport", "TransportSolution",
+                "Verdict", "default_schedule", "entropy_check", "grh_residual",
+                "limit_delta_consistency", "special_delta", "sweep_original", "sweep_perturbed",
+                "transport_solve",
+            ),
+            fv: ("FieldSnapshot", "GridConfig", "delta_weight_estimate", "l1_error_vs_exact",
+                 "simulate"),
+        }
+        listed = dir(awrlab)
+        for module, names in exported.items():
+            submodule = module.__name__.split(".")[1]
+            assert getattr(awrlab, submodule) is module
+            assert submodule in listed
+            for name in names:
+                assert getattr(awrlab, name) is getattr(module, name), name
+                assert name in listed, name
 
     def test_unknown_package_attribute(self):
         with pytest.raises(AttributeError, match="no_such_name"):

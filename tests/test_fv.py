@@ -1,5 +1,7 @@
 """Finite-volume structure checks: conservation, refinement, concentration."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,16 @@ class TestOnePowerPerStep:
         assert len(steps) == n_steps
         assert last.q1.tobytes() == q[0].tobytes()
         assert last.q2.tobytes() == q[1].tobytes()
+
+
+class TestWaveSpeedBound:
+    @pytest.mark.parametrize("bound", [0.0, -1.0, math.nan, math.inf])
+    def test_bound_not_positive_and_finite_is_refused(self, bound, monkeypatch):
+        # an infinite bound would give dt = 0 and no progress; a NaN one a NaN time
+        monkeypatch.setattr(fv, "_max_speed", lambda *args: bound)
+        p = PressureParams(0.1, 0.1, 0.5)
+        with pytest.raises(ValueError, match=r"wave speed bound .* at t = 0\.0 after 0 step"):
+            simulate("original", p, LEFT, RIGHT, GridConfig(-1.0, 1.0, 16, t_end=0.1))
 
 
 class TestL1Error:
