@@ -18,9 +18,10 @@ from typing import Callable, NamedTuple
 
 # Each command imports the modules it runs, so no command loads a solver it
 # does not call, and only simulate loads numpy (through fv).
-from .core import ORIGINAL, PERTURBED, TRANSPORT, PressureParams, State, default_schedule
+from .core import (
+    ORIGINAL, PERTURBED, TRANSPORT, BracketError, PressureParams, State, default_schedule,
+)
 from .io import emit_csv, emit_svg_plot
-from .rootfind import BracketError
 
 DELTA_KINDS = ("transport", "special", "both")
 SWEEP_COLUMNS = ["A", "B", "rho_star", "u_star", "sigma1", "sigma2", "product", "A_rho_star"]

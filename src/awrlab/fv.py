@@ -55,7 +55,9 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class FieldSnapshot:
-    """Cell-averaged conserved fields plus recovered primitives at one time."""
+    """Cell-averaged conserved fields plus recovered primitives at one time;
+    ``floored_cells`` and ``steps`` count floored cell-updates and time steps
+    from t = 0."""
 
     x: np.ndarray
     q1: np.ndarray
@@ -64,6 +66,7 @@ class FieldSnapshot:
     u: np.ndarray
     time: float
     floored_cells: int
+    steps: int = 0
 
     @property
     def dx(self) -> float:
@@ -73,27 +76,13 @@ class FieldSnapshot:
         return float(np.sum(self.q1) * self.dx)
 
 
-def _primitives(
-    system: str, params: PressureParams, q: np.ndarray, x: np.ndarray, t: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Floored density, velocity and the pressure power rho**alpha, which the
-    rest of the step reads instead of forming it again."""
-    rho = np.maximum(q[0], RHO_POSITIVITY_FLOOR)
-    ra = rho**params.alpha
-    u = q[1] / rho - offset(system, params, rho, ra)
-    near_vac = rho < VACUUM_RECOVERY_RHO
-    if t > 0.0 and np.any(near_vac):
-        # exact vacuum fans carry u = x/t; avoids 0/0 noise in empty cells
-        u = np.where(near_vac, x / t, u)
-    return rho, u, ra
-
-
 def _max_speed(
-    system: str, params: PressureParams, rho: np.ndarray, u: np.ndarray, ra: np.ndarray
+    system: str, params: PressureParams, rho: np.ndarray, u: np.ndarray, ra: np.ndarray,
+    ar: np.ndarray,
 ) -> float:
     # cells with u < 0 have no real perturbed speed gap; it counts as 0
     lam1, lam2 = speeds(
-        system, params, u, rho, sqrt=lambda x: np.sqrt(np.maximum(x, 0.0)), ra=ra
+        system, params, u, rho, sqrt=lambda x: np.sqrt(np.maximum(x, 0.0)), ra=ra, ar=ar
     )
     # lambda1 <= lambda2 in every cell, so max |lambda| is one of these two
     return float(max(lam2.max(), -lam1.min()))
@@ -126,48 +115,83 @@ def simulate(
 
     Returns snapshots at the times of ``snapshot_schedule`` (the end time is
     always included; a requested time after it raises ValueError).  The
-    conserved state is one (2, n) array, rows rho and rho * (u + offset),
-    advanced by the global Lax-Friedrichs step with zeroth-order outflow
-    ghost cells.  Density positivity is enforced by flooring, with the number
-    of floored cells flagged on each snapshot.  A wave speed bound that is not
+    conserved state, rows rho and rho * (u + offset), and its flux live in
+    one ghost-padded buffer allocated before the first step, and the global
+    Lax-Friedrichs step updates it in place, with zeroth-order outflow ghost
+    cells.  Density positivity is enforced by flooring, with the number of
+    floored cells flagged on each snapshot.  A wave speed bound that is not
     positive and finite (an overflowed state) raises ValueError.
     """
     if system not in (ORIGINAL, PERTURBED):
         raise ValueError(f"unknown system tag {system!r}")
     times = snapshot_schedule(snapshot_times, grid.t_end)
 
+    n, dx = grid.n_cells, grid.dx
     x = grid.centers()
-    dx = grid.dx
+    # rows q1, q2, f1, f2; columns 0 and n + 1 are the outflow ghosts, which
+    # repeat the edge cells (zeroth-order extrapolation)
+    w = np.empty((4, n + 2))
+    q, f = w[:2, 1:-1], w[2:, 1:-1]
+    q1, q2 = q
+    ghosts, edges = w[:, :: n + 1], w[:, 1 : n + 1 : n - 1]
+    q_lo, q_hi, f_lo, f_hi = w[:2, :-1], w[:2, 1:], w[2:, :-1], w[2:, 1:]
+    F, dq = np.empty((2, 2, n + 1))  # face fluxes; jumps, then flux differences
+    F_lo, F_hi, dF = F[:, :-1], F[:, 1:], dq[:, :-1]
+    u, ra, ar, bra = np.empty((4, n))
+    A, B, alpha = params.A, params.B, params.alpha
+
+    def primitives(rho, t: float, lowest: float):
+        """Recover u at the floored density ``rho``, forming rho**alpha, A*rho,
+        B/rho**alpha and the pressure once; returns the pressure.  ``lowest``
+        is the least density before flooring."""
+        np.power(rho, alpha, out=ra)
+        np.multiply(A, rho, out=ar)
+        np.divide(B, ra, out=bra)
+        P = offset(ORIGINAL, params, rho, ra, ar, bra)
+        np.divide(q2, rho, out=u)
+        np.subtract(u, P if system == ORIGINAL else offset(system, params, rho, ra), out=u)
+        if not lowest >= VACUUM_RECOVERY_RHO:  # true for NaN too
+            # exact vacuum fans carry u = x/t; avoids 0/0 noise in empty cells
+            np.copyto(u, x / t, where=rho < VACUUM_RECOVERY_RHO)
+        return P
+
     rho = np.where(x < 0.0, left.rho, right.rho)
-    u = np.where(x < 0.0, left.u, right.u)
-    q = np.array([rho, rho * (u + offset(system, params, rho))])
+    q1[...] = rho
+    q2[...] = rho * (np.where(x < 0.0, left.u, right.u) + offset(system, params, rho))
 
     snapshots: list[FieldSnapshot] = []
     floored = steps = 0
     t = 0.0
+    rho = np.maximum(q1, RHO_POSITIVITY_FLOOR)
+    P = primitives(rho, t, math.inf)  # no cell takes u = x/t at t = 0
     for t_stop in times:
         while t < t_stop - 1e-14:
-            rho, u, ra = _primitives(system, params, q, x, t)
-            a_max = _max_speed(system, params, rho, u, ra)
+            a_max = _max_speed(system, params, rho, u, ra, ar)
             if not 0.0 < a_max < math.inf:  # false for NaN too
                 raise ValueError(f"wave speed bound {a_max!r} at t = {t!r} after {steps} step(s)")
             steps += 1
             dt = min(grid.cfl * dx / a_max, t_stop - t)
             if dt * a_max / dx > grid.cfl + 1e-12:
                 raise RuntimeError("CFL violation detected; aborting")
-            f = np.array(flux(params, u, rho, ra))
-            # outflow ghosts: zeroth-order extrapolation repeats the edge cells
-            qe, fe = (np.concatenate((a[:, :1], a, a[:, -1:]), axis=1) for a in (q, f))
-            F = 0.5 * (fe[:, :-1] + fe[:, 1:]) - 0.5 * a_max * (qe[:, 1:] - qe[:, :-1])
-            q = q - dt / dx * (F[:, 1:] - F[:, :-1])
-            low = q[0] < RHO_POSITIVITY_FLOOR
-            if np.any(low):
-                floored += int(np.sum(low))
-                q[0] = np.maximum(q[0], RHO_POSITIVITY_FLOOR)
+            f[0], f[1] = flux(params, u, rho, P=P)
+            ghosts[...] = edges
+            np.add(f_lo, f_hi, out=F)
+            np.multiply(0.5, F, out=F)
+            np.subtract(q_hi, q_lo, out=dq)
+            np.multiply(0.5 * a_max, dq, out=dq)
+            np.subtract(F, dq, out=F)
+            np.subtract(F_hi, F_lo, out=dF)
+            np.multiply(dt / dx, dF, out=dF)
+            np.subtract(q, dF, out=q)
+            lowest = q1.min()
+            if not lowest >= RHO_POSITIVITY_FLOOR:
+                floored += int(np.count_nonzero(q1 < RHO_POSITIVITY_FLOOR))
+                np.maximum(q1, RHO_POSITIVITY_FLOOR, out=q1)
             t += dt
-        rho, u, _ = _primitives(system, params, q, x, t)
+            rho = q1  # floored in place, so the density is q1 itself
+            P = primitives(rho, t, lowest)
         snapshots.append(
-            FieldSnapshot(x.copy(), q[0].copy(), q[1].copy(), rho, u, t, floored)
+            FieldSnapshot(x.copy(), q1.copy(), q2.copy(), rho.copy(), u.copy(), t, floored, steps)
         )
     return snapshots
 

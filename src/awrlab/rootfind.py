@@ -5,12 +5,11 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+# defined in core, so that the CLI catches it without loading this module
+from .core import BracketError
+
 EXPAND_FACTOR = 4.0
 MAX_EXPANSIONS = 600
-
-
-class BracketError(RuntimeError):
-    """Raised when geometric expansion fails to bracket a sign change."""
 
 
 def expand_bracket(

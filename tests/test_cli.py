@@ -509,11 +509,11 @@ print("simulate", run({simulate!r}), "numpy" in sys.modules)
         [
             (["classify", "--system", "original"], {"original"},
              {"perturbed", "quadrature", "transport"}),
-            (["delta"], {"transport"}, {"original", "perturbed"}),
+            (["delta"], {"transport"}, {"original", "perturbed", "rootfind"}),
             (["solve", "--system", "transport", "--samples", "11"], {"transport"},
              {"original", "perturbed"}),
             (["simulate", "--system", "original", "--grid", "20", "--T", "0.05"], {"fv"},
-             {"original", "perturbed", "transport"}),
+             {"original", "perturbed", "transport", "rootfind"}),
             (["sweep", "--system", "original"], {"original", "transport"}, {"perturbed"}),
         ],
         ids=["classify-original", "delta", "solve-transport", "simulate", "sweep-original"],
@@ -562,6 +562,12 @@ print(code, *sorted(m.split('.')[1] for m in sys.modules if m.startswith('awrlab
             for name in names:
                 assert getattr(awrlab, name) is getattr(module, name), name
                 assert name in listed, name
+
+    def test_bracket_error_is_one_class(self):
+        # rootfind raises the class core defines, which the CLI catches
+        from awrlab import rootfind
+
+        assert rootfind.BracketError is core.BracketError is BracketError
 
     def test_unknown_package_attribute(self):
         with pytest.raises(AttributeError, match="no_such_name"):

@@ -115,25 +115,36 @@ class TestConservation:
 
 def three_power_lax_friedrichs(system, p, left, right, grid):
     """simulate's step written from the formulas, with the offset, the speeds
-    and the flux each forming rho**alpha anew, as the step once did.  Returns
-    the final (q1, q2) and the number of steps; the data must stay clear of
-    the floors."""
+    and the flux each forming rho**alpha anew, as the step once did, and the
+    vacuum recovery and the density floor each written as a mask over every
+    cell.  Returns the final q, rho and u, the number of steps, the floored
+    cell count and the number of steps whose primitives took the vacuum
+    recovery."""
     A, B, a = p.A, p.B, p.alpha
+    floor, vac = fv.RHO_POSITIVITY_FLOOR, fv.VACUUM_RECOVERY_RHO
+    counts = {"recovered": 0}
 
     def off(rho):
         if system == "original":
             return A * rho - B / rho**a
         return 0.5 * A * rho - B / ((1.0 - a) * rho**a)
 
+    def primitives(q, t):
+        rho = np.maximum(q[0], floor)
+        u = q[1] / rho - off(rho)
+        near_vac = rho < vac
+        if t > 0.0 and np.any(near_vac):
+            counts["recovered"] += 1
+            u = np.where(near_vac, x / t, u)
+        return rho, u
+
     x, dx = grid.centers(), grid.dx
     rho = np.where(x < 0.0, left.rho, right.rho)
     u = np.where(x < 0.0, left.u, right.u)
     q = np.array([rho, rho * (u + off(rho))])
-    t, steps = 0.0, 0
+    t, steps, floored = 0.0, 0, 0
     while t < grid.t_end - 1e-14:
-        rho = q[0]
-        assert rho.min() > 1e-8
-        u = q[1] / rho - off(rho)
+        rho, u = primitives(q, t)
         if system == "original":
             lam1, lam2 = u - A * rho - B * a / rho**a, u
         else:
@@ -146,9 +157,36 @@ def three_power_lax_friedrichs(system, p, left, right, grid):
         qe, fe = (np.concatenate((v[:, :1], v, v[:, -1:]), axis=1) for v in (q, f))
         F = 0.5 * (fe[:, :-1] + fe[:, 1:]) - 0.5 * a_max * (qe[:, 1:] - qe[:, :-1])
         q = q - dt / dx * (F[:, 1:] - F[:, :-1])
+        low = q[0] < floor
+        if np.any(low):
+            floored += int(np.sum(low))
+            q[0] = np.maximum(q[0], floor)
         t += dt
         steps += 1
-    return q, steps
+    rho, u = primitives(q, t)
+    return q, rho, u, steps, floored, counts["recovered"]
+
+
+def counted_max_speed(monkeypatch):
+    """Patch fv._max_speed, which simulate calls once per step, to count its calls."""
+    calls = []
+    max_speed = fv._max_speed
+
+    def counted(*args):
+        calls.append(1)
+        return max_speed(*args)
+
+    monkeypatch.setattr(fv, "_max_speed", counted)
+    return calls
+
+
+def assert_matches_reference(last, reference):
+    q, rho, u, n_steps, floored, _ = reference
+    assert (last.steps, last.floored_cells) == (n_steps, floored)
+    assert last.q1.tobytes() == q[0].tobytes()
+    assert last.q2.tobytes() == q[1].tobytes()
+    assert last.rho.tobytes() == rho.tobytes()
+    assert last.u.tobytes() == u.tobytes()
 
 
 class TestOnePowerPerStep:
@@ -157,20 +195,72 @@ class TestOnePowerPerStep:
         # alpha = 0.5 lets numpy take sqrt for the power; 0.37 takes pow
         p = PressureParams(0.1, 0.1, 0.37, system=system)
         g = GridConfig(-2.0, 3.0, 300, cfl=0.5, t_end=1.0)
-        steps = []
-        max_speed = fv._max_speed
-
-        def counted(*args):
-            steps.append(1)
-            return max_speed(*args)
-
-        monkeypatch.setattr(fv, "_max_speed", counted)
+        calls = counted_max_speed(monkeypatch)
         last = simulate(system, p, LEFT, RIGHT, g)[-1]
-        q, n_steps = three_power_lax_friedrichs(system, p, LEFT, RIGHT, g)
-        assert n_steps > 200
-        assert len(steps) == n_steps
-        assert last.q1.tobytes() == q[0].tobytes()
-        assert last.q2.tobytes() == q[1].tobytes()
+        reference = three_power_lax_friedrichs(system, p, LEFT, RIGHT, g)
+        assert reference[3] > 200
+        assert len(calls) == reference[3]
+        assert reference[4:] == (0, 0)  # clear of both floors
+        assert_matches_reference(last, reference)
+
+    @pytest.mark.parametrize("system", ["original", "perturbed"])
+    @pytest.mark.parametrize(
+        ("left", "right", "floors"),
+        [
+            (State(1.0, 1e-9), State(2.0, 1e-9), False),  # every cell near vacuum
+            (State(1.0, 1e-6), State(3.0, 1.5e-12), False),  # the right cells only
+            (State(1.0, 2e-12), State(2.0, 2e-12), True),  # the update floors cells
+        ],
+        ids=["vacuum", "half-vacuum", "floor"],
+    )
+    def test_bit_identical_through_vacuum_recovery_and_floor(self, system, left, right, floors):
+        # tiny densities force tiny steps, so a short run on a small grid
+        p = PressureParams(1e-2, 1e-2, 0.37, system=system)
+        g = GridConfig(-1.0, 1.0, 24, cfl=0.5, t_end=0.01)
+        last = simulate(system, p, left, right, g)[-1]
+        reference = three_power_lax_friedrichs(system, p, left, right, g)
+        steps, floored, recovered = reference[3:]
+        assert recovered == steps  # the primitives at every time after 0
+        assert (floored > 0) == floors
+        assert_matches_reference(last, reference)
+
+
+class TestSnapshots:
+    FIELDS = ("x", "q1", "q2", "rho", "u")
+
+    def test_snapshots_keep_their_values_and_share_no_memory(self, monkeypatch):
+        # the step updates its buffers in place; a snapshot must not see that
+        made = []
+        snapshot = fv.FieldSnapshot
+
+        def recording(*args):
+            snap = snapshot(*args)
+            made.append((snap, [getattr(snap, k).tobytes() for k in self.FIELDS]))
+            return snap
+
+        monkeypatch.setattr(fv, "FieldSnapshot", recording)
+        p = PressureParams(0.1, 0.1, 0.37, system="original")
+        g = GridConfig(-2.0, 3.0, 100, t_end=0.4)
+        snaps = simulate("original", p, LEFT, RIGHT, g, snapshot_times=[0.1, 0.2])
+        assert [s for s, _ in made] == snaps and len(snaps) == 3
+        for snap, recorded in made:
+            assert [getattr(snap, k).tobytes() for k in self.FIELDS] == recorded
+        arrays = [getattr(s, k) for s in snaps for k in self.FIELDS]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b)
+
+    def test_steps_count_the_time_steps(self, monkeypatch):
+        calls = counted_max_speed(monkeypatch)
+        p = PressureParams(0.1, 0.1, 0.37, system="perturbed")
+        g = GridConfig(-2.0, 3.0, 100, t_end=0.4)
+        snaps = simulate("perturbed", p, LEFT, RIGHT, g, snapshot_times=[0.0, 0.1])
+        n_steps = len(calls)
+        # the steps up to a snapshot are those of a run that ends there
+        alone = simulate("perturbed", p, LEFT, RIGHT, GridConfig(-2.0, 3.0, 100, t_end=0.1))
+        assert len(calls) - n_steps == alone[-1].steps
+        assert [s.steps for s in snaps] == [0, alone[-1].steps, n_steps]
+        assert 0 < alone[-1].steps < n_steps
 
 
 class TestWaveSpeedBound:
