@@ -14,7 +14,6 @@ solvers and the transport system return a :class:`RiemannSolution` of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 ORIGINAL = "original"
@@ -46,8 +45,52 @@ class BracketError(RuntimeError):
     (``rootfind`` raises it; defined here so that catching it loads no solver)."""
 
 
-@dataclass(frozen=True)
-class PressureParams:
+class Record:
+    """Immutable value type.  A subclass declares its fields by annotation,
+    after those of its bases; a class-level value is the field's default.
+    Each subclass gets a generated positional/keyword ``__init__`` (as
+    ``collections.namedtuple`` does) that sets the fields and then calls
+    ``__post_init__`` when the class has one.  Equality (within one class),
+    hash and repr cover the fields not named in ``_hidden``; assignment and
+    deletion raise AttributeError."""
+
+    _fields: tuple[str, ...] = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = (*cls._fields, *(f for f in cls.__annotations__ if f not in cls._fields))
+        args = ", ".join(f"{f}=_cls.{f}" if hasattr(cls, f) else f for f in cls._fields)
+        body = "".join(f"\n    _set(self, {f!r}, {f})" for f in cls._fields)
+        if hasattr(cls, "__post_init__"):
+            body += "\n    self.__post_init__()"
+        namespace = {"_cls": cls, "_set": object.__setattr__}
+        exec(f"def __init__(self, {args}):{body}", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _items(self):
+        return [(f, getattr(self, f)) for f in self._fields if f not in self._hidden]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._items() == other._items()
+
+    def __hash__(self):
+        return hash(tuple(self._items()))
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={v!r}" for f, v in self._items())
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PressureParams(Record):
     """Coefficients (A, B, alpha) of the pressure law A*rho - B/rho**alpha.
 
     ``system`` records which model the parameters will feed.  The perturbed
@@ -75,8 +118,7 @@ class PressureParams:
             raise ValueError("the perturbed system is not defined for alpha = 1")
 
 
-@dataclass(frozen=True)
-class State:
+class State(Record):
     """A point (u, rho) in the phase plane; both components must be positive.
 
     Vacuum appears only inside solution fans (as plain (u, 0) samples),
@@ -93,16 +135,14 @@ class State:
             raise ValueError(f"rho must be finite and > 0, got {self.rho}")
 
 
-@dataclass(frozen=True)
-class Conserved:
+class Conserved(Record):
     """Cell-average unknowns: q1 = rho, q2 = generalized momentum."""
 
     q1: float
     q2: float
 
 
-@dataclass(frozen=True)
-class WaveSpeedPair:
+class WaveSpeedPair(Record):
     lambda1: float
     lambda2: float
 
@@ -217,12 +257,11 @@ def jump_residual(
     return -sigma * (sr.rho - sl.rho) + (f1r - f1l), -sigma * (q2r - q2l) + (f2r - f2l)
 
 
-@dataclass(frozen=True)
-class _Jump:
+class _Jump(Record):
     speed: float
-    edges: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # ``edges`` is not a field: equality, hash and repr leave it out
         object.__setattr__(self, "edges", (self.speed, self.speed))
 
 
@@ -234,22 +273,19 @@ class Contact(_Jump):
     """Contact discontinuity moving at ``speed``; ``edges`` as for Shock."""
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(Record):
     """Centered rarefaction fan with ``edges`` = (head, tail), head < tail;
     ``profile`` maps xi inside the fan to (u, rho)."""
 
     head: float
     tail: float
     profile: Callable[[float], tuple[float, float]]
-    edges: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", (self.head, self.tail))
 
 
-@dataclass(frozen=True)
-class RiemannSolution:
+class RiemannSolution(Record):
     """Self-similar solution: ``left``, then ``waves`` in order of speed with
     ``star`` between two of them, then ``right``; ``params`` is None for the
     pressureless transport system."""

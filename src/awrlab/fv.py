@@ -9,18 +9,16 @@ grid refinement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ORIGINAL, PERTURBED, PressureParams, State, flux, offset, speeds
+from .core import ORIGINAL, PERTURBED, PressureParams, Record, State, flux, offset, speeds
 
 RHO_POSITIVITY_FLOOR = 1e-12
 VACUUM_RECOVERY_RHO = 1e-8
 
 
-@dataclass(frozen=True)
-class GridConfig:
+class GridConfig(Record):
     """Uniform grid of n_cells cells on [x_min, x_max], with outflow boundaries;
     n_cells is an integer (Python or numpy) of at least 16."""
 
@@ -53,8 +51,7 @@ class GridConfig:
         return self.x_min + (np.arange(self.n_cells) + 0.5) * self.dx
 
 
-@dataclass(frozen=True)
-class FieldSnapshot:
+class FieldSnapshot(Record):
     """Cell-averaged conserved fields plus recovered primitives at one time;
     ``floored_cells`` and ``steps`` count floored cell-updates and time steps
     from t = 0."""
@@ -144,7 +141,10 @@ def simulate(
         """Recover u at the floored density ``rho``, forming rho**alpha, A*rho,
         B/rho**alpha and the pressure once; returns the pressure.  ``lowest``
         is the least density before flooring."""
-        np.power(rho, alpha, out=ra)
+        if alpha == 0.5:  # np.power does not take the sqrt shortcut that ** takes
+            np.sqrt(rho, out=ra)
+        else:
+            np.power(rho, alpha, out=ra)
         np.multiply(A, rho, out=ar)
         np.divide(B, ra, out=bra)
         P = offset(ORIGINAL, params, rho, ra, ar, bra)

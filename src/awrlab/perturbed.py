@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import mul
 
@@ -36,6 +35,7 @@ from .core import (
     Fan,
     InapplicableError,
     PressureParams,
+    Record,
     RiemannSolution,
     Shock,
     State,
@@ -377,13 +377,13 @@ def classify_perturbed(params: PressureParams, left: State, right: State) -> Reg
     return RegionLabel17[first + second]
 
 
-@dataclass(frozen=True)
 class RiemannSolution17(RiemannSolution):
     """Self-similar two-wave solution of the perturbed system; ``table`` is
     the rarefaction-integral table its solve and its fans share (None for a
-    solution assembled by hand)."""
+    solution assembled by hand), left out of equality, hash and repr."""
 
-    table: RarefactionTable | None = field(default=None, compare=False, repr=False)
+    table: RarefactionTable | None = None
+    _hidden = ("table",)
 
 
 def _wave(
@@ -538,8 +538,7 @@ def solve_perturbed(
     )
 
 
-@dataclass(frozen=True)
-class BumpTestFunction:
+class BumpTestFunction(Record):
     """C^2 bump (1 - ((xi - center)/width)**2)**3 on |xi - center| < width."""
 
     center: float

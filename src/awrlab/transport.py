@@ -10,11 +10,10 @@ schedule of A = B values and certifies the predicted limit behaviour
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from . import core
-from .core import InapplicableError, PressureParams, State
+from .core import InapplicableError, PressureParams, Record, State
 from .core import default_schedule  # noqa: F401  served here as well as from core
 
 TRANSPORT_KIND = "TRANSPORT"
@@ -28,8 +27,7 @@ class EntropyClass(Enum):
     VIOLATING = "VIOLATING"
 
 
-@dataclass(frozen=True)
-class DeltaShock:
+class DeltaShock(Record):
     """Delta shock on the line x = sigma*t with weight w(t) = weight_rate*t.
 
     The stored rate already includes the 1/sqrt(1 + sigma^2) arclength
@@ -47,7 +45,6 @@ class DeltaShock:
         return self.weight_rate * t
 
 
-@dataclass(frozen=True)
 class TransportSolution(core.RiemannSolution):
     """Riemann solution of the transport system: a vacuum fan on which
     (u, rho) = (xi, 0), a delta shock, a single contact or no wave.  It has no
@@ -116,8 +113,7 @@ def entropy_check(d: DeltaShock) -> EntropyClass:
     return EntropyClass.VIOLATING
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(Record):
     """One row of a vanishing-pressure experiment."""
 
     A: float
@@ -131,8 +127,7 @@ class SweepRecord:
     system: str
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     claim: str
     target: float
     achieved: float
@@ -143,8 +138,7 @@ class Verdict:
         return abs(self.achieved - self.target) <= self.tolerance
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Record):
     system: str
     records: tuple[SweepRecord, ...]
     verdicts: tuple[Verdict, ...]
@@ -322,8 +316,7 @@ def sweep_perturbed(
     return SweepReport("perturbed", tuple(records), tuple(verdicts))
 
 
-@dataclass(frozen=True)
-class DeltaConsistencyRecord:
+class DeltaConsistencyRecord(Record):
     """Finite-pressure proxies for the delta weights versus their limits."""
 
     A: float

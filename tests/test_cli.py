@@ -500,6 +500,32 @@ print("simulate", run({simulate!r}), "numpy" in sys.modules)
             "simulate 0 True",
         ]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            None,
+            ["solve", "--system", "perturbed", "--samples", "11"],
+            ["classify", "--system", "original"],
+            ["sweep", "--system", "perturbed"],
+            ["delta"],
+            ["weakcheck", "--bumps", "2", "--seed", "7"],
+        ],
+        ids=["import", "solve", "classify", "sweep", "delta", "weakcheck"],
+    )
+    def test_no_dataclasses_or_inspect(self, tmp_path, argv):
+        # the value types are records built without dataclasses, whose
+        # import pulls in inspect, dis, ast and tokenize
+        command = "" if argv is None else f"""
+import contextlib, io, awrlab.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert awrlab.cli.run({argv!r} + {BASE!r} + ["--out", {str(tmp_path)!r}]) == 0
+"""
+        code = f"""import sys, awrlab
+{command}
+print(sorted({{"dataclasses", "inspect"}} & set(sys.modules)))
+"""
+        assert fresh_python(code).strip() == "[]"
+
     def test_import_loads_core_only(self):
         code = "import sys, awrlab; print(sorted(m for m in sys.modules if m.startswith('awrlab')))"
         assert fresh_python(code).strip() == "['awrlab', 'awrlab.core']"

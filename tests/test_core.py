@@ -1,6 +1,9 @@
 """State types, pressure law and eigenstructure."""
 
+import copy
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -21,14 +24,20 @@ from awrlab import (
     transport_solve,
 )
 from awrlab.core import (
+    Contact,
     Fan,
     RiemannSolution,
+    Shock,
     flux,
     offset,
     pressure_derivative,
     perturbed_nondegeneracy_gap,
     speeds,
 )
+from awrlab.fv import FieldSnapshot, GridConfig
+from awrlab.original import RiemannSolution14
+from awrlab.perturbed import RiemannSolution17
+from awrlab.transport import DeltaShock, TransportSolution, Verdict
 
 RNG = np.random.RandomState(20240817)
 
@@ -275,3 +284,155 @@ class TestSolutionModel:
             if head < tail:
                 assert sol.sample(head) == (u_l, rho_l)
                 assert sol.sample(0.5 * (head + tail)) == (0.5 * (head + tail), 0.0)
+
+
+class TestRecords:
+    """The value types are frozen records: field-wise equality within one
+    class, a hash that agrees with it, a repr of the compared fields,
+    immutability, defaults, validation and pickling."""
+
+    def test_equal_records_hash_equal(self):
+        for a, b, c in [
+            (State(1.0, 2.0), State(1.0, 2.0), State(1.0, 3.0)),
+            (PressureParams(0.1, 0.2, 0.5), PressureParams(A=0.1, B=0.2, alpha=0.5),
+             PressureParams(0.1, 0.2, 0.5, "perturbed")),
+            (Shock(1.5), Shock(speed=1.5), Shock(2.5)),
+            (Verdict("c", 1.0, 1.0, 0.1), Verdict("c", 1.0, 1.0, 0.1), Verdict("c", 1.0, 2.0, 0.1)),
+        ]:
+            assert a == b and hash(a) == hash(b) and a is not b
+            assert a != c and not a == c
+        assert len({State(1.0, 2.0), State(1.0, 2.0), State(2.0, 1.0)}) == 2
+
+    def test_equality_needs_the_same_class(self):
+        assert Shock(1.0) != Contact(1.0)
+        p = PressureParams(0.1, 0.1, 0.5)
+        sol = solve(p, State(2.0, 1.0), State(1.0, 2.0))
+        fields = (sol.params, sol.left, sol.star, sol.right, sol.waves)
+        assert isinstance(sol, RiemannSolution14)
+        assert RiemannSolution14(*fields) == sol
+        assert RiemannSolution(*fields) != sol and sol != RiemannSolution(*fields)
+        assert State(1.0, 2.0) != (1.0, 2.0)
+
+    def test_table_is_not_compared_hashed_or_shown(self):
+        p = PressureParams(0.1, 0.1, 0.5, system="perturbed")
+        sol = solve_perturbed(p, State(1.0, 1.0), State(2.0, 2.0))
+        assert sol.table is not None
+        fields = (sol.params, sol.left, sol.star, sol.right, sol.waves)
+        bare = RiemannSolution17(*fields)
+        assert bare.table is None and bare == sol and hash(bare) == hash(sol)
+        assert "table" not in repr(sol) and repr(bare) == repr(sol)
+        assert repr(sol).startswith("RiemannSolution17(params=PressureParams(A=0.1, ")
+
+    def test_repr_shows_fields_in_order_without_edges(self):
+        assert repr(State(1.0, 2.0)) == "State(u=1.0, rho=2.0)"
+        assert repr(PressureParams(0.1, 0.2, 0.5)) == (
+            "PressureParams(A=0.1, B=0.2, alpha=0.5, system='original')"
+        )
+        assert repr(Shock(1.5)) == "Shock(speed=1.5)"
+        assert repr(Contact(2.0)) == "Contact(speed=2.0)"
+        fan = Fan(1.0, 2.0, abs)
+        assert repr(fan) == f"Fan(head=1.0, tail=2.0, profile={abs!r})"
+        assert fan.edges == (1.0, 2.0) and Shock(1.5).edges == (1.5, 1.5)
+        assert fan == Fan(1.0, 2.0, abs) and fan != Fan(1.0, 2.0, round)
+
+    def test_assignment_and_deletion_raise(self):
+        sol = solve_perturbed(
+            PressureParams(0.1, 0.1, 0.5, system="perturbed"), State(1.0, 1.0), State(2.0, 2.0)
+        )
+        snap = FieldSnapshot(*[np.zeros(16)] * 5, 0.1, 0)
+        for record, name in [
+            (State(1.0, 2.0), "u"),
+            (State(1.0, 2.0), "unknown"),
+            (PressureParams(0.1, 0.1, 0.5), "alpha"),
+            (Shock(1.0), "edges"),
+            (Fan(1.0, 2.0, abs), "head"),
+            (sol, "table"),
+            (snap, "steps"),
+            (GridConfig(-1.0, 1.0, 16), "cfl"),
+        ]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0.5)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        s = State(1.0, 2.0)
+        with pytest.raises(AttributeError):
+            s.u += 1.0
+        assert s == State(1.0, 2.0)
+
+    def test_keyword_construction_and_defaults(self):
+        g = GridConfig(x_min=-1.0, x_max=1.0, n_cells=16)
+        assert (g.cfl, g.t_end) == (0.5, 0.5)
+        assert GridConfig(-1.0, 1.0, 16, 0.25, 0.1) == GridConfig(
+            -1.0, 1.0, 16, t_end=0.1, cfl=0.25
+        )
+        x = np.zeros(16)
+        assert FieldSnapshot(x, x, x, x, x, 0.1, 3).steps == 0
+        assert FieldSnapshot(x, x, x, x, x, 0.1, 3, 7).steps == 7
+        left, right = State(2.0, 1.0), State(1.0, 2.0)
+        d = DeltaShock(sigma=1.5, weight_rate=0.5, left=left, right=right)
+        assert d.kind == "TRANSPORT"
+        t = TransportSolution(None, left, left, right, (Shock(1.5),), "delta")
+        assert t.delta is None
+        assert TransportSolution(None, left, left, right, (), kind="constant", delta=d).delta is d
+        assert PressureParams(A=0.1, B=0.1, alpha=0.5).system == "original"
+        with pytest.raises(TypeError):
+            State(1.0)
+        with pytest.raises(TypeError):
+            State(1.0, 2.0, 3.0)
+        with pytest.raises(TypeError):
+            State(1.0, rho=2.0, v=3.0)
+        with pytest.raises(TypeError):
+            Shock(1.0, (1.0, 1.0))
+
+    @pytest.mark.parametrize(
+        ("make", "message"),
+        [
+            (lambda: PressureParams(-0.1, 0.1, 0.5), "A must be finite and >= 0, got -0.1"),
+            (lambda: PressureParams(math.inf, 0.1, 0.5), "A must be finite and >= 0, got inf"),
+            (lambda: PressureParams(math.nan, 0.1, 0.5), "A must be finite and >= 0, got nan"),
+            (lambda: PressureParams(0.1, -0.1, 0.5), "B must be finite and >= 0, got -0.1"),
+            (lambda: PressureParams(0.1, math.inf, 0.5), "B must be finite and >= 0, got inf"),
+            (lambda: PressureParams(0.1, 0.1, 0.0), "alpha must lie in (0, 1], got 0.0"),
+            (lambda: PressureParams(0.1, 0.1, 1.5), "alpha must lie in (0, 1], got 1.5"),
+            (lambda: PressureParams(0.1, 0.1, 0.5, "gas"), "unknown system tag 'gas'"),
+            (lambda: PressureParams(0.1, 0.1, 1.0, system="perturbed"),
+             "the perturbed system is not defined for alpha = 1"),
+            (lambda: State(0.0, 1.0), "u must be finite and > 0, got 0.0"),
+            (lambda: State(math.inf, 1.0), "u must be finite and > 0, got inf"),
+            (lambda: State(1.0, -1.0), "rho must be finite and > 0, got -1.0"),
+            (lambda: State(1.0, math.nan), "rho must be finite and > 0, got nan"),
+            (lambda: GridConfig(-1.0, 1.0, 20.5), "n_cells must be an integer, got 20.5"),
+            (lambda: GridConfig(-1.0, 1.0, True), "n_cells must be an integer, got True"),
+            (lambda: GridConfig(-1.0, 1.0, 8), "need at least 16 cells"),
+            (lambda: GridConfig(-1.0, 1.0, 16, cfl=0.0), "CFL number must lie in (0, 0.9]"),
+            (lambda: GridConfig(-1.0, 1.0, 16, cfl=1.2), "CFL number must lie in (0, 0.9]"),
+            (lambda: GridConfig(-1.0, 1.0, 16, t_end=0.0), "end time must be positive and finite"),
+            (lambda: GridConfig(-1.0, 1.0, 16, t_end=math.inf),
+             "end time must be positive and finite"),
+            (lambda: GridConfig(math.nan, 1.0, 16), "domain bounds must be finite"),
+            (lambda: GridConfig(1.0, -1.0, 16), "empty domain"),
+        ],
+    )
+    def test_validation_refuses(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            State(1.0, 2.0),
+            PressureParams(0.1, 0.2, 0.5, system="perturbed"),
+            Verdict("speeds coalesce", 0.0, 1e-9, 1e-6),
+        ],
+        ids=repr,
+    )
+    def test_pickle_and_copy_round_trip(self, record):
+        for twin in (
+            pickle.loads(pickle.dumps(record)),
+            copy.copy(record),
+            copy.deepcopy(record),
+        ):
+            assert type(twin) is type(record) and twin == record and repr(twin) == repr(record)
+            with pytest.raises(AttributeError):
+                twin.__setattr__(next(iter(vars(record))), 0.5)
+        assert pickle.loads(pickle.dumps(Shock(1.5))).edges == (1.5, 1.5)

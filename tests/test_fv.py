@@ -192,8 +192,17 @@ def assert_matches_reference(last, reference):
 class TestOnePowerPerStep:
     @pytest.mark.parametrize("system", ["original", "perturbed"])
     def test_bit_identical_to_three_powers_at_general_alpha(self, system, monkeypatch):
-        # alpha = 0.5 lets numpy take sqrt for the power; 0.37 takes pow
-        p = PressureParams(0.1, 0.1, 0.37, system=system)
+        # numpy forms rho**0.37 with pow
+        self.check_three_powers(system, 0.37, monkeypatch)
+
+    @pytest.mark.parametrize("system", ["original", "perturbed"])
+    def test_bit_identical_to_three_powers_at_alpha_one_half(self, system, monkeypatch):
+        # the step forms rho**0.5 with sqrt, as the reference's rho**a does
+        self.check_three_powers(system, 0.5, monkeypatch)
+
+    @staticmethod
+    def check_three_powers(system, alpha, monkeypatch):
+        p = PressureParams(0.1, 0.1, alpha, system=system)
         g = GridConfig(-2.0, 3.0, 300, cfl=0.5, t_end=1.0)
         calls = counted_max_speed(monkeypatch)
         last = simulate(system, p, LEFT, RIGHT, g)[-1]
