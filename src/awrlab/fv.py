@@ -16,6 +16,8 @@ from .core import ORIGINAL, PERTURBED, PressureParams, Record, State, flux, offs
 
 RHO_POSITIVITY_FLOOR = 1e-12
 VACUUM_RECOVERY_RHO = 1e-8
+# cells a side of simulate's window grows by; a step changes at most one more
+_WINDOW_CHUNK = 32
 
 
 class GridConfig(Record):
@@ -54,7 +56,11 @@ class GridConfig(Record):
 class FieldSnapshot(Record):
     """Cell-averaged conserved fields plus recovered primitives at one time;
     ``floored_cells`` and ``steps`` count floored cell-updates and time steps
-    from t = 0."""
+    from t = 0.  A snapshot equals only itself: its numpy fields are mutable
+    and have no truth value."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     x: np.ndarray
     q1: np.ndarray
@@ -118,6 +124,15 @@ def simulate(
     cells.  Density positivity is enforced by flooring, with the number of
     floored cells flagged on each snapshot.  A wave speed bound that is not
     positive and finite (an overflowed state) raises ValueError.
+
+    A step updates only a window of cells [lo, hi) around the jump, with the
+    same bits as stepping every cell: a cell whose neighbours hold its own
+    state gets the same face flux on both sides, as every cell outside the
+    window does.  A side whose edge cell has changed grows by
+    ``_WINDOW_CHUNK`` cells, so the window keeps a cell of each end state
+    and its wave speed bound is the grid's.  A near-vacuum end state (below
+    ``VACUUM_RECOVERY_RHO``) gives its cells u = x/t, which moves every
+    step, so the window is then the whole grid.
     """
     if system not in (ORIGINAL, PERTURBED):
         raise ValueError(f"unknown system tag {system!r}")
@@ -128,14 +143,20 @@ def simulate(
     # rows q1, q2, f1, f2; columns 0 and n + 1 are the outflow ghosts, which
     # repeat the edge cells (zeroth-order extrapolation)
     w = np.empty((4, n + 2))
-    q, f = w[:2, 1:-1], w[2:, 1:-1]
-    q1, q2 = q
     ghosts, edges = w[:, :: n + 1], w[:, 1 : n + 1 : n - 1]
-    q_lo, q_hi, f_lo, f_hi = w[:2, :-1], w[:2, 1:], w[2:, :-1], w[2:, 1:]
-    F, dq = np.empty((2, 2, n + 1))  # face fluxes; jumps, then flux differences
-    F_lo, F_hi, dF = F[:, :-1], F[:, 1:], dq[:, :-1]
-    u, ra, ar, bra = np.empty((4, n))
+    faces = np.empty((2, 2, n + 1))  # face fluxes; jumps, then flux differences
+    cells = np.empty((4, n))  # u, rho**alpha, A*rho, B/rho**alpha
     A, B, alpha = params.A, params.B, params.alpha
+
+    def window(lo: int, hi: int):
+        """Views of the buffers over cells [lo, hi), the cells either side and
+        the faces between them."""
+        v = w[:, lo : hi + 2]
+        F, dq = faces[:, :, : hi - lo + 1]
+        return (
+            v[:2, 1:-1], v[2:, 1:-1], v[:2, :-1], v[:2, 1:], v[2:, :-1], v[2:, 1:],
+            F, dq, F[:, :-1], F[:, 1:], dq[:, :-1], *cells[:, lo:hi], x[lo:hi],
+        )
 
     def primitives(rho, t: float, lowest: float):
         """Recover u at the floored density ``rho``, forming rho**alpha, A*rho,
@@ -152,20 +173,44 @@ def simulate(
         np.subtract(u, P if system == ORIGINAL else offset(system, params, rho, ra), out=u)
         if not lowest >= VACUUM_RECOVERY_RHO:  # true for NaN too
             # exact vacuum fans carry u = x/t; avoids 0/0 noise in empty cells
-            np.copyto(u, x / t, where=rho < VACUUM_RECOVERY_RHO)
+            np.copyto(u, xs / t, where=rho < VACUUM_RECOVERY_RHO)
         return P
 
+    # set-up over the whole grid: the cells outside the window keep these values
+    q, f, q_lo, q_hi, f_lo, f_hi, F, dq, F_lo, F_hi, dF, u, ra, ar, bra, xs = window(0, n)
+    q1, q2 = q
     rho = np.where(x < 0.0, left.rho, right.rho)
     q1[...] = rho
     q2[...] = rho * (np.where(x < 0.0, left.u, right.u) + offset(system, params, rho))
+    rho = np.maximum(q1, RHO_POSITIVITY_FLOOR)
+    # no cell takes u = x/t at t = 0
+    f[0], f[1] = flux(params, u, rho, P=primitives(rho, 0.0, math.inf))
+    grid_q1, grid_q2, grid_u = q1, q2, u  # whole-grid views, for the snapshots
+    jump = int(np.searchsorted(x, 0.0))
+    pad = n if min(left.rho, right.rho) < VACUUM_RECOVERY_RHO else _WINDOW_CHUNK
+    lo, hi = max(jump - pad, 0), min(jump + pad, n)
+    viewed = 0, n
 
     snapshots: list[FieldSnapshot] = []
     floored = steps = 0
     t = 0.0
-    rho = np.maximum(q1, RHO_POSITIVITY_FLOOR)
-    P = primitives(rho, t, math.inf)  # no cell takes u = x/t at t = 0
     for t_stop in times:
         while t < t_stop - 1e-14:
+            # an edge cell of the window that no longer matches its outer
+            # neighbour will change that neighbour in this step
+            if lo > 0 and (w[0, lo] != w[0, lo + 1] or w[1, lo] != w[1, lo + 1]):
+                lo = max(lo - _WINDOW_CHUNK, 0)
+            if hi < n and (w[0, hi] != w[0, hi + 1] or w[1, hi] != w[1, hi + 1]):
+                hi = min(hi + _WINDOW_CHUNK, n)
+            if viewed != (lo, hi):
+                viewed = lo, hi
+                q, f, q_lo, q_hi, f_lo, f_hi, F, dq, F_lo, F_hi, dF, u, ra, ar, bra, xs = (
+                    window(lo, hi)
+                )
+                q1, q2 = q
+                # before the first step too: a window inside the grid means no
+                # end state below the floor, so q1 is already the floored density
+                rho = q1
             a_max = _max_speed(system, params, rho, u, ra, ar)
             if not 0.0 < a_max < math.inf:  # false for NaN too
                 raise ValueError(f"wave speed bound {a_max!r} at t = {t!r} after {steps} step(s)")
@@ -173,7 +218,6 @@ def simulate(
             dt = min(grid.cfl * dx / a_max, t_stop - t)
             if dt * a_max / dx > grid.cfl + 1e-12:
                 raise RuntimeError("CFL violation detected; aborting")
-            f[0], f[1] = flux(params, u, rho, P=P)
             ghosts[...] = edges
             np.add(f_lo, f_hi, out=F)
             np.multiply(0.5, F, out=F)
@@ -189,9 +233,12 @@ def simulate(
                 np.maximum(q1, RHO_POSITIVITY_FLOOR, out=q1)
             t += dt
             rho = q1  # floored in place, so the density is q1 itself
-            P = primitives(rho, t, lowest)
+            f[0], f[1] = flux(params, u, rho, P=primitives(rho, t, lowest))
         snapshots.append(
-            FieldSnapshot(x.copy(), q1.copy(), q2.copy(), rho.copy(), u.copy(), t, floored, steps)
+            FieldSnapshot(
+                x.copy(), grid_q1.copy(), grid_q2.copy(),
+                np.maximum(grid_q1, RHO_POSITIVITY_FLOOR), grid_u.copy(), t, floored, steps,
+            )
         )
     return snapshots
 

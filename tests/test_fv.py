@@ -113,13 +113,14 @@ class TestConservation:
         assert snapshot_schedule(None, 0.4) == [0.4]
 
 
-def three_power_lax_friedrichs(system, p, left, right, grid):
+def three_power_lax_friedrichs(system, p, left, right, grid, snapshot_times=()):
     """simulate's step written from the formulas, with the offset, the speeds
     and the flux each forming rho**alpha anew, as the step once did, and the
     vacuum recovery and the density floor each written as a mask over every
-    cell.  Returns the final q, rho and u, the number of steps, the floored
-    cell count and the number of steps whose primitives took the vacuum
-    recovery."""
+    cell, and every cell stepped.  Returns, at each of the ascending
+    ``snapshot_times`` and then at the end time, the q, rho and u, the
+    number of steps, the floored cell count and the number of steps whose
+    primitives took the vacuum recovery."""
     A, B, a = p.A, p.B, p.alpha
     floor, vac = fv.RHO_POSITIVITY_FLOOR, fv.VACUUM_RECOVERY_RHO
     counts = {"recovered": 0}
@@ -143,37 +144,41 @@ def three_power_lax_friedrichs(system, p, left, right, grid):
     u = np.where(x < 0.0, left.u, right.u)
     q = np.array([rho, rho * (u + off(rho))])
     t, steps, floored = 0.0, 0, 0
-    while t < grid.t_end - 1e-14:
-        rho, u = primitives(q, t)
-        if system == "original":
-            lam1, lam2 = u - A * rho - B * a / rho**a, u
-        else:
-            gap = np.sqrt(np.maximum(u * (A * rho + B * a / rho**a), 0.0))
-            lam1, lam2 = u - gap, u + gap
-        a_max = float(max(lam2.max(), -lam1.min()))
-        dt = min(grid.cfl * dx / a_max, grid.t_end - t)
-        m = rho * u
-        f = np.array([m, m * (u + (A * rho - B / rho**a))])
-        qe, fe = (np.concatenate((v[:, :1], v, v[:, -1:]), axis=1) for v in (q, f))
-        F = 0.5 * (fe[:, :-1] + fe[:, 1:]) - 0.5 * a_max * (qe[:, 1:] - qe[:, :-1])
-        q = q - dt / dx * (F[:, 1:] - F[:, :-1])
-        low = q[0] < floor
-        if np.any(low):
-            floored += int(np.sum(low))
-            q[0] = np.maximum(q[0], floor)
-        t += dt
-        steps += 1
     rho, u = primitives(q, t)
-    return q, rho, u, steps, floored, counts["recovered"]
+    stops = []
+    for t_stop in (*snapshot_times, grid.t_end):
+        while t < t_stop - 1e-14:
+            if system == "original":
+                lam1, lam2 = u - A * rho - B * a / rho**a, u
+            else:
+                gap = np.sqrt(np.maximum(u * (A * rho + B * a / rho**a), 0.0))
+                lam1, lam2 = u - gap, u + gap
+            a_max = float(max(lam2.max(), -lam1.min()))
+            dt = min(grid.cfl * dx / a_max, t_stop - t)
+            m = rho * u
+            f = np.array([m, m * (u + (A * rho - B / rho**a))])
+            qe, fe = (np.concatenate((v[:, :1], v, v[:, -1:]), axis=1) for v in (q, f))
+            F = 0.5 * (fe[:, :-1] + fe[:, 1:]) - 0.5 * a_max * (qe[:, 1:] - qe[:, :-1])
+            q = q - dt / dx * (F[:, 1:] - F[:, :-1])
+            low = q[0] < floor
+            if np.any(low):
+                floored += int(np.sum(low))
+                q[0] = np.maximum(q[0], floor)
+            t += dt
+            steps += 1
+            rho, u = primitives(q, t)
+        stops.append((q, rho, u, steps, floored, counts["recovered"]))
+    return stops
 
 
 def counted_max_speed(monkeypatch):
-    """Patch fv._max_speed, which simulate calls once per step, to count its calls."""
+    """Patch fv._max_speed, which simulate calls once per step, to record the
+    number of cells each call sees."""
     calls = []
     max_speed = fv._max_speed
 
     def counted(*args):
-        calls.append(1)
+        calls.append(len(args[2]))
         return max_speed(*args)
 
     monkeypatch.setattr(fv, "_max_speed", counted)
@@ -187,6 +192,17 @@ def assert_matches_reference(last, reference):
     assert last.q2.tobytes() == q[1].tobytes()
     assert last.rho.tobytes() == rho.tobytes()
     assert last.u.tobytes() == u.tobytes()
+
+
+NEAR_VACUUM = pytest.mark.parametrize(
+    ("left", "right", "floors"),
+    [
+        (State(1.0, 1e-9), State(2.0, 1e-9), False),  # every cell near vacuum
+        (State(1.0, 1e-6), State(3.0, 1.5e-12), False),  # the right cells only
+        (State(1.0, 2e-12), State(2.0, 2e-12), True),  # the update floors cells
+    ],
+    ids=["vacuum", "half-vacuum", "floor"],
+)
 
 
 class TestOnePowerPerStep:
@@ -206,32 +222,67 @@ class TestOnePowerPerStep:
         g = GridConfig(-2.0, 3.0, 300, cfl=0.5, t_end=1.0)
         calls = counted_max_speed(monkeypatch)
         last = simulate(system, p, LEFT, RIGHT, g)[-1]
-        reference = three_power_lax_friedrichs(system, p, LEFT, RIGHT, g)
+        reference = three_power_lax_friedrichs(system, p, LEFT, RIGHT, g)[-1]
         assert reference[3] > 200
         assert len(calls) == reference[3]
         assert reference[4:] == (0, 0)  # clear of both floors
         assert_matches_reference(last, reference)
 
     @pytest.mark.parametrize("system", ["original", "perturbed"])
-    @pytest.mark.parametrize(
-        ("left", "right", "floors"),
-        [
-            (State(1.0, 1e-9), State(2.0, 1e-9), False),  # every cell near vacuum
-            (State(1.0, 1e-6), State(3.0, 1.5e-12), False),  # the right cells only
-            (State(1.0, 2e-12), State(2.0, 2e-12), True),  # the update floors cells
-        ],
-        ids=["vacuum", "half-vacuum", "floor"],
-    )
+    @NEAR_VACUUM
     def test_bit_identical_through_vacuum_recovery_and_floor(self, system, left, right, floors):
         # tiny densities force tiny steps, so a short run on a small grid
         p = PressureParams(1e-2, 1e-2, 0.37, system=system)
         g = GridConfig(-1.0, 1.0, 24, cfl=0.5, t_end=0.01)
         last = simulate(system, p, left, right, g)[-1]
-        reference = three_power_lax_friedrichs(system, p, left, right, g)
+        reference = three_power_lax_friedrichs(system, p, left, right, g)[-1]
         steps, floored, recovered = reference[3:]
         assert recovered == steps  # the primitives at every time after 0
         assert (floored > 0) == floors
         assert_matches_reference(last, reference)
+
+
+class TestActiveWindow:
+    @pytest.mark.parametrize("system", ["original", "perturbed"])
+    @pytest.mark.parametrize("alpha", [0.37, 0.5])
+    @pytest.mark.parametrize(
+        ("domain", "n_cells", "snapshot_times", "clamped"),
+        [
+            ((-2.0, 3.0), 1200, None, False),
+            ((-0.1, 0.1), 120, None, True),  # the waves reach both outflow ghosts
+            ((-2.0, 3.0), 1200, [0.05, 0.2], False),  # each snapshot has cells outside the window
+        ],
+        ids=["interior", "narrow", "snapshots"],
+    )
+    def test_bit_identical_to_stepping_every_cell(
+        self, system, alpha, domain, n_cells, snapshot_times, clamped, monkeypatch
+    ):
+        # at this pressure the 1-wave runs left and the 2-wave right
+        p = PressureParams(1.0, 1.0, alpha, system=system)
+        g = GridConfig(*domain, n_cells, t_end=0.4)
+        sizes = counted_max_speed(monkeypatch)
+        snaps = simulate(system, p, LEFT, RIGHT, g, snapshot_times)
+        # the window starts inside the grid and never shrinks
+        assert len(sizes) == snaps[-1].steps
+        assert sizes[0] < n_cells and sizes == sorted(sizes)
+        assert (sizes[-1] == n_cells) == clamped
+        references = three_power_lax_friedrichs(system, p, LEFT, RIGHT, g, snapshot_times or ())
+        assert len(snaps) == len(references)
+        for snap, reference in zip(snaps, references):
+            assert_matches_reference(snap, reference)
+
+    @pytest.mark.parametrize("system", ["original", "perturbed"])
+    @NEAR_VACUUM
+    def test_near_vacuum_end_state_steps_the_whole_grid(
+        self, system, left, right, floors, monkeypatch
+    ):
+        # every cell below VACUUM_RECOVERY_RHO takes u = x/t, which moves each step
+        p = PressureParams(1e-2, 1e-2, 0.37, system=system)
+        g = GridConfig(-1.0, 1.0, 100, t_end=0.01)
+        sizes = counted_max_speed(monkeypatch)
+        last = simulate(system, p, left, right, g)[-1]
+        assert sizes == [g.n_cells] * last.steps
+        assert_matches_reference(last, three_power_lax_friedrichs(system, p, left, right, g)[-1])
 
 
 class TestSnapshots:
@@ -258,6 +309,15 @@ class TestSnapshots:
         for i, a in enumerate(arrays):
             for b in arrays[i + 1 :]:
                 assert not np.shares_memory(a, b)
+
+    def test_snapshots_compare_by_identity(self):
+        # array fields have no truth value, so == and hash must not reach them
+        x = np.linspace(-1.0, 1.0, 16)
+        snap = fv.FieldSnapshot(x, x, x, x, x, 0.1, 0)
+        twin = fv.FieldSnapshot(*[x.copy() for _ in self.FIELDS], 0.1, 0)
+        assert snap == snap and not snap != snap
+        assert snap != twin and not snap == twin
+        assert hash(snap) == hash(snap) and len({snap, twin}) == 2
 
     def test_steps_count_the_time_steps(self, monkeypatch):
         calls = counted_max_speed(monkeypatch)
