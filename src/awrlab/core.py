@@ -182,8 +182,14 @@ def speeds(system: str, params: PressureParams, u, rho, sqrt=math.sqrt, ra=None,
         ar = params.A * rho
     if system == ORIGINAL:
         return u - ar - params.B * params.alpha / ra, u
-    gap = sqrt(u * (ar + params.B * params.alpha / ra))
+    gap = speed_gap(params, u, ra, ar, sqrt)
     return u - gap, u + gap
+
+
+def speed_gap(params: PressureParams, u, ra, ar, sqrt=math.sqrt):
+    """sqrt(u*(A*rho + B*alpha/rho**alpha)), given ``ra`` = rho**alpha and
+    ``ar`` = A*rho: the perturbed speeds are u -/+ this gap."""
+    return sqrt(u * (ar + params.B * params.alpha / ra))
 
 
 def pressure(params: PressureParams, rho: float) -> float:

@@ -12,7 +12,9 @@ import math
 
 import numpy as np
 
-from .core import ORIGINAL, PERTURBED, PressureParams, Record, State, flux, offset, speeds
+from .core import (
+    ORIGINAL, PERTURBED, PressureParams, Record, State, flux, offset, speed_gap, speeds,
+)
 
 RHO_POSITIVITY_FLOOR = 1e-12
 VACUUM_RECOVERY_RHO = 1e-8
@@ -79,24 +81,38 @@ class FieldSnapshot(Record):
         return float(np.sum(self.q1) * self.dx)
 
 
+# ndarray.max and .min reach these through a Python-level wrapper
+_largest, _least = np.maximum.reduce, np.minimum.reduce
+
+
+def _real_sqrt(x):
+    # cells with u < 0 have no real perturbed speed gap; it counts as 0
+    return np.sqrt(np.maximum(x, 0.0))
+
+
 def _max_speed(
     system: str, params: PressureParams, rho: np.ndarray, u: np.ndarray, ra: np.ndarray,
-    ar: np.ndarray,
+    ar: np.ndarray, spare: np.ndarray,
 ) -> float:
-    # cells with u < 0 have no real perturbed speed gap; it counts as 0
-    lam1, lam2 = speeds(
-        system, params, u, rho, sqrt=lambda x: np.sqrt(np.maximum(x, 0.0)), ra=ra, ar=ar
-    )
-    # lambda1 <= lambda2 in every cell, so max |lambda| is one of these two
-    return float(max(lam2.max(), -lam1.min()))
+    """max |lambda| over the cells; ``spare`` is a scratch row of u's length."""
+    if system == ORIGINAL:
+        lam1, lam2 = speeds(system, params, u, rho, ra=ra, ar=ar)
+        # lambda1 <= lambda2 in every cell, so max |lambda| is one of these two
+        return float(max(_largest(lam2), -_least(lam1)))
+    # gap >= 0 and -(u - gap) == gap - u exactly, so gap + |u| is the larger
+    # of lambda2 and -lambda1 in every cell, with the same bits
+    gap = speed_gap(params, u, ra, ar, _real_sqrt)
+    return float(_largest(np.add(gap, np.absolute(u, out=spare), out=gap)))
 
 
 def snapshot_schedule(snapshot_times, t_end: float) -> list[float]:
     """The times ``simulate`` stops at: the distinct requested times, then
     ``t_end`` (or the last requested time, when it is within rounding of
-    ``t_end``).  A negative time, or one after ``t_end`` beyond rounding,
-    raises ValueError."""
+    ``t_end``).  A time that is not finite, a negative time, or one after
+    ``t_end`` beyond rounding raises ValueError."""
     times = sorted(set(snapshot_times or []))
+    if not all(map(math.isfinite, times)):  # NaN would sort anywhere
+        raise ValueError("snapshot times must be finite")
     if times and times[0] < 0.0:
         raise ValueError("snapshot times must be nonnegative")
     if times and times[-1] > t_end and not math.isclose(times[-1], t_end):
@@ -118,11 +134,12 @@ def simulate(
 
     Returns snapshots at the times of ``snapshot_schedule`` (the end time is
     always included; a requested time after it raises ValueError).  The
-    conserved state, rows rho and rho * (u + offset), and its flux live in
-    one ghost-padded buffer allocated before the first step, and the global
-    Lax-Friedrichs step updates it in place, with zeroth-order outflow ghost
-    cells.  Density positivity is enforced by flooring, with the number of
-    floored cells flagged on each snapshot.  A wave speed bound that is not
+    conserved state (rho, rho * (u + offset)) and its flux live in one
+    ghost-padded, cell-major buffer allocated before the first step: [q|f],
+    then cell, then component, so that each window view is contiguous.  The
+    global Lax-Friedrichs step updates it in place, with zeroth-order
+    outflow ghost cells.  Density positivity is enforced by flooring, with
+    the number of floored cells flagged on each snapshot.  A wave speed bound that is not
     positive and finite (an overflowed state) raises ValueError.
 
     A step updates only a window of cells [lo, hi) around the jump, with the
@@ -140,22 +157,27 @@ def simulate(
 
     n, dx = grid.n_cells, grid.dx
     x = grid.centers()
-    # rows q1, q2, f1, f2; columns 0 and n + 1 are the outflow ghosts, which
-    # repeat the edge cells (zeroth-order extrapolation)
-    w = np.empty((4, n + 2))
+    # [q|f], then cell, then component: the state (q1, q2) and the flux
+    # (f1, f2) of each cell are adjacent, so each window view below is one
+    # contiguous run; cells 0 and n + 1 are the outflow ghosts, which repeat
+    # the edge cells (zeroth-order extrapolation)
+    w = np.empty((2, n + 2, 2))
     ghosts, edges = w[:, :: n + 1], w[:, 1 : n + 1 : n - 1]
-    faces = np.empty((2, 2, n + 1))  # face fluxes; jumps, then flux differences
-    cells = np.empty((4, n))  # u, rho**alpha, A*rho, B/rho**alpha
+    pairs = w[0].view(np.complex128)[:, 0]  # each cell's (q1, q2) as one number
+    faces = np.empty((2, n + 1, 2))  # face fluxes; jumps, then flux differences
+    cells = np.empty((5, n))  # u, rho**alpha, A*rho, B/rho**alpha, scratch
     A, B, alpha = params.A, params.B, params.alpha
 
     def window(lo: int, hi: int):
         """Views of the buffers over cells [lo, hi), the cells either side and
         the faces between them."""
-        v = w[:, lo : hi + 2]
-        F, dq = faces[:, :, : hi - lo + 1]
+        q_lo, f_lo = w[:, lo : hi + 1]
+        q_hi, f_hi = w[:, lo + 1 : hi + 2]
+        F, dq = faces[:, : hi - lo + 1]
+        q, f = q_hi[:-1], f_hi[:-1]
         return (
-            v[:2, 1:-1], v[2:, 1:-1], v[:2, :-1], v[:2, 1:], v[2:, :-1], v[2:, 1:],
-            F, dq, F[:, :-1], F[:, 1:], dq[:, :-1], *cells[:, lo:hi], x[lo:hi],
+            q, q_lo, q_hi, f_lo, f_hi, F, dq, F[:-1], F[1:], dq[:-1], *q.T, *f.T,
+            *cells[:, lo:hi], x[lo:hi],
         )
 
     def primitives(rho, t: float, lowest: float):
@@ -177,14 +199,14 @@ def simulate(
         return P
 
     # set-up over the whole grid: the cells outside the window keep these values
-    q, f, q_lo, q_hi, f_lo, f_hi, F, dq, F_lo, F_hi, dF, u, ra, ar, bra, xs = window(0, n)
-    q1, q2 = q
+    (q, q_lo, q_hi, f_lo, f_hi, F, dq, F_lo, F_hi, dF, q1, q2, f1, f2, u, ra, ar, bra, spare,
+     xs) = window(0, n)
     rho = np.where(x < 0.0, left.rho, right.rho)
     q1[...] = rho
     q2[...] = rho * (np.where(x < 0.0, left.u, right.u) + offset(system, params, rho))
     rho = np.maximum(q1, RHO_POSITIVITY_FLOOR)
     # no cell takes u = x/t at t = 0
-    f[0], f[1] = flux(params, u, rho, P=primitives(rho, 0.0, math.inf))
+    f1[...], f2[...] = flux(params, u, rho, P=primitives(rho, 0.0, math.inf))
     grid_q1, grid_q2, grid_u = q1, q2, u  # whole-grid views, for the snapshots
     jump = int(np.searchsorted(x, 0.0))
     pad = n if min(left.rho, right.rho) < VACUUM_RECOVERY_RHO else _WINDOW_CHUNK
@@ -198,27 +220,26 @@ def simulate(
         while t < t_stop - 1e-14:
             # an edge cell of the window that no longer matches its outer
             # neighbour will change that neighbour in this step
-            if lo > 0 and (w[0, lo] != w[0, lo + 1] or w[1, lo] != w[1, lo + 1]):
+            if lo > 0 and pairs[lo] != pairs[lo + 1]:
                 lo = max(lo - _WINDOW_CHUNK, 0)
-            if hi < n and (w[0, hi] != w[0, hi + 1] or w[1, hi] != w[1, hi + 1]):
+            if hi < n and pairs[hi] != pairs[hi + 1]:
                 hi = min(hi + _WINDOW_CHUNK, n)
             if viewed != (lo, hi):
                 viewed = lo, hi
-                q, f, q_lo, q_hi, f_lo, f_hi, F, dq, F_lo, F_hi, dF, u, ra, ar, bra, xs = (
-                    window(lo, hi)
-                )
-                q1, q2 = q
+                (q, q_lo, q_hi, f_lo, f_hi, F, dq, F_lo, F_hi, dF, q1, q2, f1, f2, u, ra, ar,
+                 bra, spare, xs) = window(lo, hi)
                 # before the first step too: a window inside the grid means no
                 # end state below the floor, so q1 is already the floored density
                 rho = q1
-            a_max = _max_speed(system, params, rho, u, ra, ar)
+            a_max = _max_speed(system, params, rho, u, ra, ar, spare)
             if not 0.0 < a_max < math.inf:  # false for NaN too
                 raise ValueError(f"wave speed bound {a_max!r} at t = {t!r} after {steps} step(s)")
             steps += 1
             dt = min(grid.cfl * dx / a_max, t_stop - t)
             if dt * a_max / dx > grid.cfl + 1e-12:
                 raise RuntimeError("CFL violation detected; aborting")
-            ghosts[...] = edges
+            if lo == 0 or hi == n:  # only then does the window read a ghost
+                ghosts[...] = edges
             np.add(f_lo, f_hi, out=F)
             np.multiply(0.5, F, out=F)
             np.subtract(q_hi, q_lo, out=dq)
@@ -227,13 +248,13 @@ def simulate(
             np.subtract(F_hi, F_lo, out=dF)
             np.multiply(dt / dx, dF, out=dF)
             np.subtract(q, dF, out=q)
-            lowest = q1.min()
+            lowest = _least(q1)
             if not lowest >= RHO_POSITIVITY_FLOOR:
                 floored += int(np.count_nonzero(q1 < RHO_POSITIVITY_FLOOR))
                 np.maximum(q1, RHO_POSITIVITY_FLOOR, out=q1)
             t += dt
             rho = q1  # floored in place, so the density is q1 itself
-            f[0], f[1] = flux(params, u, rho, P=primitives(rho, t, lowest))
+            f1[...], f2[...] = flux(params, u, rho, P=primitives(rho, t, lowest))
         snapshots.append(
             FieldSnapshot(
                 x.copy(), grid_q1.copy(), grid_q2.copy(),

@@ -15,7 +15,7 @@ from awrlab import (
     solve,
     solve_perturbed,
 )
-from awrlab import fv
+from awrlab import core, fv
 from awrlab.core import Contact, Fan, Shock
 from awrlab.fv import snapshot_schedule
 
@@ -305,10 +305,23 @@ class TestSnapshots:
         assert [s for s, _ in made] == snaps and len(snaps) == 3
         for snap, recorded in made:
             assert [getattr(snap, k).tobytes() for k in self.FIELDS] == recorded
+            # copies, not views of the interleaved columns the step writes
+            for k in self.FIELDS:
+                flags = getattr(snap, k).flags
+                assert flags.c_contiguous and flags.owndata
         arrays = [getattr(s, k) for s in snaps for k in self.FIELDS]
         for i, a in enumerate(arrays):
             for b in arrays[i + 1 :]:
                 assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("times", [[math.nan], [0.1, math.nan], [math.inf], [-math.inf]])
+    def test_snapshot_time_not_finite_refused(self, times):
+        # NaN compares false with every time, so it once passed both range checks
+        with pytest.raises(ValueError, match="snapshot times must be finite"):
+            snapshot_schedule(times, 0.4)
+        p = PressureParams(0.1, 0.1, 0.5, system="original")
+        with pytest.raises(ValueError, match="snapshot times must be finite"):
+            simulate("original", p, LEFT, RIGHT, GridConfig(-1.0, 1.0, 16, t_end=0.4), times)
 
     def test_snapshots_compare_by_identity(self):
         # array fields have no truth value, so == and hash must not reach them
@@ -340,6 +353,54 @@ class TestWaveSpeedBound:
         p = PressureParams(0.1, 0.1, 0.5)
         with pytest.raises(ValueError, match=r"wave speed bound .* at t = 0\.0 after 0 step"):
             simulate("original", p, LEFT, RIGHT, GridConfig(-1.0, 1.0, 16, t_end=0.1))
+
+
+def two_reduction_bound(system, params, rho, u, ra, ar, spare):
+    """The wave speed bound as max(lambda2.max(), -lambda1.min()) of core.speeds."""
+    lam1, lam2 = core.speeds(
+        system, params, u, rho, sqrt=lambda x: np.sqrt(np.maximum(x, 0.0)), ra=ra, ar=ar
+    )
+    return float(max(lam2.max(), -lam1.min()))
+
+
+class TestSpeedBoundIdentity:
+    """_max_speed takes the perturbed bound as one reduction of gap + |u|."""
+
+    @pytest.mark.parametrize("system", ["original", "perturbed"])
+    @pytest.mark.parametrize("alpha", [0.37, 0.5])
+    def test_same_bits_as_two_reductions(self, system, alpha):
+        p = PressureParams(0.1, 0.1, alpha, system=system)
+        rng = np.random.RandomState(1717)
+        for trial in range(60):
+            rho = 10.0 ** rng.uniform(-8, 8, size=48)
+            u = rng.choice([-1.0, 1.0], size=48) * 10.0 ** rng.uniform(-6, 6, size=48)
+            # +-0.0 cells, whose gap is 0 as is that of every u < 0 cell
+            u[rng.randint(48, size=6)] = rng.choice([0.0, -0.0], size=6)
+            if trial % 3 == 1:
+                u[rng.randint(48)] = math.nan
+            elif trial % 3 == 2:  # u <= 0, so every perturbed gap is 0
+                u = rng.choice([0.0, -0.0], size=48) if trial % 2 else -np.abs(u)
+            ra = np.sqrt(rho) if alpha == 0.5 else rho**alpha
+            ar = p.A * rho
+            expect = two_reduction_bound(system, p, rho, u, ra, ar, None)
+            got = fv._max_speed(system, p, rho, u, ra, ar, np.empty_like(u))
+            assert got.hex() == expect.hex()
+            assert math.isnan(got) == (trial % 3 == 1)
+
+    @pytest.mark.parametrize("system", ["original", "perturbed"])
+    @pytest.mark.parametrize("alpha", [0.37, 0.5])
+    def test_overflow_refused_alike(self, system, alpha, monkeypatch):
+        # the flux of rho = u = 1e150 overflows, so the second bound is NaN
+        p = PressureParams(0.1, 0.1, alpha, system=system)
+        g = GridConfig(-1.0, 1.0, 16, t_end=0.1)
+        errors = []
+        for bound in (fv._max_speed, two_reduction_bound):
+            monkeypatch.setattr(fv, "_max_speed", bound)
+            with np.errstate(all="ignore"), pytest.raises(ValueError) as raised:
+                simulate(system, p, State(1e150, 1e150), State(1.0, 1.0), g)
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("wave speed bound nan at t = ")
 
 
 class TestL1Error:
