@@ -281,11 +281,16 @@ class Contact(_Jump):
 
 class Fan(Record):
     """Centered rarefaction fan with ``edges`` = (head, tail), head < tail;
-    ``profile`` maps xi inside the fan to (u, rho)."""
+    ``profile`` maps xi inside the fan to (u, rho).  A perturbed fan also
+    carries ``curve`` = (t_head, t_tail, point): its ends in t = log(rho)
+    and the map t -> (xi, dxi/dt, u, rho) along it (left out of equality,
+    hash and repr)."""
 
     head: float
     tail: float
     profile: Callable[[float], tuple[float, float]]
+    curve: tuple | None = None
+    _hidden = ("curve",)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", (self.head, self.tail))

@@ -396,32 +396,61 @@ def _wave(
     """The ``direction`` wave joining ``sl`` to ``sr``: a shock when it
     compresses, a fan along the rarefaction curve through ``sl`` when it
     expands (reading ``table``, or a table of its own), None when the
-    densities agree."""
+    densities agree.  The fan carries that curve in t = log(rho) as its
+    ``curve``, whose point map its profile inverts by Newton's method and
+    along which the weak form integrates."""
     if sr.rho == sl.rho:
         return None
     if (sr.rho > sl.rho) == (direction == BACKWARD):
         return Shock(shock_speed_perturbed(params, sl, sr))
     k = 0 if direction == BACKWARD else 1
     table = table or RarefactionTable(params)
-    A, B, a = params.A, params.B, params.alpha
-    kappa, r_l = 2.0 * k - 1.0, math.sqrt(sl.u)
+    A, ba, a = params.A, params.B * params.alpha, params.alpha
+    kappa, half_kappa, r_l = 2.0 * k - 1.0, k - 0.5, math.sqrt(sl.u)
+    t_head, t_tail = math.log(sl.rho), math.log(sr.rho)
+    p_lo, p_hi = math.floor(min(t_head, t_tail)), math.ceil(max(t_head, t_tail)) - 1
     # the fan's ends and the panel ends between them (log density, density,
-    # integral from sl, velocity) and their speeds, built on the first
-    # interior sample, so that a solve never sampled inside the fan pays
-    # nothing and each sample solves within one panel
-    nodes: list[tuple[float, float, float, float]] = []
+    # velocity), their speeds and where the fan enters each panel (log density,
+    # integral from sl), built on the first interior point, so that a solve never
+    # sampled inside the fan pays nothing; then per panel p, on first use, base
+    # and the coefficients c of partial(p, t), so the integral from sl is base + partial
+    nodes: list[tuple[float, float, float]] = []
     xis: list[float] = []
+    entries: dict[int, tuple[float, float]] = {}
+    panels: dict[int, tuple[float, list[float]]] = {}
 
     def tabulate():
-        t0, t1 = math.log(sl.rho), math.log(sr.rho)
-        inner = range(math.floor(min(t0, t1)) + 1, math.ceil(max(t0, t1)))
-        ts = [t0, *(inner if t1 > t0 else reversed(inner)), t1]
-        nodes.append((t0, sl.rho, 0.0, sl.u))
+        inner = range(p_lo + 1, p_hi + 1)
+        ts = [t_head, *(inner if t_tail > t_head else reversed(inner)), t_tail]
+        nodes.append((t_head, sl.rho, sl.u))
+        integral = 0.0
         for t_prev, t in zip(ts, ts[1:]):
-            integral = nodes[-1][2] + table.between(t_prev, t)
-            rho = sr.rho if t == t1 else math.exp(t)
-            nodes.append((t, rho, integral, _rarefaction_u(sl.u, direction, integral)))
-        xis.extend(speeds(PERTURBED, params, u, rho)[k] for _, rho, _, u in nodes)
+            entries[math.floor(min(t_prev, t))] = (t_prev, integral)
+            integral += table.between(t_prev, t)
+            rho = sr.rho if t == t_tail else math.exp(t)
+            nodes.append((t, rho, _rarefaction_u(sl.u, direction, integral)))
+        xis.extend(speeds(PERTURBED, params, u, rho)[k] for _, rho, u in nodes)
+
+    def point(t: float) -> tuple[float, float, float, float]:
+        # (lambda_k, its slope in t, u, rho) on the fan's curve at t
+        p = math.floor(t)
+        if p not in panels:
+            if not nodes:
+                tabulate()
+            p = max(min(p, p_hi), p_lo)  # an integer end of the fan
+            if p not in panels:
+                t_p, integral_p = entries[p]
+                c = table.panel(p)[1]
+                panels[p] = (integral_p - _clenshaw(c, 2.0 * (t_p - p) - 1.0), c)
+        base, c = panels[p]
+        # along the curve r = sqrt(u) moves by half the integral, so with f the
+        # integrand dr/dt = -/+ f/2 and lambda_k = r*(r -/+ f)
+        r = r_l + half_kappa * (base + _clenshaw(c, 2.0 * (t - p) - 1.0))
+        rho = math.exp(t)
+        e_a, e_b = A * rho, ba * math.exp(-a * t)
+        f = math.sqrt(e_a + e_b)
+        slope = kappa * f * (r + half_kappa * f) + kappa * r * (e_a - a * e_b) / (2.0 * f)
+        return r * (r + kappa * f), slope, r * r, rho
 
     def profile(xi: float) -> tuple[float, float]:
         if not nodes:
@@ -429,31 +458,22 @@ def _wave(
         # the speeds rise from the head (xis[0]), so xis[i] <= xi < xis[i + 1]
         i = bisect_right(xis, xi) - 1
         if i == len(nodes) - 1:  # past the last node only by the tail's rounding
-            return nodes[i][3], nodes[i][1]
-        (t_i, _, integral_i, _), (t_j, _, _, _) = nodes[i], nodes[i + 1]
-        # nodes i and i + 1 bound one panel p, where the integral from sl is
-        # base + partial(p, t).  Along the curve r = sqrt(u) moves by half the
-        # integral, so with f the integrand dr/dt = -/+ f/2 and lambda_k =
-        # r*(r -/+ f); lambda_k - xi is <= 0 at t_i and > 0 at t_j.
-        p = math.floor(min(t_i, t_j))
-        c = table.panel(p)[1]  # partial(p, t) is the Clenshaw sum of c
-        base = integral_i - _clenshaw(c, 2.0 * (t_i - p) - 1.0)
-        r = r_l  # excess sets it at each point it evaluates
+            return nodes[i][2], nodes[i][1]
+        # lambda_k - xi is <= 0 at t_i and > 0 at t_j, the ends of one panel's piece
+        t_i, t_j = nodes[i][0], nodes[i + 1][0]
+        found = None
 
         def excess(t: float) -> tuple[float, float]:
-            nonlocal r
-            r = r_l + 0.5 * kappa * (base + _clenshaw(c, 2.0 * (t - p) - 1.0))
-            e_a, e_b = A * math.exp(t), B * a * math.exp(-a * t)
-            f = math.sqrt(e_a + e_b)
-            slope = kappa * f * (r + 0.5 * kappa * f) + kappa * r * (e_a - a * e_b) / (2.0 * f)
-            return r * (r + kappa * f) - xi, slope
+            nonlocal found
+            found = point(t)
+            return found[0] - xi, found[1]
 
         t_start = t_i + (t_j - t_i) * (xi - xis[i]) / (xis[i + 1] - xis[i])
-        t = safeguarded_newton(excess, t_i, t_j, t_start)  # r is the value at t
-        return r * r, math.exp(t)
+        safeguarded_newton(excess, t_i, t_j, t_start)  # found is the point it returns
+        return found[2], found[3]
 
-    head = speeds(PERTURBED, params, sl.u, sl.rho)[k]
-    return Fan(head, speeds(PERTURBED, params, sr.u, sr.rho)[k], profile)
+    head, tail = (speeds(PERTURBED, params, s.u, s.rho)[k] for s in (sl, sr))
+    return Fan(head, tail, profile, (t_head, t_tail, point))
 
 
 def _vacuum_side_bracket(
@@ -539,10 +559,17 @@ def solve_perturbed(
 
 
 class BumpTestFunction(Record):
-    """C^2 bump (1 - ((xi - center)/width)**2)**3 on |xi - center| < width."""
+    """C^2 bump (1 - ((xi - center)/width)**2)**3 on |xi - center| < width;
+    ``center`` must be finite and ``width`` finite and > 0."""
 
     center: float
     width: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.center):
+            raise ValueError(f"bump center must be finite, got {self.center}")
+        if not (self.width > 0.0 and math.isfinite(self.width)):
+            raise ValueError(f"bump width must be finite and > 0, got {self.width}")
 
     def __call__(self, xi: float) -> float:
         z = (xi - self.center) / self.width
@@ -563,37 +590,43 @@ def weak_form_residual(
     test_fn: BumpTestFunction,
     window: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
-    """Residuals of the two self-similar weak formulations for ``solution``.
-
-    Integrates in xi over the support of ``test_fn`` with adaptive quadrature
-    split at the wave locations; an explicit ``window`` must contain that
-    support.  For an exact solution both residuals vanish to quadrature
-    accuracy.
-    """
+    """Residuals of the two self-similar weak formulations for ``solution``:
+    the integrals of (f(q) - xi*q)*phi' - q*phi, phi = ``test_fn``, over its
+    support (inside ``window`` if given), by adaptive quadrature piece by
+    piece between the wave edges.  A constant-state piece is sampled once, at
+    its midpoint; a fan piece is integrated in t = log(rho) along the fan's
+    ``curve``, so only an end of the support inside a fan inverts the fan.
+    For an exact solution both residuals vanish to quadrature accuracy."""
     _require_perturbed(params)
     lo, hi = test_fn.center - test_fn.width, test_fn.center + test_fn.width
     if window is not None and (lo < window[0] or hi > window[1]):
         raise ValueError("test-function support exceeds the sampling window")
     breakpoints = (edge for wave in solution.waves for edge in wave.edges)
     cuts = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
-    samples: dict[float, tuple[float, float]] = {}  # both components share the nodes
+    # the current piece's fan curve (None on a constant state) or state, both
+    # components at each of its nodes, and the one (0: mass, 1: momentum) integrated
+    point, state, pairs, k = None, None, {}, 0
 
-    def residual(k: int) -> float:
-        # component k (0: mass, 1: momentum) of the integral of
-        # (f(q) - xi*q)*phi' - q*phi; vacuum samples add nothing
-        def integrand(xi: float) -> float:
-            if xi not in samples:
-                samples[xi] = solution.sample(xi)
-            u, rho = samples[xi]
-            if not rho > 0.0:
-                return 0.0
-            q = (rho, rho * (u + offset(PERTURBED, params, rho)))[k]
-            f = flux(params, u, rho)[k]
-            return (f - xi * q) * test_fn.derivative(xi) - q * test_fn(xi)
+    def integrand(x: float) -> float:
+        if x not in pairs:
+            xi, dxi, u, rho = (x, 1.0, *state) if point is None else point(x)
+            qs, fs = (rho, rho * (u + offset(PERTURBED, params, rho))), flux(params, u, rho)
+            d, v = test_fn.derivative(xi), test_fn(xi)
+            pairs[x] = [((f - xi * q) * d - q * v) * dxi for q, f in zip(qs, fs)]
+        return pairs[x][k]
 
-        total = 0.0
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            total += quad(integrand, a, b, epsabs=1e-13, epsrel=1e-11)[0]
-        return total
-
-    return residual(0), residual(1)
+    totals = [0.0, 0.0]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        fan = next((w for w in solution.waves if w.edges[0] <= a and b <= w.edges[1]), None)
+        if fan is None:
+            point, state = None, solution.sample(0.5 * (a + b))
+        elif fan.curve is None:
+            raise InapplicableError("a fan without its curve in log density (see core.Fan)")
+        else:
+            t_head, t_tail, point = fan.curve
+            a = t_head if a == fan.head else math.log(fan.profile(a)[1])
+            b = t_tail if b == fan.tail else math.log(fan.profile(b)[1])
+        pairs = {}
+        for k in (0, 1):
+            totals[k] += quad(integrand, a, b, epsabs=1e-13, epsrel=1e-11)[0]
+    return totals[0], totals[1]

@@ -19,7 +19,14 @@ from awrlab import (
     weak_form_residual,
 )
 from awrlab import perturbed, quadrature, rootfind
-from awrlab.core import BranchError, Fan, InapplicableError, eigenvalues_perturbed
+from awrlab.core import (
+    BranchError,
+    Fan,
+    InapplicableError,
+    eigenvalues_perturbed,
+    flux,
+    to_conserved,
+)
 from awrlab.perturbed import (
     E1,
     RarefactionFan,
@@ -607,9 +614,23 @@ class TestWeakForm:
         with pytest.raises(ValueError):
             weak_form_residual(p, sol, BumpTestFunction(0.0, 5.0), window=(-1.0, 1.0))
 
+    def test_fan_without_curve_rejected(self):
+        # a fan piece is integrated along the fan's curve in log density,
+        # which a fan assembled from a bare profile does not carry
+        p = perturbed_params(1e-2, 1e-2)
+        sol = solve_perturbed(p, LEFT_RR, RIGHT_RR)
+        fan = sol.waves[0]
+        bare = RiemannSolution17(
+            p, LEFT_RR, sol.star, RIGHT_RR, (Fan(fan.head, fan.tail, fan.profile), sol.waves[1])
+        )
+        with pytest.raises(InapplicableError, match="curve"):
+            weak_form_residual(p, bare, BumpTestFunction(fan.tail, 0.1))
+
     @pytest.mark.parametrize("left, right", [(LEFT, RIGHT), (LEFT_RR, RIGHT_RR)])
     def test_each_xi_sampled_once(self, monkeypatch, left, right):
-        # the mass and momentum residuals share one sample per quadrature node
+        """A constant-state piece is sampled once, at its midpoint, and a fan
+        piece reads the fan's curve in log density, so no xi is sampled twice
+        and the mass and momentum residuals share every sample."""
         p = perturbed_params(1e-2, 1e-2)
         sol = solve_perturbed(p, left, right)
         seen = []
@@ -623,3 +644,123 @@ class TestWeakForm:
         weak_form_residual(p, sol, BumpTestFunction(sol.waves[0].edges[1], 0.8))
         assert seen
         assert len(seen) == len(set(seen))
+
+    @pytest.mark.parametrize(
+        "center, width",
+        [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+         (0.0, 0.0), (0.0, -0.5), (0.0, math.nan), (0.0, math.inf), (0.0, -math.inf)],
+    )
+    def test_bump_rejects_bad_shapes(self, center, width):
+        # a zero width once divided by zero on the first call, a negative one
+        # reversed the support and flipped the sign of the derivative
+        with pytest.raises(ValueError, match="center|width"):
+            BumpTestFunction(center, width)
+
+    @pytest.mark.parametrize(
+        "pattern, A, alpha, left, right",
+        [
+            ("SS", 1e-2, 0.5, LEFT, RIGHT),
+            ("SR", 1e-2, 0.5, LEFT, State(2.0, 2.0)),
+            ("RS", 1e-2, 0.5, LEFT, State(2.0, 0.5)),
+            ("RR", 1e-2, 0.5, LEFT_RR, RIGHT_RR),
+            ("RR", 1e-8, 0.1, LEFT_RR, RIGHT_RR),  # star density about 5e-57
+        ],
+    )
+    def test_fan_pieces_match_xi_space_reference(self, pattern, A, alpha, left, right):
+        p = perturbed_params(A, A, alpha)
+        sol = solve_perturbed(p, left, right)
+        assert "".join("R" if isinstance(w, Fan) else "S" for w in sol.waves) == pattern
+        (h0, t0), (h1, t1) = (w.edges for w in sol.waves)
+        bumps = [BumpTestFunction(s, 0.5) for s in (t0, h1) if pattern == "SS"]
+        for head, tail in ((h0, t0), (h1, t1)):
+            if head == tail:
+                continue
+            width = tail - head
+            bumps += [
+                BumpTestFunction(0.5 * (head + tail), 0.25 * width),  # inside the fan
+                BumpTestFunction(head, 0.5 * width),  # across its head
+                BumpTestFunction(tail, 0.5 * width),  # across its tail
+            ]
+        # a bump over a whole fan and half the star state, from 0.01 beyond
+        # the fan's outer edge to the middle of the star state
+        star_mid = 0.5 * (t0 + h1)
+        if h0 < t0:
+            bumps.append(BumpTestFunction(0.5 * (h0 - 0.01 + star_mid), 0.5 * (star_mid - h0 + 0.01)))
+        if h1 < t1:
+            bumps.append(BumpTestFunction(0.5 * (star_mid + t1 + 0.01), 0.5 * (t1 + 0.01 - star_mid)))
+        for bump in bumps:
+            got = weak_form_residual(p, sol, bump)
+            want = xi_space_residual(p, sol, bump)
+            assert all(abs(g - w) <= 1e-13 for g, w in zip(got, want)), (bump, got, want)
+            assert max(map(abs, got)) <= 1e-12, (bump, got)
+
+    def test_wrong_star_state_with_reused_fans_detected(self):
+        # the fans keep their own curves, so the wrong star state jumps by 1%
+        # of its density at the backward fan's tail and the forward fan's
+        # head; a bump over the star state sees both jumps in the mass residual
+        p = perturbed_params(1e-2, 1e-2)
+        sol = solve_perturbed(p, LEFT_RR, RIGHT_RR)
+        bad_star = State(sol.star.u, sol.star.rho * 1.01)
+        bad = RiemannSolution17(p, LEFT_RR, bad_star, RIGHT_RR, sol.waves)
+        center = 0.5 * (sol.waves[0].tail + sol.waves[1].head)
+        r1, _ = weak_form_residual(p, bad, BumpTestFunction(center, 0.8))
+        assert abs(r1) > 1e-4
+
+    @pytest.mark.parametrize("tighten", [1.0, 1e-3])
+    def test_fan_inversions_bounded_by_cuts_inside_fans(self, monkeypatch, tighten):
+        # one profile inversion per end of the support inside a fan, however
+        # many quadrature nodes the pieces take
+        p = perturbed_params(1e-2, 1e-2)
+        sol = solve_perturbed(p, LEFT_RR, RIGHT_RR)
+        (h0, t0), (h1, t1) = (w.edges for w in sol.waves)
+        newton, nodes = [], []
+        solve, integrate = rootfind.safeguarded_newton, perturbed.quad
+
+        def counting_newton(*args):
+            newton.append(args)
+            return solve(*args)
+
+        def counting_quad(f, a, b, epsabs, epsrel):
+            def counted(x):
+                nodes.append(x)
+                return f(x)
+
+            return integrate(counted, a, b, epsabs=epsabs * tighten, epsrel=epsrel * tighten)
+
+        monkeypatch.setattr(perturbed, "safeguarded_newton", counting_newton)
+        monkeypatch.setattr(perturbed, "quad", counting_quad)
+        for center, width in [
+            (0.5 * (h0 + t0), 0.25 * (t0 - h0)),  # both ends inside one fan
+            (t0, 0.5 * (t0 - h0)),  # one end inside
+            (0.5 * (t0 + h1), 0.5 * (h1 - t0)),  # the star state alone
+            (0.5 * (h0 + t1), 0.5 * (t1 - h0) + 0.1),  # both fans, ends outside
+            (0.5 * (t0 + h1), 0.5 * (h1 - t0) + 0.5 * (t0 - h0)),  # one end in each fan
+        ]:
+            bump = BumpTestFunction(center, width)
+            ends = (center - width, center + width)
+            inside = sum(h < e < t for e in ends for h, t in ((h0, t0), (h1, t1)))
+            del newton[:], nodes[:]
+            weak_form_residual(p, sol, bump)
+            assert len(newton) <= min(inside, 2), (center, width, len(newton))
+            assert len(nodes) >= 42
+
+
+def xi_space_residual(p, sol, bump):
+    """Both weak-form residuals integrated in xi by quadrature.quad, sampling
+    ``sol`` at every node, at tolerances 100 times tighter than the code's."""
+    lo, hi = bump.center - bump.width, bump.center + bump.width
+    cuts = sorted({lo, hi, *(e for w in sol.waves for e in w.edges if lo < e < hi)})
+
+    def integrand(xi, k):
+        u, rho = sol.sample(xi)
+        q = (rho, to_conserved("perturbed", p, State(u, rho)).q2)[k]
+        f = flux(p, u, rho)[k]
+        return (f - xi * q) * bump.derivative(xi) - q * bump(xi)
+
+    return tuple(
+        math.fsum(
+            quadrature.quad(lambda xi: integrand(xi, k), a, b, epsabs=1e-15, epsrel=1e-13)[0]
+            for a, b in zip(cuts[:-1], cuts[1:])
+        )
+        for k in (0, 1)
+    )
