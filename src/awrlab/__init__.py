@@ -10,6 +10,7 @@ from .core import (
     BranchError,
     Conserved,
     DegenerateDensityError,
+    DensityUnderflowError,
     InapplicableError,
     NoThresholdError,
     PressureParams,

@@ -45,6 +45,12 @@ class BracketError(RuntimeError):
     (``rootfind`` raises it; defined here so that catching it loads no solver)."""
 
 
+class DensityUnderflowError(InapplicableError, BracketError):
+    """Raised when a star density lies below the smallest positive double;
+    the message gives its log10.  In the vanishing-pressure limit this is
+    vacuum formation, not a failure to solve."""
+
+
 class Record:
     """Immutable value type.  A subclass declares its fields by annotation,
     after those of its bases; a class-level value is the field's default.

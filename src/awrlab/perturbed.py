@@ -7,19 +7,20 @@ shock curves come from eliminating the shock speed from the jump conditions,
 which leaves (u_r - u_l)**2 = E1 with E1 affine in both velocities.
 
 Each :func:`solve_perturbed` call keeps one :class:`RarefactionTable`, which
-its star-state search, its vacuum-side bracket and both fans of the returned
-solution read.  The table holds the rarefaction integral in t = log(rho) on
-unit panels [k, k+1], built lazily: a Chebyshev interpolant through
-CHEB_POINTS integrand values gives a panel's antiderivative, and its value
-at the panel's upper end is the panel's integral, so partial and whole
-values come from one rule (the integrand is analytic within pi/2 of the
-real t axis, so the interpolant converges geometrically whatever A, B and
-alpha are; it agrees with QUADPACK to 1e-13 relative).  A request over
+its star-state search and both fans of the returned solution read.  The
+table holds the rarefaction integral in t = log(rho) on unit panels
+[k, k+1], built lazily from CHEB_POINTS integrand values: a Chebyshev
+interpolant through them gives a panel's antiderivative, whose value at the
+panel's upper end, the values' dot product with Fejer's weights, is the
+panel's integral; its coefficients are formed when a value inside the panel
+is first asked for (the integrand is analytic within pi/2 of the real t
+axis, so the interpolant converges geometrically whatever A, B and alpha
+are; it agrees with QUADPACK to 1e-13 relative).  A request over
 panels no earlier request has touched is answered by one direct ``quad``
 and builds nothing, so a solve that needs one short integral pays one
 ``quad``; panels are built when a request touches them again.  Panels stop
-at t = -744 and t = 709, the ends of the double range; a request beyond
-them is one direct ``quad``.
+at t = -744 and t = 709, the ends of the double range; the part of a
+request beyond them is one direct ``quad``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from operator import mul
 from .core import (
     PERTURBED,
     BranchError,
+    DegenerateDensityError,
+    DensityUnderflowError,
     Fan,
     InapplicableError,
     PressureParams,
@@ -45,7 +48,7 @@ from .core import (
     speeds,
 )
 from .quadrature import quad
-from .rootfind import EXPAND_FACTOR, safeguarded_newton, solve_decreasing
+from .rootfind import safeguarded_newton, solve_decreasing
 from .rootfind import bisect_decreasing  # noqa: F401  perfbench/tracer.py wraps it here
 
 BOUNDARY_TOL = 1e-12
@@ -71,9 +74,13 @@ class RegionLabel17(Enum):
     COINCIDENT = "COINCIDENT"
 
 
-def _require_perturbed(params: PressureParams):
+def _require_perturbed(params: PressureParams, *rhos: float):
+    """0 < alpha < 1, and each of ``rhos`` finite and > 0."""
     if not (0.0 < params.alpha < 1.0):
         raise ValueError("the perturbed system requires 0 < alpha < 1")
+    for rho in rhos:
+        if not (rho > 0.0 and math.isfinite(rho)):
+            raise DegenerateDensityError(f"rho must be finite and > 0, got {rho}")
 
 
 def _antiderivative_matrix(n: int) -> tuple[list[float], list[list[float]]]:
@@ -99,6 +106,10 @@ def _antiderivative_matrix(n: int) -> tuple[list[float], list[list[float]]]:
 
 
 _CHEB_X, _CHEB_MATRIX = _antiderivative_matrix(CHEB_POINTS)
+# a panel's integral is its antiderivative at x = 1, where every T_m is 1:
+# the column sums of the matrix are Fejer's first-rule weights
+_FEJER = [sum(column) for column in zip(*_CHEB_MATRIX)]
+_CHEB_E = [math.exp(0.5 + 0.5 * x) for x in _CHEB_X]  # e^(t - k) at the points
 
 
 def _clenshaw(c: list[float], x: float) -> float:
@@ -127,27 +138,46 @@ class RarefactionTable:
         self.params = params
         self.integrand = integrand
         self.max_abserr = 0.0
+        # per built panel its integral and integrand values, and its
+        # antiderivative's coefficients once a value inside it is asked for
         self._panels: dict[int, tuple[float, list[float]]] = {}
+        self._coefficients: dict[int, list[float]] = {}
         self._touched: set[int] = set()
+        self._cheb_f: list[float] = []  # e^(-alpha*(t - k)) at the points, on the first build
 
     @property
     def panels_built(self) -> int:
         return len(self._panels)
 
-    def panel(self, k: int) -> tuple[float, list[float]]:
-        """Panel [k, k+1]: its integral and the Chebyshev coefficients of its
-        antiderivative, built on first use; the integral is the
-        antiderivative at the panel's upper end."""
+    def values(self, k: int) -> list[float]:
+        """The integrand at panel [k, k+1]'s Chebyshev points, from two
+        exponentials: sqrt(A*e^k*e^(t-k) + B*alpha*e^(-alpha*k)*e^(-alpha*(t-k)))."""
+        A, B, a = self.params.A, self.params.B, self.params.alpha
+        if not self._cheb_f:
+            self._cheb_f = [math.exp(-a * (0.5 + 0.5 * x)) for x in _CHEB_X]
+        e_a, e_b = A * math.exp(k), B * a * math.exp(-a * k)
+        return [math.sqrt(e_a * e + e_b * f) for e, f in zip(_CHEB_E, self._cheb_f)]
+
+    def panel(self, k: int) -> float:
+        """Integral over panel [k, k+1], built on first use: the Fejer
+        weights' dot product with the integrand values."""
         if k not in self._panels:
-            values = [self.integrand(k + 0.5 + 0.5 * x) for x in _CHEB_X]
-            c = [sum(map(mul, row, values)) for row in _CHEB_MATRIX]
-            self._panels[k] = (_clenshaw(c, 1.0), c)
+            values = self.values(k)
+            self._panels[k] = (sum(map(mul, _FEJER, values)), values)
             self._touched.add(k)
-        return self._panels[k]
+        return self._panels[k][0]
+
+    def coefficients(self, k: int) -> list[float]:
+        """Chebyshev coefficients of panel k's antiderivative from k."""
+        if k not in self._coefficients:
+            self.panel(k)
+            values = self._panels[k][1]
+            self._coefficients[k] = [sum(map(mul, row, values)) for row in _CHEB_MATRIX]
+        return self._coefficients[k]
 
     def partial(self, k: int, t: float) -> float:
         """Integral over [k, t] for t in panel [k, k+1]."""
-        return _clenshaw(self.panel(k)[1], 2.0 * (t - k) - 1.0)
+        return _clenshaw(self.coefficients(k), 2.0 * (t - k) - 1.0)
 
     def between(self, t_a: float, t_b: float) -> float:
         """Signed integral over [t_a, t_b]."""
@@ -155,27 +185,31 @@ class RarefactionTable:
             return -self.between(t_b, t_a)
         if t_a == t_b:
             return 0.0
+        # split at an end of the panels: one quad over a range much longer than
+        # the panels' side can step over the integrand's rise near its far end
+        for end in PANEL_T_RANGE:
+            if t_a < end < t_b:
+                return self.between(t_a, end) + self.between(end, t_b)
         k_a, k_b = math.floor(t_a), math.ceil(t_b) - 1  # the panels covering [t_a, t_b]
         ks = range(k_a, k_b + 1)
-        if k_a < PANEL_T_RANGE[0] or k_b >= PANEL_T_RANGE[1] or self._touched.isdisjoint(ks):
-            self._touched.update(ks)
+        outside = k_a < PANEL_T_RANGE[0] or k_b >= PANEL_T_RANGE[1]
+        if outside or self._touched.isdisjoint(ks):
+            self._touched.update(() if outside else ks)
             value, err = quad(self.integrand, t_a, t_b, epsabs=1e-14, epsrel=1e-12)
             self.max_abserr = max(self.max_abserr, err)
             return value
         if k_a == k_b:
             return self.partial(k_a, t_b) - self.partial(k_a, t_a)
-        total = self.panel(k_a)[0] - self.partial(k_a, t_a)
+        total = self.panel(k_a) - self.partial(k_a, t_a)
         for k in range(k_a + 1, k_b):
-            total += self.panel(k)[0]
+            total += self.panel(k)
         return total + self.partial(k_b, t_b)
 
 
 def rarefaction_integral(params: PressureParams, rho_a: float, rho_b: float) -> float:
     """Signed integral of sqrt(A*s + B*alpha/s**alpha)/s over [rho_a, rho_b],
     by one adaptive ``quad``."""
-    _require_perturbed(params)
-    if not (rho_a > 0.0 and rho_b > 0.0):
-        raise ValueError("integration bounds must be positive")
+    _require_perturbed(params, rho_a, rho_b)
     return RarefactionTable(params).between(math.log(rho_a), math.log(rho_b))
 
 
@@ -195,7 +229,7 @@ def rarefaction_curve_u(
     Only the admissible half-branch u >= u_left is exposed: rho <= rho_left
     for the backward curve, rho >= rho_left for the forward one.
     """
-    _require_perturbed(params)
+    _require_perturbed(params, rho)
     if not _fan_side(direction, left, rho):
         raise BranchError(f"rho = {rho} is off the {direction} rarefaction branch")
     return _wave_curve_u(RarefactionTable(params), left, rho, direction)
@@ -271,7 +305,7 @@ def shock_curve_u(
     Backward shocks compress (rho > rho_left), forward shocks expand
     (rho < rho_left); both halves carry u < u_left.
     """
-    _require_perturbed(params)
+    _require_perturbed(params, rho)
     if _fan_side(direction, left, rho) and rho != left.rho:
         raise BranchError(f"rho = {rho} is off the {direction} shock branch")
     return _shock_u(params, left, rho, 1.0)
@@ -440,7 +474,7 @@ def _wave(
             p = max(min(p, p_hi), p_lo)  # an integer end of the fan
             if p not in panels:
                 t_p, integral_p = entries[p]
-                c = table.panel(p)[1]
+                c = table.coefficients(p)
                 panels[p] = (integral_p - _clenshaw(c, 2.0 * (t_p - p) - 1.0), c)
         base, c = panels[p]
         # along the curve r = sqrt(u) moves by half the integral, so with f the
@@ -476,33 +510,47 @@ def _wave(
     return Fan(head, tail, profile, (t_head, t_tail, point))
 
 
-def _vacuum_side_bracket(
+def _vacuum_side_star(
     table: RarefactionTable, u_bwd: float, u_fwd: float, lo: float
-) -> tuple[float, float]:
-    """The bracket [lo / EXPAND_FACTOR**m, lo / EXPAND_FACTOR**(m-1)] at whose
-    lower end the intersection map of :func:`solve_perturbed` first turns
-    non-negative, given the backward velocity ``u_bwd`` below the forward one
-    ``u_fwd`` at ``lo`` = min(rho_left, rho_right).
+) -> float:
+    """Star density where the curves of :func:`solve_perturbed` meet below
+    ``lo`` = min(rho_left, rho_right), given the backward velocity ``u_bwd``
+    below the forward one ``u_fwd`` at ``lo``.  Both curves are rarefaction
+    curves there: as t = log(rho) falls, sqrt(u) rises on one and falls on
+    the other by half the integral from t to t_lo = log(lo), so they meet
+    where J(t) = gap - between(t, t_lo) vanishes, gap = sqrt(u_fwd) -
+    sqrt(u_bwd), and J' is the integrand.  That is at least each of its terms'
+    square roots, whose integrals reach gap at closed-form points, so at the
+    higher of them, t_low, J <= 0 up to rounding; Newton's method runs on
+    [t_low, t_lo].  A star density below the least positive double raises
+    ``DensityUnderflowError``."""
+    A, ba, a = table.params.A, table.params.B * table.params.alpha, table.params.alpha
+    gap, t_lo = math.sqrt(u_fwd) - math.sqrt(u_bwd), math.log(lo)
+    seen: dict[float, tuple[float, float]] = {}  # J and J' at each t, so t_low is not redone
 
-    Below ``lo`` both curves are rarefaction curves.  As rho falls, sqrt(u)
-    rises on the backward curve and falls on the forward one, each by half
-    the integral from rho up to ``lo``, so the curves meet where that
-    integral reaches sqrt(u_fwd) - sqrt(u_bwd).  Each step adds the integral
-    over one factor of EXPAND_FACTOR, where the map itself integrates over
-    the whole range at every point.  The ends are points ``expand_bracket``
-    steps through; it checks their signs on the exact map and steps on from
-    them if this estimate is off by one.
-    """
-    gap = math.sqrt(u_fwd) - math.sqrt(u_bwd)
-    t, closed, hi = math.log(lo), 0.0, lo
-    while lo / EXPAND_FACTOR > 0.0:
-        hi, lo = lo, lo / EXPAND_FACTOR
-        t_next = math.log(lo)
-        closed += table.between(t_next, t)
-        t = t_next
-        if closed >= gap:
-            break
-    return lo, hi
+    def excess(t: float) -> tuple[float, float]:
+        if t not in seen:
+            seen[t] = (gap - table.between(t, t_lo), table.integrand(t))
+        return seen[t]
+
+    # where the integrals of sqrt(B*alpha)*e^(-alpha*t/2) and sqrt(A)*e^(t/2)
+    # from t to t_lo reach gap (the second may never reach it)
+    t_low = -2.0 / a * math.log(gap * a / (2.0 * math.sqrt(ba)) + math.exp(-0.5 * a * t_lo))
+    room = math.exp(0.5 * t_lo) - gap / (2.0 * math.sqrt(A))
+    if room > 0.0:
+        t_low = max(t_low, 2.0 * math.log(room))
+    t_low = min(t_low, t_lo)
+    while excess(t_low)[0] > 0.0:  # rounding put the bound above the root
+        t_low -= 1.0 + (t_lo - t_low)
+    t_star = safeguarded_newton(excess, t_low, t_lo, t_low)
+    if t_star == t_lo:
+        return lo
+    rho_star = math.exp(t_star)
+    if not rho_star > 0.0:
+        raise DensityUnderflowError(
+            f"the star density underflows: log10(rho*) = {t_star / math.log(10.0):.12g}"
+        )
+    return rho_star
 
 
 def solve_perturbed(
@@ -510,7 +558,7 @@ def solve_perturbed(
 ) -> RiemannSolution17:
     """Intersect the backward curve from ``left`` with the (reversed) forward
     curve through ``right``; assemble the two waves around the result.  The
-    curves, the vacuum-side bracket and both fans read one
+    curves, the vacuum-side search and both fans read one
     :class:`RarefactionTable`, kept on the solution as ``table``.
 
     Monotonicity of the curves in rho is only guaranteed for small pressure
@@ -536,12 +584,12 @@ def solve_perturbed(
         return u_bwd - u_fwd
 
     lo = min(left.rho, right.rho)
-    hi = max(left.rho, right.rho)
     if g(lo) < 0.0:
-        lo, hi = _vacuum_side_bracket(table, *curves[lo], lo)
-    rho_star = solve_decreasing(g, lo, hi, rtol=1e-15)
-    u_star, u_fwd = curves[rho_star]
-    residual = u_star - u_fwd
+        rho_star = _vacuum_side_star(table, *curves[lo], lo)
+    else:
+        rho_star = solve_decreasing(g, lo, max(left.rho, right.rho), rtol=1e-15)
+    residual = g(rho_star)
+    u_star = curves[rho_star][0]
     if abs(residual) > 1e-11 * (1.0 + abs(u_star)):
         raise InapplicableError(
             f"curve intersection residual {residual:.3e} exceeds tolerance"
@@ -592,40 +640,46 @@ def weak_form_residual(
 ) -> tuple[float, float]:
     """Residuals of the two self-similar weak formulations for ``solution``:
     the integrals of (f(q) - xi*q)*phi' - q*phi, phi = ``test_fn``, over its
-    support (inside ``window`` if given), by adaptive quadrature piece by
-    piece between the wave edges.  A constant-state piece is sampled once, at
-    its midpoint; a fan piece is integrated in t = log(rho) along the fan's
-    ``curve``, so only an end of the support inside a fan inverts the fan.
-    For an exact solution both residuals vanish to quadrature accuracy."""
+    support (inside ``window`` if given), piece by piece between the wave
+    edges.  On a constant state the integrand is d/dxi[(f - xi*q)*phi], so a
+    constant-state piece [a, b], sampled once at its midpoint, contributes
+    (f - b*q)*phi(b) - (f - a*q)*phi(a) exactly; a fan piece is integrated by
+    adaptive quadrature in t = log(rho) along the fan's ``curve``, so only an
+    end of the support inside a fan inverts the fan.  For an exact solution
+    both residuals vanish to quadrature accuracy."""
     _require_perturbed(params)
     lo, hi = test_fn.center - test_fn.width, test_fn.center + test_fn.width
     if window is not None and (lo < window[0] or hi > window[1]):
         raise ValueError("test-function support exceeds the sampling window")
     breakpoints = (edge for wave in solution.waves for edge in wave.edges)
     cuts = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
-    # the current piece's fan curve (None on a constant state) or state, both
-    # components at each of its nodes, and the one (0: mass, 1: momentum) integrated
-    point, state, pairs, k = None, None, {}, 0
+    # the current fan piece's curve, both components at each of its nodes, and
+    # the one (0: mass, 1: momentum) integrated
+    point, pairs, k = None, {}, 0
 
-    def integrand(x: float) -> float:
-        if x not in pairs:
-            xi, dxi, u, rho = (x, 1.0, *state) if point is None else point(x)
-            qs, fs = (rho, rho * (u + offset(PERTURBED, params, rho))), flux(params, u, rho)
+    def conserved_and_flux(u: float, rho: float):
+        return zip((rho, rho * (u + offset(PERTURBED, params, rho))), flux(params, u, rho))
+
+    def integrand(t: float) -> float:
+        if t not in pairs:
+            xi, dxi, u, rho = point(t)
             d, v = test_fn.derivative(xi), test_fn(xi)
-            pairs[x] = [((f - xi * q) * d - q * v) * dxi for q, f in zip(qs, fs)]
-        return pairs[x][k]
+            pairs[t] = [((f - xi * q) * d - q * v) * dxi for q, f in conserved_and_flux(u, rho)]
+        return pairs[t][k]
 
     totals = [0.0, 0.0]
     for a, b in zip(cuts[:-1], cuts[1:]):
         fan = next((w for w in solution.waves if w.edges[0] <= a and b <= w.edges[1]), None)
         if fan is None:
-            point, state = None, solution.sample(0.5 * (a + b))
-        elif fan.curve is None:
+            v_a, v_b = test_fn(a), test_fn(b)
+            for k, (q, f) in enumerate(conserved_and_flux(*solution.sample(0.5 * (a + b)))):
+                totals[k] += (f - b * q) * v_b - (f - a * q) * v_a
+            continue
+        if fan.curve is None:
             raise InapplicableError("a fan without its curve in log density (see core.Fan)")
-        else:
-            t_head, t_tail, point = fan.curve
-            a = t_head if a == fan.head else math.log(fan.profile(a)[1])
-            b = t_tail if b == fan.tail else math.log(fan.profile(b)[1])
+        t_head, t_tail, point = fan.curve
+        a = t_head if a == fan.head else math.log(fan.profile(a)[1])
+        b = t_tail if b == fan.tail else math.log(fan.profile(b)[1])
         pairs = {}
         for k in (0, 1):
             totals[k] += quad(integrand, a, b, epsabs=1e-13, epsrel=1e-11)[0]

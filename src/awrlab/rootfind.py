@@ -1,4 +1,5 @@
-"""Monotone root finding: Brent's method on the curve maps, Newton in t = log(rho) on the fans."""
+"""Monotone root finding: Brent's method on the curve maps, Newton in t = log(rho) on
+the fans and on the perturbed vacuum-side star state."""
 
 from __future__ import annotations
 

@@ -51,6 +51,11 @@ def test_tracer_counts_every_layer_and_restores_it(bench):
             pert_p, shock_pert, perturbed.BumpTestFunction(shock_pert.waves[0].speed, 0.5)
         )
         assert max(abs(r1), abs(r2)) <= workloads.WEAK_TOL
+        # constant-state pieces take no quadrature; a fan piece takes quad
+        r1, r2 = perturbed.weak_form_residual(
+            pert_p, fan_pert, perturbed.BumpTestFunction(0.5 * (head + tail), 0.5 * (tail - head))
+        )
+        assert max(abs(r1), abs(r2)) <= workloads.WEAK_TOL
         assert transport.sweep_original(*compressive, 0.5, (1e-1, 1e-2)).records
         grid = fv.GridConfig(-1.0, 1.5, 32, t_end=0.2)
         snap = fv.simulate("original", orig_p, *expansive, grid)[-1]

@@ -21,6 +21,8 @@ from awrlab import (
 from awrlab import perturbed, quadrature, rootfind
 from awrlab.core import (
     BranchError,
+    DegenerateDensityError,
+    DensityUnderflowError,
     Fan,
     InapplicableError,
     eigenvalues_perturbed,
@@ -144,6 +146,19 @@ class TestRarefactionCurves:
             shock_curve_u(P_REF, LEFT, 0.5 * LEFT.rho, "backward")
         with pytest.raises(BranchError):
             shock_curve_u(P_REF, LEFT, 2.0 * LEFT.rho, "forward")
+
+    @pytest.mark.parametrize("rho", [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("direction", ["backward", "forward"])
+    def test_degenerate_densities_refused(self, rho, direction):
+        # once a ZeroDivisionError (shock, rho = 0), a TypeError from a complex
+        # power (shock, rho < 0), a bare math domain error (rarefaction,
+        # rho <= 0) and an OverflowError from a floor (rho = inf)
+        for curve in (shock_curve_u, rarefaction_curve_u):
+            with pytest.raises(DegenerateDensityError, match="finite and > 0"):
+                curve(P_REF, LEFT, rho, direction)
+        for bounds in ((rho, 1.0), (1.0, rho)):
+            with pytest.raises(DegenerateDensityError, match="finite and > 0"):
+                rarefaction_integral(P_REF, *bounds)
 
     def test_backward_rarefaction_satisfies_characteristic_ode(self):
         # du/drho = -sqrt(A rho + B alpha rho^-alpha)/rho * sqrt(u) ... in the
@@ -385,62 +400,121 @@ class TestSolver:
         assert bounds
         assert len(bounds) == len(set(bounds))
 
-    def test_vacuum_side_bracket_matches_full_expansion(self, monkeypatch):
-        # the cheap downward scan lands on the bracket that expanding on the
-        # exact map reaches, so the star state is bit-identical and the exact
-        # map is evaluated only at the bracket ends during expansion
+    def test_vacuum_side_star_matches_full_curve_map(self, monkeypatch):
+        # below both data densities the star state comes from Newton's method
+        # in log density on the table alone; it agrees with Brent's method on
+        # the full curve map, and a solve asks the table for at most 20
+        # integrals.  Two cases at tiny alpha, where the A term carries nearly
+        # all the integral, follow the 60 draws: their B-term bound lies far
+        # below the panels' range, where one quad up to the data would step
+        # over the A term and report an underflow
         rng = np.random.default_rng(20261018)
-        expand_bracket = rootfind.expand_bracket
+        cases = [
+            (
+                perturbed_params(*10.0 ** rng.uniform(-6.0, -1.0, 2), rng.uniform(0.1, 0.9)),
+                State(rng.uniform(1.0, 5.0), 10.0 ** rng.uniform(-1.0, 1.0)),
+                State(rng.uniform(6.0, 20.0), 10.0 ** rng.uniform(-1.0, 1.0)),
+            )
+            for _ in range(60)
+        ] + [
+            (perturbed_params(7.376101314280621, 1.7044451614189331e-4, 1.1617132976911706e-5),
+             State(0.13513707374741082, 0.770865474679201),
+             State(44.49604483393318, 3.304955357898287)),
+            (perturbed_params(9.753177368439392e-5, 3.881724491037347e-6, 1.8916694665543047e-6),
+             State(0.018139025996204733, 700266.7468216004),
+             State(141.51403457810014, 3691454.8686430124)),
+        ]
+        between = perturbed.RarefactionTable.between
         deep = 0
-        for _ in range(60):
-            A, B = 10.0 ** rng.uniform(-6.0, -1.0, 2)
-            p = perturbed_params(A, B, rng.uniform(0.1, 0.9))
-            left = State(rng.uniform(1.0, 5.0), 10.0 ** rng.uniform(-1.0, 1.0))
-            right = State(rng.uniform(6.0, 20.0), 10.0 ** rng.uniform(-1.0, 1.0))
-            evals = []
+        for p, left, right in cases:
+            calls = []
 
-            def counting_expand(f, lo, hi):
-                def counted(x):
-                    evals.append(x)
-                    return f(x)
+            def counting_between(self, t_a, t_b):
+                calls.append((t_a, t_b))
+                return between(self, t_a, t_b)
 
-                return expand_bracket(counted, lo, hi)
-
-            monkeypatch.setattr(rootfind, "expand_bracket", counting_expand)
+            monkeypatch.setattr(perturbed.RarefactionTable, "between", counting_between)
             star = solve_perturbed(p, left, right).star
             monkeypatch.undo()
             if star.rho >= min(left.rho, right.rho):
                 continue
             deep += 1
-            assert len(evals) == 2
-            monkeypatch.setattr(perturbed, "_vacuum_side_bracket", lambda p, ub, uf, lo: (lo, lo))
-            assert solve_perturbed(p, left, right).star == star
-            monkeypatch.undo()
+            assert len(calls) <= 20
+            table = perturbed.RarefactionTable(p)
+
+            def curves(rho):
+                return (
+                    perturbed._wave_curve_u(table, left, rho, "backward"),
+                    perturbed._wave_curve_u(table, right, rho, "forward", -1.0),
+                )
+
+            rho = rootfind.solve_decreasing(
+                lambda rho: curves(rho)[0] - curves(rho)[1],
+                min(left.rho, right.rho), max(left.rho, right.rho), rtol=1e-15,
+            )
+            assert star.rho == pytest.approx(rho, rel=1e-13, abs=0.0)
+            assert star.u == pytest.approx(curves(rho)[0], rel=1e-13, abs=0.0)
         assert deep >= 30
+
+    @pytest.mark.parametrize(
+        "A, B, alpha, left, right",
+        [
+            (9.40e-4, 3.157e-11, 0.014234, State(42.13, 0.010573), State(3821.9, 1.2718e-5)),
+            (1e-2, 1e-2, 1e-6, LEFT_RR, RIGHT_RR),
+        ],
+    )
+    def test_star_density_underflow_is_typed(self, A, B, alpha, left, right):
+        # two-rarefaction curves that meet below the smallest positive double:
+        # the error is an InapplicableError and a BracketError, and its log10
+        # rho* matches a 30-digit root of the curves' meeting condition,
+        # int_t^t_l f + int_t^t_r f = 2*(sqrt(u_r) - sqrt(u_l)) in t = log(rho)
+        import mpmath
+
+        with pytest.raises(DensityUnderflowError) as raised:
+            solve_perturbed(perturbed_params(A, B, alpha), left, right)
+        assert isinstance(raised.value, InapplicableError)
+        assert isinstance(raised.value, BracketError)
+        got = float(str(raised.value).rsplit("=", 1)[1])
+        mp = mpmath.mp
+        with mpmath.workdps(30):
+            a = mp.mpf(alpha)
+
+            def f(s):
+                return mp.sqrt(mp.mpf(A) * mp.exp(s) + mp.mpf(B) * a * mp.exp(-a * s))
+
+            t_l, t_r = mp.log(left.rho), mp.log(right.rho)
+            target = 2 * (mp.sqrt(right.u) - mp.sqrt(left.u))
+
+            def meet(t):
+                return (mp.quad(f, mp.linspace(t, t_l, 8)) + mp.quad(f, mp.linspace(t, t_r, 8))
+                        - target)
+
+            t0 = mp.mpf(got) * mp.log(10)
+            want = float(mp.findroot(meet, (t0, t0 + mp.mpf("1e-6")), solver="secant") / mp.log(10))
+        assert got < math.log10(5e-324)
+        assert abs(got - want) <= 1e-9 * abs(want)
 
     @pytest.mark.parametrize("A", [0.1, 1e-4])
     def test_quad_calls_touch_new_panels_and_builds_make_none(self, monkeypatch, A):
         # over a solve and 10 samples per fan, each rarefaction quad call
         # covers only panels no earlier call covered and no call repeats;
-        # each panel build makes no quad call and exactly CHEB_POINTS
-        # integrand calls, and every built panel is on the solution's table
+        # each panel build makes no quad call and forms exactly CHEB_POINTS
+        # integrand values, each the integrand at its Chebyshev point, and
+        # every built panel is on the solution's table
         table_cls = perturbed.RarefactionTable
-        init, panel = table_cls.__init__, table_cls.panel
+        values, panel = table_cls.values, table_cls.panel
         bounds, evals, builds = [], [0], []
 
         def recording_quad(f, a, b, **kwargs):
             bounds.append((min(a, b), max(a, b)))
             return quadrature.quad(f, a, b, **kwargs)
 
-        def counting_init(self, params):
-            init(self, params)
-            integrand = self.integrand
-
-            def counted(t):
-                evals[0] += 1
-                return integrand(t)
-
-            self.integrand = counted
+        def checked_values(self, k):
+            got = values(self, k)
+            evals[0] += len(got)
+            for x, v in zip(perturbed._CHEB_X, got):
+                assert v == pytest.approx(self.integrand(k + 0.5 + 0.5 * x), rel=1e-14, abs=0.0)
+            return got
 
         def recording_panel(self, k):
             built, calls, evaluated = self.panels_built, len(bounds), evals[0]
@@ -450,7 +524,7 @@ class TestSolver:
             return result
 
         monkeypatch.setattr(perturbed, "quad", recording_quad)
-        monkeypatch.setattr(table_cls, "__init__", counting_init)
+        monkeypatch.setattr(table_cls, "values", checked_values)
         monkeypatch.setattr(table_cls, "panel", recording_panel)
         sol = solve_perturbed(perturbed_params(A, A), LEFT_RR, RIGHT_RR)
         for w in sol.waves:
@@ -694,6 +768,22 @@ class TestWeakForm:
             assert all(abs(g - w) <= 1e-13 for g, w in zip(got, want)), (bump, got, want)
             assert max(map(abs, got)) <= 1e-12, (bump, got)
 
+    def test_two_shock_residual_is_the_weighted_jump_residuals(self):
+        # constant pieces only: each contributes (f - b*q)*phi(b) - (f - a*q)*phi(a),
+        # so the residual is minus the sum over the shocks of phi(sigma) times
+        # the shock's jump residual -sigma*[q] + [f]
+        p = perturbed_params(1e-2, 1e-2)
+        sol = solve_perturbed(p, LEFT, RIGHT)
+        s1, s2 = (w.speed for w in sol.waves)
+        for center, width in [(s1, 0.5), (s2, 0.3), (0.5 * (s1 + s2), s2 - s1 + 0.1)]:
+            bump = BumpTestFunction(center, width)
+            want = [0.0, 0.0]
+            for w, (sl, sr) in zip(sol.waves, ((LEFT, sol.star), (sol.star, RIGHT))):
+                for k, r in enumerate(rh_residual_perturbed(p, sl, sr, w.speed)):
+                    want[k] -= bump(w.speed) * r
+            got = weak_form_residual(p, sol, bump)
+            assert all(abs(g - w) <= 1e-14 for g, w in zip(got, want)), (bump, got, want)
+
     def test_wrong_star_state_with_reused_fans_detected(self):
         # the fans keep their own curves, so the wrong star state jumps by 1%
         # of its density at the backward fan's tail and the forward fan's
@@ -709,11 +799,12 @@ class TestWeakForm:
     @pytest.mark.parametrize("tighten", [1.0, 1e-3])
     def test_fan_inversions_bounded_by_cuts_inside_fans(self, monkeypatch, tighten):
         # one profile inversion per end of the support inside a fan, however
-        # many quadrature nodes the pieces take
+        # many quadrature nodes the fan pieces take; the star state alone is
+        # one constant piece in closed form, with no quadrature
         p = perturbed_params(1e-2, 1e-2)
         sol = solve_perturbed(p, LEFT_RR, RIGHT_RR)
         (h0, t0), (h1, t1) = (w.edges for w in sol.waves)
-        newton, nodes = [], []
+        newton, quads, nodes = [], [], []
         solve, integrate = rootfind.safeguarded_newton, perturbed.quad
 
         def counting_newton(*args):
@@ -721,6 +812,8 @@ class TestWeakForm:
             return solve(*args)
 
         def counting_quad(f, a, b, epsabs, epsrel):
+            quads.append((a, b))
+
             def counted(x):
                 nodes.append(x)
                 return f(x)
@@ -729,20 +822,23 @@ class TestWeakForm:
 
         monkeypatch.setattr(perturbed, "safeguarded_newton", counting_newton)
         monkeypatch.setattr(perturbed, "quad", counting_quad)
-        for center, width in [
-            (0.5 * (h0 + t0), 0.25 * (t0 - h0)),  # both ends inside one fan
-            (t0, 0.5 * (t0 - h0)),  # one end inside
-            (0.5 * (t0 + h1), 0.5 * (h1 - t0)),  # the star state alone
-            (0.5 * (h0 + t1), 0.5 * (t1 - h0) + 0.1),  # both fans, ends outside
-            (0.5 * (t0 + h1), 0.5 * (h1 - t0) + 0.5 * (t0 - h0)),  # one end in each fan
+        for center, width, fan_piece in [
+            (0.5 * (h0 + t0), 0.25 * (t0 - h0), True),  # both ends inside one fan
+            (t0, 0.5 * (t0 - h0), True),  # one end inside
+            (0.5 * (t0 + h1), 0.5 * (h1 - t0), False),  # the star state alone
+            (0.5 * (h0 + t1), 0.5 * (t1 - h0) + 0.1, True),  # both fans, ends outside
+            (0.5 * (t0 + h1), 0.5 * (h1 - t0) + 0.5 * (t0 - h0), True),  # one end in each fan
         ]:
             bump = BumpTestFunction(center, width)
             ends = (center - width, center + width)
             inside = sum(h < e < t for e in ends for h, t in ((h0, t0), (h1, t1)))
-            del newton[:], nodes[:]
+            del newton[:], quads[:], nodes[:]
             weak_form_residual(p, sol, bump)
             assert len(newton) <= min(inside, 2), (center, width, len(newton))
-            assert len(nodes) >= 42
+            if fan_piece:
+                assert len(nodes) >= 42
+            else:
+                assert quads == []
 
 
 def xi_space_residual(p, sol, bump):
