@@ -203,10 +203,32 @@ def _params(opts: dict, system: str) -> PressureParams:
     return PressureParams(*_require(opts, "A", "B", "alpha"), system=system)
 
 
-def _out_dir(opts: dict) -> str:
+def _output(opts: dict, *name: str) -> str:
+    """The output directory, made if it is missing, or the path of ``name`` in it."""
     out = opts["out"] or os.environ.get("AWRLAB_OUT") or "awrlab_out"
     os.makedirs(out, exist_ok=True)
-    return out
+    return os.path.join(out, *name)
+
+
+def _exact(opts: dict, system: str, classify: bool = False):
+    """The exact solution of the data under ``system`` and the xi-window that
+    shows its waves, or with ``classify`` a pressured system's region label.
+    Each solver is imported here, so no command loads one it does not run, and
+    read off its module at each call, where tests and perfbench's tracer
+    replace it."""
+    left, right = _require(opts, "left", "right")
+    if system == TRANSPORT:
+        from . import transport
+        sol = transport.transport_solve(left, right)
+        return sol, (min(left.u, right.u) - 1.0, max(left.u, right.u) + 1.0)
+    if system == ORIGINAL:
+        from . import original
+        run = original.classify if classify else original.solve
+    else:
+        from . import perturbed
+        run = perturbed.classify_perturbed if classify else perturbed.solve_perturbed
+    result = run(_params(opts, system), left, right)
+    return result if classify else (result, _wave_window(result))
 
 
 def _wave_window(sol) -> tuple[float, float]:
@@ -229,67 +251,43 @@ def _linspace(lo: float, hi: float, n: int) -> list[float]:
 
 
 def _cmd_solve(opts: dict) -> int:
-    system, left, right = _require(opts, "system", "left", "right")
-    samples = opts["samples"]
-    if system == TRANSPORT:
-        from . import transport
-        sol = transport.transport_solve(left, right)
-        lo, hi = min(left.u, right.u) - 1.0, max(left.u, right.u) + 1.0
-    elif system == ORIGINAL:
-        from . import original
-        sol = original.solve(_params(opts, system), left, right)
-        lo, hi = _wave_window(sol)
-    else:
-        from . import perturbed
-        sol = perturbed.solve_perturbed(_params(opts, system), left, right)
-        lo, hi = _wave_window(sol)
-    xs = _linspace(lo, hi, samples)
+    system = _require(opts, "system")[0]
+    sol, (lo, hi) = _exact(opts, system)
+    xs = _linspace(lo, hi, opts["samples"])
     us, rhos = zip(*map(sol.sample, xs))
-    out = _out_dir(opts)
-    emit_csv(["xi", "u", "rho"], zip(xs, us, rhos), os.path.join(out, "profile.csv"))
+    profile = _output(opts, "profile.csv")
+    emit_csv(["xi", "u", "rho"], zip(xs, us, rhos), profile)
     emit_svg_plot(
         {"u": (xs, us), "rho": (xs, rhos)},
-        os.path.join(out, "profile.svg"),
+        _output(opts, "profile.svg"),
         title=f"{system} Riemann profile",
     )
-    print(f"wrote {samples} samples to {os.path.join(out, 'profile.csv')}")
+    print(f"wrote {opts['samples']} samples to {profile}")
     return 0
 
 
 def _cmd_classify(opts: dict) -> int:
-    system, left, right = _require(opts, "system", "left", "right")
+    system = _require(opts, "system")[0]
     if system == TRANSPORT:
-        from . import transport
-        kind = transport.transport_solve(left, right).kind
-        print(f"transport solution kind: {kind}")
-        return 0
-    params = _params(opts, system)
-    if system == ORIGINAL:
-        from . import original
-        label = original.classify(params, left, right)
+        print(f"transport solution kind: {_exact(opts, system)[0].kind}")
     else:
-        from . import perturbed
-        label = perturbed.classify_perturbed(params, left, right)
-    print(f"region: {label.value}")
+        print(f"region: {_exact(opts, system, classify=True).value}")
     return 0
 
 
 def _cmd_sweep(opts: dict) -> int:
     system, left, right = _require(opts, "system", "left", "right")
-    if system == TRANSPORT:
-        raise ConfigError("sweep requires a pressured system (original|perturbed)")
     from . import transport
     runner = transport.sweep_original if system == ORIGINAL else transport.sweep_perturbed
     report = runner(left, right, *_require(opts, "alpha"), opts["schedule"])
-    out = _out_dir(opts)
     if report.records:
         rows = [tuple(getattr(r, c) for c in SWEEP_COLUMNS) for r in report.records]
-        emit_csv(SWEEP_COLUMNS, rows, os.path.join(out, f"sweep_{system}.csv"))
+        emit_csv(SWEEP_COLUMNS, rows, _output(opts, f"sweep_{system}.csv"))
         emit_svg_plot(
             {
                 "rho_star": ([r.A for r in report.records], [r.rho_star for r in report.records]),
             },
-            os.path.join(out, f"sweep_{system}_rho_star.svg"),
+            _output(opts, f"sweep_{system}_rho_star.svg"),
             title="intermediate density vs A",
             log_y=True,
         )
@@ -307,8 +305,6 @@ def _cmd_sweep(opts: dict) -> int:
 def _cmd_simulate(opts: dict) -> int:
     from . import fv
     system, left, right = _require(opts, "system", "left", "right")
-    if system == TRANSPORT:
-        raise ConfigError("simulate requires a pressured system (original|perturbed)")
     params = _params(opts, system)
     n_cells, t_end = _require(opts, "grid", "T")
     if not opts["xmin"] < opts["xmax"]:
@@ -325,7 +321,6 @@ def _cmd_simulate(opts: dict) -> int:
                 f"snapshot_times: {a!r} and {b!r} both write snapshot_t{_time_tag(a)}.csv"
             )
     snaps = fv.simulate(system, params, left, right, grid, times)
-    out = _out_dir(opts)
     t_prev, floored_prev = 0.0, 0
     for snap in snaps:
         x, rho, u = snap.x.tolist(), snap.rho.tolist(), snap.u.tolist()
@@ -333,17 +328,17 @@ def _cmd_simulate(opts: dict) -> int:
         emit_csv(
             ["x", "rho", "u", "q1", "q2", "t"],
             zip(x, rho, u, snap.q1.tolist(), snap.q2.tolist(), [snap.time] * len(x)),
-            os.path.join(out, f"snapshot_t{tag}.csv"),
+            _output(opts, f"snapshot_t{tag}.csv"),
         )
         emit_svg_plot(
             {"rho": (x, rho)},
-            os.path.join(out, f"snapshot_t{tag}_rho.svg"),
+            _output(opts, f"snapshot_t{tag}_rho.svg"),
             title=f"density at t={snap.time:.4f}",
             log_y=opts["log_density"],
         )
         emit_svg_plot(
             {"u": (x, u)},
-            os.path.join(out, f"snapshot_t{tag}_u.svg"),
+            _output(opts, f"snapshot_t{tag}_u.svg"),
             title=f"velocity at t={snap.time:.4f}",
         )
         # floored_cells counts from t = 0; report each interval's increase
@@ -353,7 +348,7 @@ def _cmd_simulate(opts: dict) -> int:
                 f" cell-updates over t in ({t_prev:g}, {snap.time:g}]"
             )
         t_prev, floored_prev = snap.time, snap.floored_cells
-    print(f"wrote {len(snaps)} snapshot(s) to {out}")
+    print(f"wrote {len(snaps)} snapshot(s) to {_output(opts)}")
     return 0
 
 
@@ -373,24 +368,18 @@ def _cmd_weakcheck(opts: dict) -> int:
     from . import perturbed
     if opts["system"] not in (None, PERTURBED):
         raise ConfigError(f"weakcheck checks the perturbed system only, got {opts['system']!r}")
-    left, right = _require(opts, "left", "right")
-    params = _params(opts, PERTURBED)
-    sol = perturbed.solve_perturbed(params, left, right)
-    lo, hi = _wave_window(sol)
+    sol, (lo, hi) = _exact(opts, PERTURBED)
     rng = _legacy_random(opts["seed"])
     centers = sorted(rng.uniform(lo + 1.0, hi - 1.0) for _ in range(opts["bumps"]))
     worst = 0.0
     rows = []
     for c in centers:
         bump = perturbed.BumpTestFunction(c, 1.0)
-        r1, r2 = perturbed.weak_form_residual(
-            params, sol, bump, window=(lo - 2.0, hi + 2.0)
-        )
+        r1, r2 = perturbed.weak_form_residual(sol.params, sol, bump)
         worst = max(worst, abs(r1), abs(r2))
         rows.append((c, 1.0, r1, r2))
         print(f"bump center={c:+.6f}: r1={r1:+.3e} r2={r2:+.3e}")
-    out = _out_dir(opts)
-    emit_csv(["center", "width", "r1", "r2"], rows, os.path.join(out, "weakcheck.csv"))
+    emit_csv(["center", "width", "r1", "r2"], rows, _output(opts, "weakcheck.csv"))
     print(f"max |residual| = {worst:.3e} (tol {opts['tol']:.3e})")
     return 0 if worst <= opts["tol"] else 2
 
@@ -400,8 +389,7 @@ def _cmd_delta(opts: dict) -> int:
     left, right = _require(opts, "left", "right")
     kind = opts["kind"]
     if not right.u < left.u:
-        print("error: delta shocks require u+ < u-", file=sys.stderr)
-        return 1
+        raise ConfigError("delta shocks require u+ < u-")
     shocks = []
     if kind in ("transport", "both"):
         shocks.append(transport.transport_solve(left, right).delta)
@@ -416,11 +404,10 @@ def _cmd_delta(opts: dict) -> int:
             f"{d.kind}: sigma={d.sigma:.12g} weight_rate={d.weight_rate:.12g} "
             f"entropy={klass.value} residuals=({r_mass:+.3e}, {r_mom:+.3e})"
         )
-    out = _out_dir(opts)
     emit_csv(
         ["kind", "sigma", "weight_rate", "r_mass", "r_momentum", "entropy"],
         rows,
-        os.path.join(out, "delta.csv"),
+        _output(opts, "delta.csv"),
     )
     return 0
 
@@ -447,6 +434,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         opts = _resolve(args)
+        if args.command in ("sweep", "simulate") and opts["system"] == TRANSPORT:
+            raise ConfigError(f"{args.command} requires a pressured system (original|perturbed)")
         return _COMMANDS[args.command][0](opts)
     except (ConfigError, ValueError, OSError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,8 +15,9 @@ panel's upper end, the values' dot product with Fejer's weights, is the
 panel's integral; its coefficients are formed when a value inside the panel
 is first asked for (the integrand is analytic within pi/2 of the real t
 axis, so the interpolant converges geometrically whatever A, B and alpha
-are; it agrees with QUADPACK to 1e-13 relative).  A request over
+are; panel sums agree with QUADPACK to 1e-13 relative).  A request over
 panels no earlier request has touched is answered by one direct ``quad``
+(epsrel 1e-12; good to 1e-11 relative on requests as long as t = -744 to 5)
 and builds nothing, so a solve that needs one short integral pays one
 ``quad``; panels are built when a request touches them again.  Panels stop
 at t = -744 and t = 709, the ends of the double range; the part of a
@@ -636,21 +637,18 @@ def weak_form_residual(
     params: PressureParams,
     solution: RiemannSolution17,
     test_fn: BumpTestFunction,
-    window: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
     """Residuals of the two self-similar weak formulations for ``solution``:
     the integrals of (f(q) - xi*q)*phi' - q*phi, phi = ``test_fn``, over its
-    support (inside ``window`` if given), piece by piece between the wave
-    edges.  On a constant state the integrand is d/dxi[(f - xi*q)*phi], so a
-    constant-state piece [a, b], sampled once at its midpoint, contributes
+    support, piece by piece between the wave edges.  On a constant state the
+    integrand is d/dxi[(f - xi*q)*phi], so a constant-state piece [a, b],
+    sampled once at its midpoint, contributes
     (f - b*q)*phi(b) - (f - a*q)*phi(a) exactly; a fan piece is integrated by
     adaptive quadrature in t = log(rho) along the fan's ``curve``, so only an
     end of the support inside a fan inverts the fan.  For an exact solution
     both residuals vanish to quadrature accuracy."""
     _require_perturbed(params)
     lo, hi = test_fn.center - test_fn.width, test_fn.center + test_fn.width
-    if window is not None and (lo < window[0] or hi > window[1]):
-        raise ValueError("test-function support exceeds the sampling window")
     breakpoints = (edge for wave in solution.waves for edge in wave.edges)
     cuts = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
     # the current fan piece's curve, both components at each of its nodes, and

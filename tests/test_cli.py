@@ -367,9 +367,25 @@ class TestDelta:
         assert lines[0] == "kind,sigma,weight_rate,r_mass,r_momentum,entropy"
         assert len(lines) == 3
 
-    def test_non_compressive_data_errors(self, capsys):
-        code = run(["delta", "--left", "1,1", "--right", "2,2"])
+    def test_non_compressive_data_errors(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        code = run(["delta", "--left", "1,1", "--right", "2,2", "--out", str(out)])
         assert code == 1
+        assert capsys.readouterr() == ("", "error: delta shocks require u+ < u-\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep"], ["simulate", "--grid", "20", "--T", "0.1"]],
+        ids=["sweep", "simulate"],
+    )
+    def test_pressured_commands_refuse_transport(self, tmp_path, capsys, argv):
+        out = tmp_path / "t"
+        assert run([*argv, "--system", "transport", *BASE, "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: {argv[0]} requires a pressured system (original|perturbed)\n"
+        )
+        assert not out.exists()
 
 
 class TestConfig:

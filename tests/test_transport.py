@@ -20,6 +20,7 @@ from awrlab import (
     sweep_perturbed,
     transport_solve,
 )
+from awrlab import perturbed
 from awrlab.core import InapplicableError
 
 RNG = np.random.RandomState(20240820)
@@ -259,6 +260,27 @@ class TestLimitDeltaConsistency:
     def test_rejects_non_compressive_data(self):
         with pytest.raises(InapplicableError):
             limit_delta_consistency(LEFT_RR, RIGHT_RR, 0.5, 1e-4, 1e-4)
+
+    @pytest.mark.parametrize(
+        ("left", "right", "refusal"),
+        [(LEFT, RIGHT, None), (LEFT_RR, RIGHT_RR, "got RR")],
+        ids=["two-shock", "two-rarefaction"],
+    )
+    def test_one_solve_decides_the_pattern(self, monkeypatch, left, right, refusal):
+        # the two-shock test reads the solve's own waves: one solve, no classify
+        calls = {"solve_perturbed": 0, "classify_perturbed": 0}
+        for name in calls:
+            def counted(*args, fn=getattr(perturbed, name), name=name):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(perturbed, name, counted)
+        if refusal is None:
+            limit_delta_consistency(left, right, 0.5, 1e-4, 1e-4)
+        else:
+            with pytest.raises(InapplicableError, match=refusal):
+                limit_delta_consistency(left, right, 0.5, 1e-4, 1e-4)
+        assert calls == {"solve_perturbed": 1, "classify_perturbed": 0}
 
 
 class TestVerdictTolerances:
