@@ -51,6 +51,20 @@ class DensityUnderflowError(InapplicableError, BracketError):
     vacuum formation, not a failure to solve."""
 
 
+def star_density(t: float) -> float:
+    """The density e^t of a star state found in log density t.  Below the
+    least positive double it raises ``DensityUnderflowError``, above the
+    largest an ``InapplicableError``; either message gives log10(rho*)."""
+    try:
+        rho = math.exp(t)
+    except OverflowError:
+        rho = math.inf
+    if not 0.0 < rho < math.inf:
+        error, flows = (DensityUnderflowError, "under") if t < 0.0 else (InapplicableError, "over")
+        raise error(f"the star density {flows}flows: log10(rho*) = {t / math.log(10.0):.12g}")
+    return rho
+
+
 class Record:
     """Immutable value type.  A subclass declares its fields by annotation,
     after those of its bases; a class-level value is the field's default.

@@ -25,9 +25,11 @@ from .core import (
     State,
     eigenvalues_original,
     jump_residual,
+    star_density,
 )
-from .rootfind import safeguarded_newton, solve_decreasing
-from .rootfind import bisect_decreasing  # noqa: F401  perfbench/tracer.py wraps it here
+from .rootfind import safeguarded_newton
+# perfbench/tracer.py wraps these here
+from .rootfind import bisect_decreasing, solve_decreasing  # noqa: F401
 
 BOUNDARY_TOL = 1e-12
 Rarefaction = Fan
@@ -92,9 +94,11 @@ def intermediate_state(params: PressureParams, left: State, u_plus: float) -> St
     """State on the 1-curve through ``left`` at velocity ``u_plus``.
 
     The curve map rho -> -A*rho + B/rho**alpha + C is strictly decreasing and
-    onto the real line, so a unique root exists; it is found by bracketing
-    plus Brent's method.  rho* > rho- iff u_plus < u- (shock branch), rho* < rho-
-    otherwise (rarefaction branch).
+    onto the real line, so a unique root exists; its log density is found by
+    :func:`_star_log_density`.  rho* > rho- iff u_plus < u- (shock branch),
+    rho* < rho- otherwise (rarefaction branch).  A star density below the
+    least positive double raises ``DensityUnderflowError``, one above the
+    largest an ``InapplicableError``.
     """
     if not u_plus > 0.0:
         raise ValueError(f"u_plus must be positive, got {u_plus}")
@@ -102,13 +106,46 @@ def intermediate_state(params: PressureParams, left: State, u_plus: float) -> St
         return left
     if params.A <= 0.0 or params.B <= 0.0:
         raise InapplicableError("the pressured solver requires A > 0 and B > 0")
-    c = curve_constant(params, left)
+    d = curve_constant(params, left) - u_plus
+    rho = star_density(_star_log_density(params, d))
+    # e^t carries the rounding of t times |t|: one more Newton step on h,
+    # formed from rho itself as log((A*rho + max(-d, 0))/(B/rho**alpha +
+    # max(d, 0))), brings rho* to its own rounding
+    A, a, b = params.A, params.alpha, params.B / rho**params.alpha
+    num, den = A * rho + max(-d, 0.0), b + max(d, 0.0)
+    if 0.0 < num < math.inf and 0.0 < den < math.inf:
+        rho -= rho * math.log(num / den) / (A * rho / num + a * b / den)
+    return State(u_plus, rho)
 
-    def f(rho: float) -> float:
-        return -params.A * rho + params.B / rho**params.alpha + c - u_plus
 
-    rho_star = solve_decreasing(f, 0.5 * left.rho, 2.0 * left.rho, rtol=1e-15)
-    return State(u_plus, rho_star)
+def _star_log_density(params: PressureParams, d: float) -> float:
+    """The root t = log(rho) of A*e^t - B*e^(-alpha*t) = d, by Newton's method
+    on a rising h(t) whose slope is bounded.  For d > 0, h(t) = log(A*e^t) -
+    log(d + B*e^(-alpha*t)) is concave with slope in [1, 1 + alpha], and
+    h <= 0 at t0 = log(d/A); for d < 0, h(t) = log(-d + A*e^t) -
+    log(B*e^(-alpha*t)) is convex with slope in [alpha, 1 + alpha], and
+    h >= 0 at t0 = log(B/(-d))/alpha.  Either way Newton's method moves
+    monotonically from t0 to the root, and the slope bound turns h(t0) into
+    the bracket the safeguard needs.  Each log of a sum is formed with
+    log1p, so nothing overflows."""
+    a, log_a, log_b = params.alpha, math.log(params.A), math.log(params.B)
+    if d == 0.0:
+        return (log_b - log_a) / (1.0 + a)
+    log_d = math.log(abs(d))
+
+    def h(t: float) -> tuple[float, float]:
+        x, y = log_a + t, log_b - a * t  # log(A*e^t), log(B*e^(-alpha*t))
+        p = y if d > 0.0 else x  # the term added to |d|
+        z = math.exp(-abs(p - log_d))
+        log_sum = max(p, log_d) + math.log1p(z)
+        share = (1.0 if p >= log_d else z) / (1.0 + z)  # e^p/(|d| + e^p)
+        return (x - log_sum, 1.0 + a * share) if d > 0.0 else (log_sum - y, a + share)
+
+    if d > 0.0:
+        t0 = log_d - log_a
+        return safeguarded_newton(h, t0, t0 - h(t0)[0], t0)
+    t0 = (log_b - log_d) / a
+    return safeguarded_newton(h, t0 - h(t0)[0] / a, t0, t0)
 
 
 def shock_speed(params: PressureParams, left: State, star: State) -> float:

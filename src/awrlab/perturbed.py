@@ -35,7 +35,6 @@ from .core import (
     PERTURBED,
     BranchError,
     DegenerateDensityError,
-    DensityUnderflowError,
     Fan,
     InapplicableError,
     PressureParams,
@@ -47,6 +46,7 @@ from .core import (
     jump_residual,
     offset,
     speeds,
+    star_density,
 )
 from .quadrature import quad
 from .rootfind import safeguarded_newton, solve_decreasing
@@ -134,6 +134,8 @@ class RarefactionTable:
         A, B, a = params.A, params.B, params.alpha
 
         def integrand(t: float) -> float:
+            if a * t < -709.0:  # e^(-alpha*t) overflows: factor out its root
+                return math.exp(-0.5 * a * t) * math.sqrt(A * math.exp((1.0 + a) * t) + B * a)
             return math.sqrt(A * math.exp(t) + B * a * math.exp(-a * t))
 
         self.params = params
@@ -156,6 +158,9 @@ class RarefactionTable:
         A, B, a = self.params.A, self.params.B, self.params.alpha
         if not self._cheb_f:
             self._cheb_f = [math.exp(-a * (0.5 + 0.5 * x)) for x in _CHEB_X]
+        if a * k < -709.0:  # e^(-alpha*k) overflows: factor out its root
+            h, e_a, e_b = math.exp(-0.5 * a * k), A * math.exp((1.0 + a) * k), B * a
+            return [h * math.sqrt(e_a * e + e_b * f) for e, f in zip(_CHEB_E, self._cheb_f)]
         e_a, e_b = A * math.exp(k), B * a * math.exp(-a * k)
         return [math.sqrt(e_a * e + e_b * f) for e, f in zip(_CHEB_E, self._cheb_f)]
 
@@ -177,7 +182,13 @@ class RarefactionTable:
         return self._coefficients[k]
 
     def partial(self, k: int, t: float) -> float:
-        """Integral over [k, t] for t in panel [k, k+1]."""
+        """Integral over [k, t] for t in panel [k, k+1]: 0 and the panel's
+        integral at its ends, so only a t inside the panel forms its
+        antiderivative's coefficients."""
+        if t == k:
+            return 0.0
+        if t == k + 1:
+            return self.panel(k)
         return _clenshaw(self.coefficients(k), 2.0 * (t - k) - 1.0)
 
     def between(self, t_a: float, t_b: float) -> float:
@@ -283,12 +294,19 @@ def _shock_u(params: PressureParams, known: State, rho: float, s: float) -> floa
     u0 = known.u
     # (u - u0)^2 = c_known*u0 + c_free*u  =>  u^2 - (2u0 + c_free)u + u0^2 - c_known*u0 = 0;
     # the discriminant is expanded as 4*u0*(c_known + c_free) + c_free^2 to avoid
-    # the catastrophic cancellation of b^2 - 4c when A, B are tiny.
+    # the catastrophic cancellation of b^2 - 4c when A, B are tiny.  The root of
+    # larger magnitude comes from the formula, the other from the roots' product
+    # u0*(u0 - c_known) (Vieta), as the formula would cancel in it
     disc = 4.0 * u0 * (c_known + c_free) + c_free * c_free
     if disc < 0.0:
         raise InapplicableError("no real root on the shock locus (unexpected)")
     sq = math.sqrt(disc)
-    for u in (u0 + 0.5 * (c_free - s * sq), u0 + 0.5 * (c_free + s * sq)):
+    low, high = u0 + 0.5 * (c_free - sq), u0 + 0.5 * (c_free + sq)
+    if 2.0 * u0 + c_free > 0.0:  # the roots' sum: high has the larger magnitude
+        low = u0 * (u0 - c_known) / high
+    elif low:
+        high = u0 * (u0 - c_known) / low
+    for u in (low, high) if s > 0.0 else (high, low):
         if s * (u - u0) <= 0.0:
             e1 = c_known * u0 + c_free * u
             if e1 >= -1e-12 and abs(s * (u - u0) + math.sqrt(max(e1, 0.0))) <= 1e-9 * (
@@ -370,17 +388,18 @@ def _wave_curve_u(
         return known.u
     if _fan_side(direction, known, rho) != (s < 0.0):
         integral = table.between(math.log(known.rho), math.log(rho))
-        return _rarefaction_u(known.u, direction, integral)
+        root = _rarefaction_root(known.u, direction, integral)
+        return root * root
     return _shock_u(table.params, known, rho, s)
 
 
-def _rarefaction_u(u_known: float, direction: str, integral: float) -> float:
-    """Velocity on the ``direction`` rarefaction curve at the density where
-    the rarefaction integral from the known state reaches ``integral``:
-    sqrt(u) = sqrt(u_known) -/+ integral/2, clamped at vacuum."""
+def _rarefaction_root(u_known: float, direction: str, integral: float) -> float:
+    """Square root of the velocity on the ``direction`` rarefaction curve at
+    the density where the rarefaction integral from the known state reaches
+    ``integral``: sqrt(u) = sqrt(u_known) -/+ integral/2, clamped at vacuum."""
     sign = -1.0 if direction == BACKWARD else 1.0
     root = math.sqrt(u_known) + sign * (0.5 * integral)
-    return root * root if root > 0.0 else 0.0
+    return root if root > 0.0 else 0.0
 
 
 def classify_perturbed(params: PressureParams, left: State, right: State) -> RegionLabel17:
@@ -443,7 +462,13 @@ def _wave(
     A, ba, a = params.A, params.B * params.alpha, params.alpha
     kappa, half_kappa, r_l = 2.0 * k - 1.0, k - 0.5, math.sqrt(sl.u)
     t_head, t_tail = math.log(sl.rho), math.log(sr.rho)
-    p_lo, p_hi = math.floor(min(t_head, t_tail)), math.ceil(max(t_head, t_tail)) - 1
+    t_low = min(t_head, t_tail)
+    p_lo, p_hi = math.floor(t_low), math.ceil(max(t_head, t_tail)) - 1
+    # where e^(-alpha*t) overflows inside the fan, point forms the integrand's
+    # terms divided by h^2 = e^drop, h = e^(-alpha*t_low/2), and scales back
+    # by h; elsewhere drop = 0 and h = 1 leave every bit
+    drop = -a * t_low if a * t_low < -709.0 else 0.0
+    h, A_h = math.exp(0.5 * drop), A * math.exp(-drop)
     # the fan's ends and the panel ends between them (log density, density,
     # velocity), their speeds and where the fan enters each panel (log density,
     # integral from sl), built on the first interior point, so that a solve never
@@ -463,7 +488,8 @@ def _wave(
             entries[math.floor(min(t_prev, t))] = (t_prev, integral)
             integral += table.between(t_prev, t)
             rho = sr.rho if t == t_tail else math.exp(t)
-            nodes.append((t, rho, _rarefaction_u(sl.u, direction, integral)))
+            r = _rarefaction_root(sl.u, direction, integral)
+            nodes.append((t, rho, r * r))
         xis.extend(speeds(PERTURBED, params, u, rho)[k] for _, rho, u in nodes)
 
     def point(t: float) -> tuple[float, float, float, float]:
@@ -475,16 +501,16 @@ def _wave(
             p = max(min(p, p_hi), p_lo)  # an integer end of the fan
             if p not in panels:
                 t_p, integral_p = entries[p]
-                c = table.coefficients(p)
-                panels[p] = (integral_p - _clenshaw(c, 2.0 * (t_p - p) - 1.0), c)
+                panels[p] = (integral_p - table.partial(p, t_p), table.coefficients(p))
         base, c = panels[p]
         # along the curve r = sqrt(u) moves by half the integral, so with f the
         # integrand dr/dt = -/+ f/2 and lambda_k = r*(r -/+ f)
         r = r_l + half_kappa * (base + _clenshaw(c, 2.0 * (t - p) - 1.0))
         rho = math.exp(t)
-        e_a, e_b = A * rho, ba * math.exp(-a * t)
-        f = math.sqrt(e_a + e_b)
-        slope = kappa * f * (r + half_kappa * f) + kappa * r * (e_a - a * e_b) / (2.0 * f)
+        e_a, e_b = A_h * rho, ba * math.exp(-a * t - drop)
+        f_h = math.sqrt(e_a + e_b)
+        f = h * f_h
+        slope = kappa * f * (r + half_kappa * f) + kappa * r * (e_a - a * e_b) / (2.0 * f_h) * h
         return r * (r + kappa * f), slope, r * r, rho
 
     def profile(xi: float) -> tuple[float, float]:
@@ -512,21 +538,21 @@ def _wave(
 
 
 def _vacuum_side_star(
-    table: RarefactionTable, u_bwd: float, u_fwd: float, lo: float
+    table: RarefactionTable, r_bwd: float, r_fwd: float, lo: float
 ) -> float:
     """Star density where the curves of :func:`solve_perturbed` meet below
-    ``lo`` = min(rho_left, rho_right), given the backward velocity ``u_bwd``
-    below the forward one ``u_fwd`` at ``lo``.  Both curves are rarefaction
-    curves there: as t = log(rho) falls, sqrt(u) rises on one and falls on
-    the other by half the integral from t to t_lo = log(lo), so they meet
-    where J(t) = gap - between(t, t_lo) vanishes, gap = sqrt(u_fwd) -
-    sqrt(u_bwd), and J' is the integrand.  That is at least each of its terms'
+    ``lo`` = min(rho_left, rho_right), given the square roots of the backward
+    velocity ``r_bwd`` below the forward one ``r_fwd`` at ``lo``.  Both curves
+    are rarefaction curves there: as t = log(rho) falls, sqrt(u) rises on one
+    and falls on the other by half the integral from t to t_lo = log(lo), so
+    they meet where J(t) = gap - between(t, t_lo) vanishes, gap = r_fwd -
+    r_bwd, and J' is the integrand.  That is at least each of its terms'
     square roots, whose integrals reach gap at closed-form points, so at the
     higher of them, t_low, J <= 0 up to rounding; Newton's method runs on
     [t_low, t_lo].  A star density below the least positive double raises
     ``DensityUnderflowError``."""
     A, ba, a = table.params.A, table.params.B * table.params.alpha, table.params.alpha
-    gap, t_lo = math.sqrt(u_fwd) - math.sqrt(u_bwd), math.log(lo)
+    gap, t_lo = r_fwd - r_bwd, math.log(lo)
     seen: dict[float, tuple[float, float]] = {}  # J and J' at each t, so t_low is not redone
 
     def excess(t: float) -> tuple[float, float]:
@@ -544,14 +570,7 @@ def _vacuum_side_star(
     while excess(t_low)[0] > 0.0:  # rounding put the bound above the root
         t_low -= 1.0 + (t_lo - t_low)
     t_star = safeguarded_newton(excess, t_low, t_lo, t_low)
-    if t_star == t_lo:
-        return lo
-    rho_star = math.exp(t_star)
-    if not rho_star > 0.0:
-        raise DensityUnderflowError(
-            f"the star density underflows: log10(rho*) = {t_star / math.log(10.0):.12g}"
-        )
-    return rho_star
+    return lo if t_star == t_lo else star_density(t_star)
 
 
 def solve_perturbed(
@@ -584,9 +603,15 @@ def solve_perturbed(
         u_bwd, u_fwd = curves[rho]
         return u_bwd - u_fwd
 
-    lo = min(left.rho, right.rho)
+    lo, t_lo = min(left.rho, right.rho), math.log(min(left.rho, right.rho))
+    # at lo each curve is at its data or on its rarefaction side, so it is
+    # known by the square root of its velocity, which the vacuum side reads
+    r_bwd = _rarefaction_root(left.u, BACKWARD, table.between(math.log(left.rho), t_lo))
+    r_fwd = _rarefaction_root(right.u, FORWARD, table.between(math.log(right.rho), t_lo))
+    curves[lo] = (left.u if left.rho == lo else r_bwd * r_bwd,
+                  right.u if right.rho == lo else r_fwd * r_fwd)
     if g(lo) < 0.0:
-        rho_star = _vacuum_side_star(table, *curves[lo], lo)
+        rho_star = _vacuum_side_star(table, r_bwd, r_fwd, lo)
     else:
         rho_star = solve_decreasing(g, lo, max(left.rho, right.rho), rtol=1e-15)
     residual = g(rho_star)

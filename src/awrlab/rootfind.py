@@ -1,5 +1,6 @@
-"""Monotone root finding: Brent's method on the curve maps, Newton in t = log(rho) on
-the fans and on the perturbed vacuum-side star state."""
+"""Monotone root finding: Brent's method on the perturbed curve maps, Newton in
+t = log(rho) on the fans and on the original and the perturbed vacuum-side star
+states."""
 
 from __future__ import annotations
 

@@ -123,6 +123,25 @@ class TestSolve:
             os.path.join(out2, "profile.csv")
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the original star density lies below the least positive double
+            ["--system", "original", "--A", "2.927e-7", "--B", "0.14828", "--alpha", "1.918e-4",
+             "--left", "362.32,63.137", "--right", "195889.7,7.359e7"],
+            # the search passes where e^(-alpha*t) overflows at alpha = 0.99
+            ["--system", "perturbed", "--A", "1e-300", "--B", "1e-300", "--alpha", "0.99",
+             "--left", "1,1", "--right", "1e10,1"],
+        ],
+    )
+    def test_deep_data_end_in_at_most_one_error_line(self, tmp_path, capsys, argv):
+        code = run(["solve", *argv, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1)
+        assert err.count("error: ") == code and "Traceback" not in err
+        if "original" in argv:
+            assert code == 1 and err.startswith("error: the star density underflows")
+
     def test_grid_is_numpy_linspace_bit_for_bit(self):
         rng = np.random.RandomState(6)
         for _ in range(500):
@@ -472,7 +491,8 @@ class TestConfig:
         def fail(*args, **kwargs):
             raise BracketError("no sign change found while growing upper bound")
 
-        monkeypatch.setattr(original, "solve_decreasing", fail)
+        # the star state's root finder, which every original solve with u+ != u- runs
+        monkeypatch.setattr(original, "safeguarded_newton", fail)
         argv = ["solve", "--system", "original", *BASE, "--out", str(tmp_path)]
         assert run(argv) == 1
         assert capsys.readouterr().err.startswith("error: no sign change")

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from awrlab import PressureParams, State, classify, solve, threshold_A0
-from awrlab.core import NoThresholdError, eigenvalues_original
+from awrlab import PressureParams, State, classify, original, solve, threshold_A0
+from awrlab.core import DensityUnderflowError, NoThresholdError, eigenvalues_original
 from awrlab.original import (
     Contact,
     Rarefaction,
@@ -177,6 +177,64 @@ class TestIntermediateState:
             assert math.isfinite(u) and math.isfinite(rho) and rho > 0.0
 
 
+    def test_wide_box_star_log_density_against_mpmath(self):
+        # ROADMAP item 2's wide box (seed 2026): every star state is found or
+        # raises DensityUnderflowError, never a bare BracketError.  Over the
+        # underflow cases and every 25th other one, the log density agrees
+        # with a 50-digit root of A*e^t - B*e^(-alpha*t) = d to 1e-13 relative
+        # to max(1, |t|), and a normal rho* with e^t as well.  d = C(left) - u+
+        # is taken as formed in doubles: where the two cancel, its rounding
+        # moves the root for any method
+        import mpmath
+
+        rng = np.random.default_rng(2026)
+        checked = underflows = 0
+        for i in range(1500):
+            A, B = 10.0 ** rng.uniform(-12.0, 2.0, size=2)
+            alpha = 10.0 ** rng.uniform(-6.0, 0.0)
+            u_l, rho_l = 10.0 ** rng.uniform(-6.0, 6.0), 10.0 ** rng.uniform(-8.0, 8.0)
+            u_r, rho_r = 10.0 ** rng.uniform(-6.0, 6.0), 10.0 ** rng.uniform(-8.0, 8.0)
+            p, left = PressureParams(A, B, alpha), State(u_l, rho_l)
+            try:
+                rho = intermediate_state(p, left, u_r).rho
+            except DensityUnderflowError as err:
+                rho, got_log10 = None, float(str(err).rsplit("=", 1)[1])
+                underflows += 1
+            if rho is not None and i % 25:
+                continue
+            d = curve_constant(p, left) - u_r
+            t = original._star_log_density(p, d)
+            with mpmath.workdps(50):
+                A_, B_, a_ = mpmath.mpf(A), mpmath.mpf(B), mpmath.mpf(alpha)
+
+                def f(s):
+                    return A_ * mpmath.exp(s) - B_ * mpmath.exp(-a_ * s) - d
+
+                lo, hi = mpmath.mpf(t) - 1, mpmath.mpf(t) + 1
+                while f(lo) > 0:
+                    lo -= 2 * (hi - lo)
+                while f(hi) < 0:
+                    hi += 2 * (hi - lo)
+                want = float(mpmath.findroot(f, (lo, hi), solver="anderson"))
+            scale = max(1.0, abs(want))
+            assert abs(t - want) <= 1e-13 * scale
+            if rho is None:
+                assert want < math.log(5e-324)
+                assert got_log10 == pytest.approx(want / math.log(10.0), rel=1e-11)
+            elif rho >= 2.2250738585072014e-308:
+                assert rho == pytest.approx(math.exp(want), rel=1e-13 * scale)
+            checked += 1
+        assert underflows > 300 and checked > underflows + 40
+
+    def test_underflow_repro_is_typed(self):
+        # rho* ~ (B/(u+ - C))^(1/alpha) lies far below the double range; the
+        # geometric bracket expansion of Brent's method once raised a bare
+        # BracketError here
+        p = PressureParams(2.927e-7, 0.14828, 1.918e-4)
+        with pytest.raises(DensityUnderflowError, match=r"log10\(rho\*\) = -"):
+            intermediate_state(p, State(362.32, 63.137), 195889.7)
+
+
 class TestWaveSpeedsAndResiduals:
     def test_shock_speed_frozen_value(self):
         star = intermediate_state(P_REF, LEFT, RIGHT.u)
@@ -302,14 +360,18 @@ def wide_box_fans(n, seed=20261018):
 
 class TestFanInversion:
     def test_fan_flat_to_rounding_samples_inside(self):
-        # at alpha = 1 lambda1 = c - 2*A*rho; with A ~ 4e-10 the fan is 5e-13
-        # wide and lambda1 - xi has one sign over the whole density bracket
+        # at alpha = 1 lambda1 = c - 2*A*rho; with A ~ 4e-10 the fan is about
+        # 1e-15 wide, below an ulp of lambda1 ~ -1455, so lambda1 - xi has one
+        # sign over the whole density bracket.  Head and tail differ by the
+        # rounding of lambda1's terms alone: at u+ = 1000, B/rho* lies in the
+        # binade above lambda1 and leaves two ulps between them
         p = PressureParams(3.7354534566287205e-10, 0.00479662718161354, 1.0)
         left = State(0.20577626876284488, 3.2955806904965204e-06)
-        sol = solve(p, left, State(19.6518174227967, 6.562076742353124e-05))
+        sol = solve(p, left, State(1000.0, 6.562076742353124e-05))
         fan = sol.waves[0]
-        assert isinstance(fan, Rarefaction) and fan.head < -1455.2667586461287 < fan.tail
-        u, rho = sol.sample(-1455.2667586461287)
+        xi = 0.5 * (fan.head + fan.tail)
+        assert isinstance(fan, Rarefaction) and fan.head < xi < fan.tail
+        u, rho = sol.sample(xi)
         assert sol.star.rho * (1.0 - 1e-12) <= rho <= left.rho * (1.0 + 1e-12)
         assert left.u <= u <= sol.star.u * (1.0 + 1e-12)
 

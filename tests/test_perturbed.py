@@ -210,6 +210,33 @@ class TestShockLocus:
         assert abs(r1) < 1e-10
         assert abs(r2) < 1e-8
 
+    def test_small_shock_root_from_the_roots_product(self):
+        # the small root of (u - u0)^2 = E1 was once the difference of two
+        # numbers near 5.7e7, off by 1e-8 against an admissibility tolerance
+        # of 6.8e-8 ("no admissible root ... (unexpected)"); from Vieta's
+        # formula it solves.  Each shock's jump residuals, scaled by the terms
+        # they cancel as in perfbench/workloads.py's check_jumps, stay within
+        # the tier-1 jump tolerance
+        jump_tol = 1e-9
+        p = perturbed_params(4.304e-12, 4.815e-12, 0.98868)
+        left, right = State(67.364, 5.6515e-5), State(0.16572, 3.8635e7)
+        sol = solve_perturbed(p, left, right)
+        assert sol.star.rho == pytest.approx(8.69e5, rel=1e-3)
+
+        def term_scale(s):
+            a = p.alpha
+            return max(s.rho * s.u, p.A * s.rho**2, p.B * s.rho ** (1.0 - a) / (1.0 - a))
+
+        states = (left, sol.star, right)
+        shocks = [(states[k], states[k + 1], w.speed)
+                  for k, w in enumerate(sol.waves) if isinstance(w, ShockWave)]
+        assert shocks
+        for sl, sr, sigma in shocks:
+            r1, r2 = rh_residual_perturbed(p, sl, sr, sigma)
+            speed = max(1.0, abs(sigma), sl.u, sr.u)
+            assert abs(r1) <= jump_tol * speed * max(1.0, sl.rho, sr.rho)
+            assert abs(r2) <= jump_tol * speed * max(1.0, term_scale(sl), term_scale(sr))
+
     def test_velocity_decreases_along_both_shock_branches(self):
         rhos_b = np.linspace(LEFT.rho, 10.0, 30)
         us_b = [shock_curve_u(P_REF, LEFT, r, "backward") for r in rhos_b]
@@ -494,6 +521,41 @@ class TestSolver:
         assert got < math.log10(5e-324)
         assert abs(got - want) <= 1e-9 * abs(want)
 
+    def test_vacuum_side_star_at_tiny_alpha(self):
+        # rho* ~ 3.3e-125 at alpha ~ 3e-6: the curves meet where the integrand
+        # is 1.5e-7, so t = log(rho*) moves by 1/1.5e-7 times any error in the
+        # gap between the curves' square roots at min(rho_l, rho_r), which
+        # the search is handed as they are.  Half an ulp of sqrt(u_r) alone
+        # moves t by 1.6e-10; against a 30-digit root, t is held to 1e-9 and
+        # u* to 1e-14
+        import mpmath
+
+        A, B, alpha = 9.616097775515177, 7.501883614797999e-09, 2.8494567880986255e-06
+        left = State(0.04591441255581346, 0.0019135929438570999)
+        right = State(0.1231549297966645, 9.77673360534302e-08)
+        star = solve_perturbed(perturbed_params(A, B, alpha), left, right).star
+        mp = mpmath.mp
+        with mpmath.workdps(30):
+            a = mp.mpf(alpha)
+
+            def f(s):
+                return mp.sqrt(mp.mpf(A) * mp.exp(s) + mp.mpf(B) * a * mp.exp(-a * s))
+
+            t_l, t_r = mp.log(left.rho), mp.log(right.rho)
+            target = 2 * (mp.sqrt(right.u) - mp.sqrt(left.u))
+
+            def meet(t):
+                return (mp.quad(f, mp.linspace(t, t_l, 8)) + mp.quad(f, mp.linspace(t, t_r, 8))
+                        - target)
+
+            t0 = mp.log(star.rho)
+            t_star = mp.findroot(meet, (t0, t0 + mp.mpf("1e-6")), solver="secant")
+            r_star = mp.sqrt(right.u) - mp.quad(f, mp.linspace(t_star, t_r, 8)) / 2
+            want_t, want_u = float(t_star), float(r_star**2)
+        assert star.rho < 1e-120
+        assert abs(math.log(star.rho) - want_t) <= 1e-9
+        assert star.u == pytest.approx(want_u, rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("A", [0.1, 1e-4])
     def test_quad_calls_touch_new_panels_and_builds_make_none(self, monkeypatch, A):
         # over a solve and 10 samples per fan, each rarefaction quad call
@@ -589,20 +651,21 @@ class TestRarefactionTable:
         # a request over untouched panels is one direct quad at epsrel 1e-12,
         # which the standalone rarefaction_integral always takes; on requests
         # reaching from near the bottom of the double range to t in [-5, 5] it
-        # is held to 1e-11 relative (panel sums reach 1e-13).  alpha <= 0.95
-        # keeps e^(-alpha*t) finite down to t = -744: above it the integrand
-        # overflows below t = -709.78/alpha, a fault ROADMAP item 1 lists
+        # is held to 1e-11 relative (panel sums reach 1e-13).  Above alpha =
+        # 0.954 e^(-alpha*t) overflows inside this range, and both integrands
+        # factor out e^(-alpha*t/2) there
         rng = np.random.default_rng(20261020)
         for _ in range(100):
             A, B = 10.0 ** rng.uniform(-10.0, 1.0, size=2)
-            alpha = 10.0 ** rng.uniform(-3.0, math.log10(0.95))
+            alpha = 10.0 ** rng.uniform(-3.0, math.log10(0.999))
             t_a, t_b = rng.uniform(-744.0, -600.0), rng.uniform(-5.0, 5.0)
             table = perturbed.RarefactionTable(perturbed_params(A, B, alpha))
             got = table.between(t_a, t_b)
             assert table.panels_built == 0
 
             def integrand(t):
-                return math.sqrt(A * math.exp(t) + B * alpha * math.exp(-alpha * t))
+                h = math.exp(-0.5 * alpha * t)
+                return h * math.sqrt(A * math.exp(t) / h / h + B * alpha)
 
             # QUADPACK split at every integer, so its own error stays near 1e-15
             ends = range(math.floor(t_a) + 1, math.ceil(t_b))
@@ -677,6 +740,60 @@ class TestFanTable:
                     points += 1
         assert points >= 1000
         assert wide >= 10
+
+
+    def test_deep_fan_forms_coefficients_only_where_samples_land(self, monkeypatch):
+        # a two-rarefaction solve whose star density is about 1.6e-55: its
+        # fans span over a hundred unit panels.  Sampling reads a whole panel
+        # from its stored integral, so antiderivative coefficients are formed
+        # only for the panels that samples land in
+        sol = solve_perturbed(perturbed_params(1e-6, 1e-6, 0.1), LEFT_RR, State(20.0, 2.0))
+        assert sol.star.rho < 1e-50
+        coefficients = perturbed.RarefactionTable.coefficients
+        formed = []
+
+        def recording(self, k):
+            if k not in self._coefficients:
+                formed.append(k)
+            return coefficients(self, k)
+
+        monkeypatch.setattr(perturbed.RarefactionTable, "coefficients", recording)
+        landed, spanned = set(), 0
+        for w in sol.waves:
+            assert isinstance(w, Fan)
+            t_head, t_tail = w.curve[:2]
+            spanned += math.ceil(max(t_head, t_tail)) - math.floor(min(t_head, t_tail))
+            for xi in np.linspace(w.head, w.tail, 12)[1:-1]:
+                t = math.log(sol.sample(float(xi))[1])
+                landed |= {math.floor(t), math.ceil(t) - 1}
+        assert spanned > 200
+        assert formed and set(formed) <= landed
+        assert len(formed) == len(set(formed)) <= 20
+
+    def test_fan_below_the_overflow_of_e_minus_alpha_t(self):
+        # at alpha = 0.99 e^(-alpha*t) overflows below t = -717, inside the
+        # range of positive (subnormal) doubles; a forward fan from rho =
+        # 1e-315 (t = -725) to 1e-300 still samples.  The curve's point map
+        # against the integrand with e^(-alpha*t/2) factored out, and each
+        # sample against lambda_2, within the precision a subnormal density
+        # keeps
+        p = perturbed_params(1e-300, 1e-300, 0.99)
+        star = State(1.0, 1e-315)
+        end = State(rarefaction_curve_u(p, star, 1e-300, "forward"), 1e-300)
+        fan = perturbed._wave(p, "forward", star, end)
+        t_head, t_tail, point = fan.curve
+        for t in np.linspace(t_head, t_tail, 9):
+            lam, slope, u, rho = point(float(t))
+            f = math.exp(-0.495 * t) * math.sqrt(1e-300 * math.exp(1.99 * t) + 0.99e-300)
+            r = math.sqrt(u)
+            assert lam == pytest.approx(r * (r + f), rel=1e-14, abs=0.0)
+            assert math.isfinite(slope) and slope > 0.0
+        prev_u = star.u
+        for xi in np.linspace(fan.head, fan.tail, 7)[1:-1]:
+            u, rho = fan.profile(float(xi))
+            assert star.rho <= rho <= end.rho and u >= prev_u
+            assert eigenvalues_perturbed(p, State(u, rho)).lambda2 == pytest.approx(xi, rel=1e-8)
+            prev_u = u
 
 
 class TestWeakForm:
