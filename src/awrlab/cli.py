@@ -366,9 +366,7 @@ def _legacy_random(seed: int) -> random.Random:
 
 def _cmd_weakcheck(opts: dict) -> int:
     from . import perturbed
-    if opts["system"] not in (None, PERTURBED):
-        raise ConfigError(f"weakcheck checks the perturbed system only, got {opts['system']!r}")
-    sol, (lo, hi) = _exact(opts, PERTURBED)
+    sol, (lo, hi) = _exact(opts, opts["system"] or PERTURBED)
     rng = _legacy_random(opts["seed"])
     centers = sorted(rng.uniform(lo + 1.0, hi - 1.0) for _ in range(opts["bumps"]))
     worst = 0.0
@@ -434,7 +432,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         opts = _resolve(args)
-        if args.command in ("sweep", "simulate") and opts["system"] == TRANSPORT:
+        if args.command in ("sweep", "simulate", "weakcheck") and opts["system"] == TRANSPORT:
             raise ConfigError(f"{args.command} requires a pressured system (original|perturbed)")
         return _COMMANDS[args.command][0](opts)
     except (ConfigError, ValueError, OSError, BracketError) as exc:

@@ -301,10 +301,10 @@ class Contact(_Jump):
 
 class Fan(Record):
     """Centered rarefaction fan with ``edges`` = (head, tail), head < tail;
-    ``profile`` maps xi inside the fan to (u, rho).  A perturbed fan also
-    carries ``curve`` = (t_head, t_tail, point): its ends in t = log(rho)
-    and the map t -> (xi, dxi/dt, u, rho) along it (left out of equality,
-    hash and repr)."""
+    ``profile`` maps xi inside the fan to (u, rho).  A fan of either pressured
+    system carries ``curve`` = (t_head, t_tail, point): its ends in t = log(rho)
+    and the map t -> (xi, dxi/dt, u, rho) along it, left out of equality,
+    hash and repr (the transport vacuum fan has none)."""
 
     head: float
     tail: float

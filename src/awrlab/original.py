@@ -4,14 +4,15 @@ The first family is genuinely nonlinear (shock or rarefaction), the second
 linearly degenerate (contact).  Shock and rarefaction loci coincide on the
 curve u + A*rho - B/rho**alpha = const, so the system is of Temple type and
 the solution is always a 1-wave followed by a contact moving at the
-downstream velocity.  A fan solves lambda1 = xi for t = log(rho) by the
-safeguarded Newton iteration of both solvers' fans, then u from the 1-curve.
+downstream velocity.  A fan carries the 1-curve in t = log(rho) as its
+``curve``, on which :func:`rootfind.invert_fan` solves lambda1 = xi.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from functools import partial
 
 from .core import (
     ORIGINAL,
@@ -27,7 +28,7 @@ from .core import (
     jump_residual,
     star_density,
 )
-from .rootfind import safeguarded_newton
+from .rootfind import invert_fan, safeguarded_newton
 # perfbench/tracer.py wraps these here
 from .rootfind import bisect_decreasing, solve_decreasing  # noqa: F401
 
@@ -181,22 +182,19 @@ def solve(params: PressureParams, left: State, right: State) -> RiemannSolution1
     if right.u < left.u:
         waves = (Shock(shock_speed(params, left, star)), contact)
     elif right.u > left.u:
-        head = eigenvalues_original(params, left).lambda1
-        tail = eigenvalues_original(params, star).lambda1
         A, B, a, c = params.A, params.B, params.alpha, curve_constant(params, left)
-        t_head, t_tail = math.log(left.rho), math.log(star.rho)
 
-        def profile(xi: float) -> tuple[float, float]:
-            def excess(t: float) -> tuple[float, float]:  # lambda1 - xi, falling, and its slope
-                rho = math.exp(t)  # B/rho**a, as B*e^(-a*t) overflows where rho is subnormal
-                e_a, e_b = 2.0 * A * rho, (1.0 - a) * B / rho**a
-                return c - e_a + e_b - xi, -e_a - a * e_b
+        def point(t: float) -> tuple[float, float, float, float]:
+            # (lambda1, its slope in t, u, rho) on the 1-curve at t
+            rho = math.exp(t)  # B/rho**a, as B*e^(-a*t) overflows where rho is subnormal
+            ra = rho**a
+            e_a, e_b = 2.0 * A * rho, (1.0 - a) * B / ra
+            return c - e_a + e_b, -e_a - a * e_b, -A * rho + B / ra + c, rho
 
-            t_start = t_head + (t_tail - t_head) * (xi - head) / (tail - head)
-            rho = math.exp(safeguarded_newton(excess, t_head, t_tail, t_start))
-            return -A * rho + B / rho**a + c, rho
-
-        waves = (Fan(head, tail, profile), contact)
+        nodes = [(math.log(s.rho), s.u, s.rho) for s in (left, star)]
+        xis = [eigenvalues_original(params, s).lambda1 for s in (left, star)]
+        profile = partial(invert_fan, point, nodes, xis, None)  # the nodes need no tabulating
+        waves = (Fan(*xis, profile, (nodes[0][0], nodes[1][0], point)), contact)
     else:
         waves = (contact,) if right.rho != left.rho else ()
     return RiemannSolution14(params, left, star, right, waves)

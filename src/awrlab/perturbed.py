@@ -27,8 +27,8 @@ request beyond them is one direct ``quad``.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from enum import Enum
+from functools import partial
 from operator import mul
 
 from .core import (
@@ -49,7 +49,7 @@ from .core import (
     star_density,
 )
 from .quadrature import quad
-from .rootfind import safeguarded_newton, solve_decreasing
+from .rootfind import invert_fan, safeguarded_newton, solve_decreasing
 from .rootfind import bisect_decreasing  # noqa: F401  perfbench/tracer.py wraps it here
 
 BOUNDARY_TOL = 1e-12
@@ -451,8 +451,8 @@ def _wave(
     compresses, a fan along the rarefaction curve through ``sl`` when it
     expands (reading ``table``, or a table of its own), None when the
     densities agree.  The fan carries that curve in t = log(rho) as its
-    ``curve``, whose point map its profile inverts by Newton's method and
-    along which the weak form integrates."""
+    ``curve``, whose point map its profile inverts between panel ends by
+    :func:`rootfind.invert_fan` and along which the weak form integrates."""
     if sr.rho == sl.rho:
         return None
     if (sr.rho > sl.rho) == (direction == BACKWARD):
@@ -469,8 +469,8 @@ def _wave(
     # by h; elsewhere drop = 0 and h = 1 leave every bit
     drop = -a * t_low if a * t_low < -709.0 else 0.0
     h, A_h = math.exp(0.5 * drop), A * math.exp(-drop)
-    # the fan's ends and the panel ends between them (log density, density,
-    # velocity), their speeds and where the fan enters each panel (log density,
+    # the fan's ends and the panel ends between them (log density, velocity,
+    # density), their speeds and where the fan enters each panel (log density,
     # integral from sl), built on the first interior point, so that a solve never
     # sampled inside the fan pays nothing; then per panel p, on first use, base
     # and the coefficients c of partial(p, t), so the integral from sl is base + partial
@@ -482,15 +482,15 @@ def _wave(
     def tabulate():
         inner = range(p_lo + 1, p_hi + 1)
         ts = [t_head, *(inner if t_tail > t_head else reversed(inner)), t_tail]
-        nodes.append((t_head, sl.rho, sl.u))
+        nodes.append((t_head, sl.u, sl.rho))
         integral = 0.0
         for t_prev, t in zip(ts, ts[1:]):
             entries[math.floor(min(t_prev, t))] = (t_prev, integral)
             integral += table.between(t_prev, t)
             rho = sr.rho if t == t_tail else math.exp(t)
             r = _rarefaction_root(sl.u, direction, integral)
-            nodes.append((t, rho, r * r))
-        xis.extend(speeds(PERTURBED, params, u, rho)[k] for _, rho, u in nodes)
+            nodes.append((t, r * r, rho))
+        xis.extend(speeds(PERTURBED, params, u, rho)[k] for _, u, rho in nodes)
 
     def point(t: float) -> tuple[float, float, float, float]:
         # (lambda_k, its slope in t, u, rho) on the fan's curve at t
@@ -513,27 +513,8 @@ def _wave(
         slope = kappa * f * (r + half_kappa * f) + kappa * r * (e_a - a * e_b) / (2.0 * f_h) * h
         return r * (r + kappa * f), slope, r * r, rho
 
-    def profile(xi: float) -> tuple[float, float]:
-        if not nodes:
-            tabulate()
-        # the speeds rise from the head (xis[0]), so xis[i] <= xi < xis[i + 1]
-        i = bisect_right(xis, xi) - 1
-        if i == len(nodes) - 1:  # past the last node only by the tail's rounding
-            return nodes[i][2], nodes[i][1]
-        # lambda_k - xi is <= 0 at t_i and > 0 at t_j, the ends of one panel's piece
-        t_i, t_j = nodes[i][0], nodes[i + 1][0]
-        found = None
-
-        def excess(t: float) -> tuple[float, float]:
-            nonlocal found
-            found = point(t)
-            return found[0] - xi, found[1]
-
-        t_start = t_i + (t_j - t_i) * (xi - xis[i]) / (xis[i + 1] - xis[i])
-        safeguarded_newton(excess, t_i, t_j, t_start)  # found is the point it returns
-        return found[2], found[3]
-
     head, tail = (speeds(PERTURBED, params, s.u, s.rho)[k] for s in (sl, sr))
+    profile = partial(invert_fan, point, nodes, xis, tabulate)
     return Fan(head, tail, profile, (t_head, t_tail, point))
 
 
@@ -660,11 +641,12 @@ class BumpTestFunction(Record):
 
 def weak_form_residual(
     params: PressureParams,
-    solution: RiemannSolution17,
+    solution: RiemannSolution,
     test_fn: BumpTestFunction,
 ) -> tuple[float, float]:
-    """Residuals of the two self-similar weak formulations for ``solution``:
-    the integrals of (f(q) - xi*q)*phi' - q*phi, phi = ``test_fn``, over its
+    """Residuals of the two self-similar weak formulations for ``solution``
+    of either pressured system, the one ``params.system`` names: the
+    integrals of (f(q) - xi*q)*phi' - q*phi, phi = ``test_fn``, over its
     support, piece by piece between the wave edges.  On a constant state the
     integrand is d/dxi[(f - xi*q)*phi], so a constant-state piece [a, b],
     sampled once at its midpoint, contributes
@@ -672,7 +654,6 @@ def weak_form_residual(
     adaptive quadrature in t = log(rho) along the fan's ``curve``, so only an
     end of the support inside a fan inverts the fan.  For an exact solution
     both residuals vanish to quadrature accuracy."""
-    _require_perturbed(params)
     lo, hi = test_fn.center - test_fn.width, test_fn.center + test_fn.width
     breakpoints = (edge for wave in solution.waves for edge in wave.edges)
     cuts = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})
@@ -681,7 +662,7 @@ def weak_form_residual(
     point, pairs, k = None, {}, 0
 
     def conserved_and_flux(u: float, rho: float):
-        return zip((rho, rho * (u + offset(PERTURBED, params, rho))), flux(params, u, rho))
+        return zip((rho, rho * (u + offset(params.system, params, rho))), flux(params, u, rho))
 
     def integrand(t: float) -> float:
         if t not in pairs:

@@ -1,10 +1,10 @@
 """Monotone root finding: Brent's method on the perturbed curve maps, Newton in
-t = log(rho) on the fans and on the original and the perturbed vacuum-side star
-states."""
+t = log(rho) on fans (:func:`invert_fan`), original and vacuum-side star states."""
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Callable
 
 # defined in core, so that the CLI catches it without loading this module
@@ -148,7 +148,7 @@ def safeguarded_newton(
     value and slope; the value is <= 0 at ``lo`` and > 0 at ``hi``, in either
     order.  Each point narrows [lo, hi]; a step leaving it, or a zero or
     non-finite slope, bisects.  The search stops one point after a step of
-    1e-9 or less, or at 100 points, returning the last point evaluated."""
+    max(1e-9, 4 ulp(t)) or less, or at 100 points, returning the last point evaluated."""
     t_next, converged = t, False
     for _ in range(100):
         t = t_next
@@ -157,9 +157,32 @@ def safeguarded_newton(
             break
         lo, hi = (t, hi) if value < 0.0 else (lo, t)
         t_next = t - value / slope if 0.0 < abs(slope) < math.inf else math.nan  # nan bisects
-        converged = abs(t_next - t) <= 1e-9
+        # no step reaches 1e-9 once ulp(t) exceeds it; 4 ulp(t) > 1e-9 from |t| = 2**21 on
+        converged = abs(t_next - t) <= (1e-9 if -2.0**21 < t < 2.0**21 else 4.0 * math.ulp(t))
         if converged:
             t_next = min(max(t_next, min(lo, hi)), max(lo, hi))
         elif not min(lo, hi) < t_next < max(lo, hi):
             t_next = 0.5 * (lo + hi)
     return t
+
+
+def invert_fan(point, nodes, xis, tabulate, xi) -> tuple[float, float]:
+    """(u, rho) where a fan's speed is ``xi``: Newton's method on ``point``, t = log(rho)
+    -> (speed, its slope, u, rho), from the linear interpolant of the two ``nodes``
+    (t, u, rho) whose rising speeds ``xis`` bracket ``xi``; ``tabulate`` fills empty nodes."""
+    if not nodes:
+        tabulate()
+    i = bisect_right(xis, xi) - 1
+    if i == len(nodes) - 1:  # past the last node only by the tail's rounding
+        return nodes[i][1:]
+    t_i, t_j = nodes[i][0], nodes[i + 1][0]  # speed - xi is <= 0 at t_i, > 0 at t_j
+    found = None
+
+    def excess(t: float) -> tuple[float, float]:
+        nonlocal found
+        found = point(t)
+        return found[0] - xi, found[1]
+
+    t_start = t_i + (t_j - t_i) * (xi - xis[i]) / (xis[i + 1] - xis[i])
+    safeguarded_newton(excess, t_i, t_j, t_start)  # found is the point it returns
+    return found[2:]

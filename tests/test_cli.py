@@ -842,12 +842,14 @@ print(code, *sorted(m.split('.')[1] for m in sys.modules if m.startswith('awrlab
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        ("system", "code"), [("original", 1), ("transport", 1), ("perturbed", 0)]
+        ("system", "code"), [("original", 0), ("transport", 1), ("perturbed", 0)]
     )
     @pytest.mark.parametrize("given", ["flag", "config"])
     def test_weakcheck_checks_the_perturbed_system_only(
         self, tmp_path, capsys, system, code, given
     ):
+        # either pressured system, the perturbed one when none is given; the
+        # transport system is refused as sweep and simulate refuse it
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"system": system}))
         source = ["--system", system] if given == "flag" else ["--config", str(cfg)]
@@ -855,7 +857,12 @@ print(code, *sorted(m.split('.')[1] for m in sys.modules if m.startswith('awrlab
         assert run(argv) == code
         err = capsys.readouterr().err
         if code:
-            assert err == f"error: weakcheck checks the perturbed system only, got {system!r}\n"
+            assert err == "error: weakcheck requires a pressured system (original|perturbed)\n"
+            return
+        default = ["weakcheck", "--bumps", "1", *BASE, "--out", str(tmp_path / "d")]
+        assert run(default) == 0
+        same = read(tmp_path / "o" / "weakcheck.csv") == read(tmp_path / "d" / "weakcheck.csv")
+        assert same == (system == "perturbed")
 
     @pytest.mark.parametrize(
         "key",

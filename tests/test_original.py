@@ -226,6 +226,38 @@ class TestIntermediateState:
             checked += 1
         assert underflows > 300 and checked > underflows + 40
 
+    @pytest.mark.parametrize(
+        "A, B, alpha, u_l, rho_l, u_r",
+        [  # seed-2026 wide-box draws whose star log density t lies below -8e6
+            (1.6645385152138173e-4, 2.74278353488368e-6, 2.4187969649309367e-6,
+             2.0372518237780514e-4, 1298.0576906348729, 49187.966919313345),
+            (8.460667958520382e-12, 2.764494342326523e-10, 1.0025510553246872e-6,
+             6.658370939635701e-3, 3.35597188225178e-5, 59.99056819737836),
+            (7.948545312740336e-4, 9.900016012935683e-9, 3.0568494178243614e-6,
+             5.916177593991346e-3, 3.617617877297123e-8, 14832.054086120395),
+        ],
+    )
+    def test_newton_stops_at_a_relative_step_far_below_the_double_range(
+        self, monkeypatch, A, B, alpha, u_l, rho_l, u_r
+    ):
+        # an ulp of t exceeds 1e-9 there, so an absolute step test of 1e-9
+        # alone never holds and the search would run all 100 evaluations
+        evals = []
+        newton = original.safeguarded_newton
+
+        def counting_newton(f, *args):
+            def counted(t):
+                evals.append(t)
+                return f(t)
+
+            return newton(counted, *args)
+
+        monkeypatch.setattr(original, "safeguarded_newton", counting_newton)
+        with pytest.raises(DensityUnderflowError, match=r"log10\(rho\*\) = -\d{7,}"):
+            intermediate_state(PressureParams(A, B, alpha), State(u_l, rho_l), u_r)
+        assert evals and abs(evals[-1]) > 8e6
+        assert len(evals) <= 4
+
     def test_underflow_repro_is_typed(self):
         # rho* ~ (B/(u+ - C))^(1/alpha) lies far below the double range; the
         # geometric bracket expansion of Brent's method once raised a bare
@@ -359,6 +391,33 @@ def wide_box_fans(n, seed=20261018):
 
 
 class TestFanInversion:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_fan_curve_is_the_one_curve_at_lambda1(self, alpha):
+        # the point map of an original fan's curve, t -> (lambda1, dlambda1/dt,
+        # u, rho): on the 1-curve through the left state, at its lambda1, with
+        # the slope of lambda1 in t, and at the fan's ends its head and tail
+        p = PressureParams(0.1, 0.2, alpha)
+        left = State(1.0, 2.0)
+        sol = solve(p, left, State(2.5, 1.0))
+        fan = sol.waves[0]
+        t_head, t_tail, point = fan.curve
+        assert (t_head, t_tail) == (math.log(left.rho), math.log(sol.star.rho))
+        c = curve_constant(p, left)
+
+        def lam1(t):
+            rho = math.exp(t)
+            return eigenvalues_original(p, State(-p.A * rho + p.B / rho**alpha + c, rho)).lambda1
+
+        for t in np.linspace(t_head, t_tail, 17):
+            xi, slope, u, rho = point(float(t))
+            assert rho == math.exp(t)
+            assert curve_constant(p, State(u, rho)) == pytest.approx(c, rel=1e-14)
+            assert xi == pytest.approx(eigenvalues_original(p, State(u, rho)).lambda1, rel=1e-14)
+            h = 1e-6
+            assert slope == pytest.approx((lam1(t + h) - lam1(t - h)) / (2.0 * h), rel=1e-7)
+        assert point(t_head)[0] == pytest.approx(fan.head, rel=1e-14)
+        assert point(t_tail)[0] == pytest.approx(fan.tail, rel=1e-14)
+
     def test_fan_flat_to_rounding_samples_inside(self):
         # at alpha = 1 lambda1 = c - 2*A*rho; with A ~ 4e-10 the fan is about
         # 1e-15 wide, below an ulp of lambda1 ~ -1455, so lambda1 - xi has one

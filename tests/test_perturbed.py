@@ -18,13 +18,15 @@ from awrlab import (
     solve_perturbed,
     weak_form_residual,
 )
-from awrlab import perturbed, quadrature, rootfind
+from awrlab import original, perturbed, quadrature, rootfind
 from awrlab.core import (
     BranchError,
+    Contact,
     DegenerateDensityError,
     DensityUnderflowError,
     Fan,
     InapplicableError,
+    Shock,
     eigenvalues_perturbed,
     flux,
     to_conserved,
@@ -817,13 +819,23 @@ class TestWeakForm:
             assert abs(r2) < 1e-8
 
     def test_residual_detects_wrong_star_state(self):
-        p = perturbed_params(1e-2, 1e-2)
-        sol = solve_perturbed(p, LEFT, RIGHT)
-        bad_star = State(sol.star.u, sol.star.rho * 1.01)
-        bad = RiemannSolution17(p, LEFT, bad_star, RIGHT, sol.waves)
-        bump = BumpTestFunction(sol.waves[0].speed, 0.8)
-        r1, _ = weak_form_residual(p, bad, bump)
-        assert abs(r1) > 1e-4
+        # a bump on the first wave's downstream edge, for two-shock data and
+        # for the original system's shock and fan, each followed by a
+        # contact; across the original contact a wrong star density keeps
+        # the mass balance, so the fan's tail alone shows it there
+        for system, A, left, right, floor in [
+            ("perturbed", 1e-2, LEFT, RIGHT, 1e-4),
+            ("original", 1e-2, LEFT, RIGHT, 1e-4),
+            ("original", 1e-1, LEFT_RR, RIGHT_RR, 1e-5),
+        ]:
+            p = PressureParams(A, A, 0.5, system=system)
+            sol = (original.solve if system == "original" else solve_perturbed)(p, left, right)
+            bad_star = State(sol.star.u, sol.star.rho * 1.01)
+            bad = type(sol)(p, left, bad_star, right, sol.waves)
+            bump = BumpTestFunction(sol.waves[0].edges[1], 0.8)
+            assert max(map(abs, weak_form_residual(p, sol, bump))) <= 1e-12
+            r1, _ = weak_form_residual(p, bad, bump)
+            assert abs(r1) > floor, (system, left, right, r1)
 
     def test_fan_without_curve_rejected(self):
         # a fan piece is integrated along the fan's curve in log density,
@@ -875,14 +887,19 @@ class TestWeakForm:
             ("RS", 1e-2, 0.5, LEFT, State(2.0, 0.5)),
             ("RR", 1e-2, 0.5, LEFT_RR, RIGHT_RR),
             ("RR", 1e-8, 0.1, LEFT_RR, RIGHT_RR),  # star density about 5e-57
+            # the original system: a fan or a shock, then a contact (J)
+            ("RJ", 1e-1, 0.5, LEFT_RR, RIGHT_RR),
+            ("SJ", 1e-2, 0.5, LEFT, RIGHT),
         ],
     )
     def test_fan_pieces_match_xi_space_reference(self, pattern, A, alpha, left, right):
-        p = perturbed_params(A, A, alpha)
-        sol = solve_perturbed(p, left, right)
-        assert "".join("R" if isinstance(w, Fan) else "S" for w in sol.waves) == pattern
+        system = "original" if pattern.endswith("J") else "perturbed"
+        p = PressureParams(A, A, alpha, system=system)
+        sol = (original.solve if system == "original" else solve_perturbed)(p, left, right)
+        kinds = {Fan: "R", Shock: "S", Contact: "J"}
+        assert "".join(kinds[type(w)] for w in sol.waves) == pattern
         (h0, t0), (h1, t1) = (w.edges for w in sol.waves)
-        bumps = [BumpTestFunction(s, 0.5) for s in (t0, h1) if pattern == "SS"]
+        bumps = [BumpTestFunction(s, 0.5) for s in (t0, h1) if "R" not in pattern]
         for head, tail in ((h0, t0), (h1, t1)):
             if head == tail:
                 continue
@@ -957,7 +974,8 @@ class TestWeakForm:
 
             return integrate(counted, a, b, epsabs=epsabs * tighten, epsrel=epsrel * tighten)
 
-        monkeypatch.setattr(perturbed, "safeguarded_newton", counting_newton)
+        # the one fan inversion of both solvers, rootfind.invert_fan, calls it there
+        monkeypatch.setattr(rootfind, "safeguarded_newton", counting_newton)
         monkeypatch.setattr(perturbed, "quad", counting_quad)
         for center, width, fan_piece in [
             (0.5 * (h0 + t0), 0.25 * (t0 - h0), True),  # both ends inside one fan
@@ -986,7 +1004,7 @@ def xi_space_residual(p, sol, bump):
 
     def integrand(xi, k):
         u, rho = sol.sample(xi)
-        q = (rho, to_conserved("perturbed", p, State(u, rho)).q2)[k]
+        q = (rho, to_conserved(p.system, p, State(u, rho)).q2)[k]
         f = flux(p, u, rho)[k]
         return (f - xi * q) * bump.derivative(xi) - q * bump(xi)
 
