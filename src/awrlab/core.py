@@ -46,20 +46,20 @@ class BracketError(RuntimeError):
 
 
 class DensityUnderflowError(InapplicableError, BracketError):
-    """Raised when a star density lies below the smallest positive double;
-    the message gives its log10.  In the vanishing-pressure limit this is
-    vacuum formation, not a failure to solve."""
+    """Raised when a star density lies below the smallest positive (perturbed
+    vacuum side: normal) double; the message gives its log10.  In the
+    vanishing-pressure limit this is vacuum formation, not a failure to solve."""
 
 
-def star_density(t: float) -> float:
-    """The density e^t of a star state found in log density t.  Below the
-    least positive double it raises ``DensityUnderflowError``, above the
+def star_density(t: float, least: float = math.ulp(0.0)) -> float:
+    """The density e^t of a star state found in log density t.  Below ``least``
+    (the least positive double) it raises ``DensityUnderflowError``, above the
     largest an ``InapplicableError``; either message gives log10(rho*)."""
     try:
         rho = math.exp(t)
     except OverflowError:
         rho = math.inf
-    if not 0.0 < rho < math.inf:
+    if not least <= rho < math.inf:
         error, flows = (DensityUnderflowError, "under") if t < 0.0 else (InapplicableError, "over")
         raise error(f"the star density {flows}flows: log10(rho*) = {t / math.log(10.0):.12g}")
     return rho

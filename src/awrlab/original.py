@@ -191,10 +191,20 @@ def solve(params: PressureParams, left: State, right: State) -> RiemannSolution1
             e_a, e_b = 2.0 * A * rho, (1.0 - a) * B / ra
             return c - e_a + e_b, -e_a - a * e_b, -A * rho + B / ra + c, rho
 
-        nodes = [(math.log(s.rho), s.u, s.rho) for s in (left, star)]
-        xis = [eigenvalues_original(params, s).lambda1 for s in (left, star)]
-        profile = partial(invert_fan, point, nodes, xis, None)  # the nodes need no tabulating
-        waves = (Fan(*xis, profile, (nodes[0][0], nodes[1][0], point)), contact)
+        t_head, t_tail = math.log(left.rho), math.log(star.rho)
+        head, tail = (eigenvalues_original(params, s).lambda1 for s in (left, star))
+        nodes, xis = [], []  # (t, dxi/dt, u, rho) and xi at the fan's nodes
+
+        def tabulate():  # the head, each integer t inside the fan (t falls along it), the tail
+            for t in (t_head, *range(math.ceil(t_head) - 1, math.floor(t_tail), -1), t_tail):
+                xi, slope, u, rho = point(t)
+                nodes.append((t, slope, u, rho))
+                xis.append(xi)
+            for n, s, xi in ((0, left, head), (-1, star, tail)):  # exact end states and speeds
+                nodes[n], xis[n] = (nodes[n][0], nodes[n][1], s.u, s.rho), xi
+
+        profile = partial(invert_fan, point, nodes, xis, tabulate)
+        waves = (Fan(head, tail, profile, (t_head, t_tail, point)), contact)
     else:
         waves = (contact,) if right.rho != left.rho else ()
     return RiemannSolution14(params, left, star, right, waves)

@@ -469,43 +469,46 @@ def _wave(
     # by h; elsewhere drop = 0 and h = 1 leave every bit
     drop = -a * t_low if a * t_low < -709.0 else 0.0
     h, A_h = math.exp(0.5 * drop), A * math.exp(-drop)
-    # the fan's ends and the panel ends between them (log density, velocity,
+    # the fan's ends and the panel ends between them (log density, dxi/dt, velocity,
     # density), their speeds and where the fan enters each panel (log density,
     # integral from sl), built on the first interior point, so that a solve never
     # sampled inside the fan pays nothing; then per panel p, on first use, base
     # and the coefficients c of partial(p, t), so the integral from sl is base + partial
-    nodes: list[tuple[float, float, float]] = []
-    xis: list[float] = []
+    nodes, xis = [], []
     entries: dict[int, tuple[float, float]] = {}
     panels: dict[int, tuple[float, list[float]]] = {}
 
     def tabulate():
-        inner = range(p_lo + 1, p_hi + 1)
-        ts = [t_head, *(inner if t_tail > t_head else reversed(inner)), t_tail]
-        nodes.append((t_head, sl.u, sl.rho))
-        integral = 0.0
-        for t_prev, t in zip(ts, ts[1:]):
-            entries[math.floor(min(t_prev, t))] = (t_prev, integral)
-            integral += table.between(t_prev, t)
-            rho = sr.rho if t == t_tail else math.exp(t)
-            r = _rarefaction_root(sl.u, direction, integral)
-            nodes.append((t, r * r, rho))
-        xis.extend(speeds(PERTURBED, params, u, rho)[k] for _, u, rho in nodes)
+        rising = t_tail > t_head
+        nodes.append((t_head, point(t_head, r_l)[1], sl.u, sl.rho))
+        xis.append(head)
+        t_prev, integral = t_head, 0.0
+        for t in (*(range(p_lo + 1, p_hi + 1) if rising else range(p_hi, p_lo, -1)), t_tail):
+            k = math.floor(t_prev if rising else t)  # the panel between them
+            entries[k] = (t_prev, integral)
+            if t_prev == t_head or t == t_tail:  # a partial end panel
+                integral += table.between(t_prev, t)
+            else:  # a whole panel, read as between(k, k + 1) would
+                integral += table.panel(k) if rising else -table.panel(k)
+            xi, slope, u, rho = point(t, r_l + half_kappa * integral)  # _rarefaction_root's r
+            nodes.append((t, slope, u, rho))
+            xis.append(xi)
+            t_prev = t
+        nodes[-1], xis[-1] = (t_tail, nodes[-1][1], sr.u, sr.rho), tail  # the exact tail
 
-    def point(t: float) -> tuple[float, float, float, float]:
-        # (lambda_k, its slope in t, u, rho) on the fan's curve at t
-        p = math.floor(t)
-        if p not in panels:
-            if not nodes:
-                tabulate()
-            p = max(min(p, p_hi), p_lo)  # an integer end of the fan
+    def point(t: float, r: float | None = None) -> tuple[float, float, float, float]:
+        # (lambda_k, its slope in t, u, rho) on the fan's curve at t, sqrt(u) = r if given
+        if r is None:
+            p = math.floor(t)
             if p not in panels:
-                t_p, integral_p = entries[p]
-                panels[p] = (integral_p - table.partial(p, t_p), table.coefficients(p))
-        base, c = panels[p]
+                p = max(min(p, p_hi), p_lo)  # an integer end of the fan
+                if p not in panels:
+                    t_p, integral_p = entries[p]
+                    panels[p] = (integral_p - table.partial(p, t_p), table.coefficients(p))
+            base, c = panels[p]
+            r = r_l + half_kappa * (base + _clenshaw(c, 2.0 * (t - p) - 1.0))
         # along the curve r = sqrt(u) moves by half the integral, so with f the
         # integrand dr/dt = -/+ f/2 and lambda_k = r*(r -/+ f)
-        r = r_l + half_kappa * (base + _clenshaw(c, 2.0 * (t - p) - 1.0))
         rho = math.exp(t)
         e_a, e_b = A_h * rho, ba * math.exp(-a * t - drop)
         f_h = math.sqrt(e_a + e_b)
@@ -513,9 +516,16 @@ def _wave(
         slope = kappa * f * (r + half_kappa * f) + kappa * r * (e_a - a * e_b) / (2.0 * f_h) * h
         return r * (r + kappa * f), slope, r * r, rho
 
+    # point after tabulating; point itself cannot call tabulate, which calls it,
+    # without a reference cycle that leaves every solution to the cyclic collector
+    def curve(t: float) -> tuple[float, float, float, float]:
+        if not nodes:
+            tabulate()
+        return point(t)
+
     head, tail = (speeds(PERTURBED, params, s.u, s.rho)[k] for s in (sl, sr))
     profile = partial(invert_fan, point, nodes, xis, tabulate)
-    return Fan(head, tail, profile, (t_head, t_tail, point))
+    return Fan(head, tail, profile, (t_head, t_tail, curve))
 
 
 def _vacuum_side_star(
@@ -530,7 +540,7 @@ def _vacuum_side_star(
     r_bwd, and J' is the integrand.  That is at least each of its terms'
     square roots, whose integrals reach gap at closed-form points, so at the
     higher of them, t_low, J <= 0 up to rounding; Newton's method runs on
-    [t_low, t_lo].  A star density below the least positive double raises
+    [t_low, t_lo].  A star density below the least normal double raises
     ``DensityUnderflowError``."""
     A, ba, a = table.params.A, table.params.B * table.params.alpha, table.params.alpha
     gap, t_lo = r_fwd - r_bwd, math.log(lo)
@@ -551,7 +561,8 @@ def _vacuum_side_star(
     while excess(t_low)[0] > 0.0:  # rounding put the bound above the root
         t_low -= 1.0 + (t_lo - t_low)
     t_star = safeguarded_newton(excess, t_low, t_lo, t_low)
-    return lo if t_star == t_lo else star_density(t_star)
+    # a subnormal rho* (below 2**-1022) keeps too few bits to meet to tolerance
+    return lo if t_star == t_lo else star_density(t_star, 2.0**-1022)
 
 
 def solve_perturbed(
@@ -653,7 +664,9 @@ def weak_form_residual(
     (f - b*q)*phi(b) - (f - a*q)*phi(a) exactly; a fan piece is integrated by
     adaptive quadrature in t = log(rho) along the fan's ``curve``, so only an
     end of the support inside a fan inverts the fan.  For an exact solution
-    both residuals vanish to quadrature accuracy."""
+    both residuals vanish to quadrature accuracy; ``params`` must be of its system."""
+    if solution.params is None or solution.params.system != params.system:
+        raise InapplicableError(f"the solution is not one of the {params.system} system")
     lo, hi = test_fn.center - test_fn.width, test_fn.center + test_fn.width
     breakpoints = (edge for wave in solution.waves for edge in wave.edges)
     cuts = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})

@@ -141,48 +141,49 @@ def solve_decreasing(
     return bisect_decreasing(once, lo, hi, rtol=rtol)
 
 
-def safeguarded_newton(
-    f: Callable[[float], tuple[float, float]], lo: float, hi: float, t: float
-) -> float:
-    """Root of a monotone map by Newton's method from ``t``.  ``f`` returns
-    value and slope; the value is <= 0 at ``lo`` and > 0 at ``hi``, in either
-    order.  Each point narrows [lo, hi]; a step leaving it, or a zero or
-    non-finite slope, bisects.  The search stops one point after a step of
-    max(1e-9, 4 ulp(t)) or less, or at 100 points, returning the last point evaluated."""
+def safeguarded_newton(f: Callable[[float], tuple], lo, hi, t, target=0.0, whole=False):
+    """Where a monotone map reaches ``target``, by Newton's method from ``t``.
+    ``f`` returns value and slope first; the value is <= ``target`` at ``lo``
+    and > it at ``hi``, in either order.  Each point narrows [lo, hi]; a step
+    leaving it, or a zero or non-finite slope, bisects.  The search stops one
+    point after a step of max(1e-9, 4 ulp(t)) or less, or at 100 points,
+    returning the last point evaluated (with ``whole``, all ``f`` gave there)."""
+    rising = lo < hi
+    lo, hi = (lo, hi) if rising else (hi, lo)
     t_next, converged = t, False
     for _ in range(100):
         t = t_next
-        value, slope = f(t)
+        found = f(t)
+        value, slope = found[0] - target, found[1]
         if converged or value == 0.0:
             break
-        lo, hi = (t, hi) if value < 0.0 else (lo, t)
+        lo, hi = (t, hi) if (value < 0.0) == rising else (lo, t)
         t_next = t - value / slope if 0.0 < abs(slope) < math.inf else math.nan  # nan bisects
         # no step reaches 1e-9 once ulp(t) exceeds it; 4 ulp(t) > 1e-9 from |t| = 2**21 on
         converged = abs(t_next - t) <= (1e-9 if -2.0**21 < t < 2.0**21 else 4.0 * math.ulp(t))
         if converged:
-            t_next = min(max(t_next, min(lo, hi)), max(lo, hi))
-        elif not min(lo, hi) < t_next < max(lo, hi):
+            t_next = lo if t_next < lo else hi if t_next > hi else t_next
+        elif not lo < t_next < hi:
             t_next = 0.5 * (lo + hi)
-    return t
+    return found if whole else t
 
 
 def invert_fan(point, nodes, xis, tabulate, xi) -> tuple[float, float]:
     """(u, rho) where a fan's speed is ``xi``: Newton's method on ``point``, t = log(rho)
-    -> (speed, its slope, u, rho), from the linear interpolant of the two ``nodes``
-    (t, u, rho) whose rising speeds ``xis`` bracket ``xi``; ``tabulate`` fills empty nodes."""
+    -> (speed, its slope, u, rho), between the two ``nodes`` (t, slope, u, rho) whose
+    rising speeds ``xis`` bracket ``xi``, from the cubic Hermite interpolant of t(xi)
+    there, or their chord where that leaves them; ``tabulate`` fills empty nodes."""
     if not nodes:
         tabulate()
     i = bisect_right(xis, xi) - 1
     if i == len(nodes) - 1:  # past the last node only by the tail's rounding
-        return nodes[i][1:]
-    t_i, t_j = nodes[i][0], nodes[i + 1][0]  # speed - xi is <= 0 at t_i, > 0 at t_j
-    found = None
-
-    def excess(t: float) -> tuple[float, float]:
-        nonlocal found
-        found = point(t)
-        return found[0] - xi, found[1]
-
-    t_start = t_i + (t_j - t_i) * (xi - xis[i]) / (xis[i + 1] - xis[i])
-    safeguarded_newton(excess, t_i, t_j, t_start)  # found is the point it returns
-    return found[2:]
+        return nodes[i][2:]
+    (t_i, s_i, _, _), (t_j, s_j, _, _) = nodes[i], nodes[i + 1]  # speed <= xi at t_i, > xi at t_j
+    h, d = xis[i + 1] - xis[i], t_j - t_i
+    x = (xi - xis[i]) / h
+    t = t_i + d * x
+    if s_i and s_j:  # t(xi) has slopes 1/s at the nodes
+        hermite = t + x * (1.0 - x) * ((1.0 - x) * (h / s_i - d) - x * (h / s_j - d))
+        if t_i < hermite < t_j or t_j < hermite < t_i:
+            t = hermite
+    return safeguarded_newton(point, t_i, t_j, t, xi, True)[2:]

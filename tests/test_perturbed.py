@@ -55,6 +55,29 @@ LEFT_RR = State(1.0, 1.0)
 RIGHT_RR = State(2.0, 2.0)  # two-rarefaction (vacuum-forming) data
 
 
+def meeting_log10(A, B, alpha, left, right, guess):
+    """log10 of the density where the rarefaction curves through ``left`` and
+    ``right`` meet below both, from ``guess``: a 30-digit root of
+    int_t^t_l f + int_t^t_r f = 2*(sqrt(u_r) - sqrt(u_l)) in t = log(rho)."""
+    import mpmath
+
+    mp = mpmath.mp
+    with mpmath.workdps(30):
+        a = mp.mpf(alpha)
+
+        def f(s):
+            return mp.sqrt(mp.mpf(A) * mp.exp(s) + mp.mpf(B) * a * mp.exp(-a * s))
+
+        t_l, t_r = mp.log(left.rho), mp.log(right.rho)
+        target = 2 * (mp.sqrt(right.u) - mp.sqrt(left.u))
+
+        def meet(t):
+            return mp.quad(f, mp.linspace(t, t_l, 8)) + mp.quad(f, mp.linspace(t, t_r, 8)) - target
+
+        t0 = mp.mpf(guess) * mp.log(10)
+        return float(mp.findroot(meet, (t0, t0 + mp.mpf("1e-6")), solver="secant") / mp.log(10))
+
+
 def perturbed_params(A, B, alpha=0.5):
     return PressureParams(A, B, alpha, system="perturbed")
 
@@ -497,30 +520,26 @@ class TestSolver:
         # the error is an InapplicableError and a BracketError, and its log10
         # rho* matches a 30-digit root of the curves' meeting condition,
         # int_t^t_l f + int_t^t_r f = 2*(sqrt(u_r) - sqrt(u_l)) in t = log(rho)
-        import mpmath
-
         with pytest.raises(DensityUnderflowError) as raised:
             solve_perturbed(perturbed_params(A, B, alpha), left, right)
         assert isinstance(raised.value, InapplicableError)
         assert isinstance(raised.value, BracketError)
         got = float(str(raised.value).rsplit("=", 1)[1])
-        mp = mpmath.mp
-        with mpmath.workdps(30):
-            a = mp.mpf(alpha)
-
-            def f(s):
-                return mp.sqrt(mp.mpf(A) * mp.exp(s) + mp.mpf(B) * a * mp.exp(-a * s))
-
-            t_l, t_r = mp.log(left.rho), mp.log(right.rho)
-            target = 2 * (mp.sqrt(right.u) - mp.sqrt(left.u))
-
-            def meet(t):
-                return (mp.quad(f, mp.linspace(t, t_l, 8)) + mp.quad(f, mp.linspace(t, t_r, 8))
-                        - target)
-
-            t0 = mp.mpf(got) * mp.log(10)
-            want = float(mp.findroot(meet, (t0, t0 + mp.mpf("1e-6")), solver="secant") / mp.log(10))
+        want = meeting_log10(A, B, alpha, left, right, got)
         assert got < math.log10(5e-324)
+        assert abs(got - want) <= 1e-9 * abs(want)
+
+    def test_subnormal_star_density_is_an_underflow(self):
+        # the curves meet at t = -720, where e^t is subnormal and keeps about
+        # 34 bits, too few for the curves to meet to tolerance there: the
+        # search reports the underflow with its log10(rho*), instead of
+        # failing its residual check
+        A, B, alpha, left, right = 1e-300, 1e-300, 0.99, State(1.0, 1.0), State(1e10, 1.0)
+        with pytest.raises(DensityUnderflowError) as raised:
+            solve_perturbed(perturbed_params(A, B, alpha), left, right)
+        got = float(str(raised.value).rsplit("=", 1)[1])
+        assert math.log10(5e-324) < got < math.log10(2.0**-1022)
+        want = meeting_log10(A, B, alpha, left, right, got)
         assert abs(got - want) <= 1e-9 * abs(want)
 
     def test_vacuum_side_star_at_tiny_alpha(self):
@@ -848,6 +867,17 @@ class TestWeakForm:
         )
         with pytest.raises(InapplicableError, match="curve"):
             weak_form_residual(p, bare, BumpTestFunction(fan.tail, 0.1))
+
+    def test_params_of_another_system_rejected(self):
+        # the system is the solution's: a perturbed two-shock solve checked
+        # with params of the original system once read r2 = 0.174 silently,
+        # against 1.4e-15 with its own
+        p = perturbed_params(1e-2, 1e-2)
+        sol = solve_perturbed(p, LEFT, RIGHT)
+        bump = BumpTestFunction(sol.waves[0].speed, 0.5)
+        assert max(map(abs, weak_form_residual(p, sol, bump))) <= 1e-13
+        with pytest.raises(InapplicableError, match="not one of the original system"):
+            weak_form_residual(PressureParams(0.01, 0.01, 0.5), sol, bump)
 
     @pytest.mark.parametrize("left, right", [(LEFT, RIGHT), (LEFT_RR, RIGHT_RR)])
     def test_each_xi_sampled_once(self, monkeypatch, left, right):

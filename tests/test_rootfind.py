@@ -1,11 +1,14 @@
-"""Bracket expansion and the Brent solver for decreasing scalar maps, and
-the safeguarded Newton iteration of the fans."""
+"""Bracket expansion and the Brent solver for decreasing scalar maps, the
+safeguarded Newton iteration, and the fan inversion of both solvers."""
 
 import math
+import random
 
 import pytest
 from scipy.optimize import brentq
 
+from awrlab import original, perturbed, rootfind
+from awrlab.core import ORIGINAL, PERTURBED, Fan, PressureParams, State
 from awrlab.rootfind import (
     BracketError,
     bisect_decreasing,
@@ -118,3 +121,100 @@ class TestSafeguardedNewton:
     def test_returns_the_last_point_evaluated(self, f):
         g, points = recorded(f)
         assert safeguarded_newton(g, -1.0, 4.0, 2.0) == points[-1]
+
+    def test_target_level_and_whole_point(self):
+        # e^t reaches 2 at log 2; with ``whole`` the search hands back all
+        # that f returned at its last point, here the point's t as well
+        f, points = recorded(lambda t: (math.exp(t), math.exp(t), t))
+        found = safeguarded_newton(f, -3.0, 4.0, 0.5, 2.0, True)
+        assert found == (math.exp(points[-1]), math.exp(points[-1]), points[-1])
+        assert found[2] == pytest.approx(math.log(2.0), rel=1e-15)
+        assert safeguarded_newton(f, -3.0, 4.0, 0.5, 2.0) == found[2]
+
+
+def exact_box_fans(system, n, seed):
+    """``n`` solutions of ``system`` with a fan, on seeded draws from the box
+    of the exact-batch benchmark: A, B log-uniform in [1e-6, 1], alpha in
+    [0.1, 0.95], u in [2, 20] and rho in [0.3, 3], with u- < u+."""
+    rng = random.Random(seed)
+
+    def draw(lo, hi):
+        return lo * (hi / lo) ** rng.random()
+
+    solve = original.solve if system == ORIGINAL else perturbed.solve_perturbed
+    for _ in range(n):
+        A, B, alpha = draw(1e-6, 1.0), draw(1e-6, 1.0), draw(0.1, 0.95)
+        u_l, u_r = sorted((draw(2.0, 20.0), draw(2.0, 20.0)))
+        left, right = State(u_l, draw(0.3, 3.0)), State(u_r, draw(0.3, 3.0))
+        yield solve(PressureParams(A, B, alpha, system=system), left, right)
+
+
+def interior_xis(sol, k, rng):
+    """``k`` seeded speeds strictly inside each fan of ``sol``."""
+    fans = [w for w in sol.waves if isinstance(w, Fan)]
+    assert fans
+    xis = (w.head + (w.tail - w.head) * rng.random() for w in fans for _ in range(k))
+    return [xi for xi in xis if any(w.head < xi < w.tail for w in fans)]
+
+
+def bisected_t(point, t_head, t_tail, xi):
+    """The log density where the speed of a fan's ``point`` map reaches ``xi``,
+    by bisection from the fan's ends down to adjacent doubles."""
+    lo, hi = t_head, t_tail  # the speed rises from the head to the tail
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return min((lo, hi), key=lambda t: abs(point(t)[0] - xi))
+        if point(mid)[0] <= xi:
+            lo = mid
+        else:
+            hi = mid
+
+
+class TestInvertFan:
+    """Fan samples by ``invert_fan`` on the exact-batch box: history-free,
+    at the bisection root of the fan's own point map, and cheap."""
+
+    @pytest.mark.parametrize("system", [ORIGINAL, PERTURBED])
+    def test_samples_are_history_free_and_accurate(self, system):
+        # each of three fresh solves samples the same speeds in its own order;
+        # a sample lies within 32 ulp(xi) of the root, measured as |dt|*|dxi/dt|
+        rng = random.Random(20261020)
+        worst = 0.0
+        for sols in zip(*(exact_box_fans(system, 40, 7) for _ in range(3))):
+            xis = interior_xis(sols[0], 12, rng)
+            orders = (sorted(xis), sorted(xis, reverse=True), rng.sample(xis, len(xis)))
+            got = [{xi: sol.sample(xi) for xi in order} for sol, order in zip(sols, orders)]
+            assert got[0] == got[1] == got[2]
+            for xi, (u, rho) in got[0].items():
+                fan = next(w for w in sols[0].waves if isinstance(w, Fan) and w.head < xi < w.tail)
+                t_head, t_tail, point = fan.curve
+                t = bisected_t(point, t_head, t_tail, xi)
+                worst = max(worst, abs(math.log(rho) - t) * abs(point(t)[1]) / math.ulp(xi))
+        assert worst <= 32.0
+
+    @pytest.mark.parametrize("system", [ORIGINAL, PERTURBED])
+    def test_about_three_evaluations_per_sample(self, monkeypatch, system):
+        # the Hermite start between unit log-density nodes leaves Newton's
+        # method about three evaluations; the star-state searches call
+        # safeguarded_newton through their own modules and are not counted
+        evals = []
+        newton = rootfind.safeguarded_newton
+
+        def counting_newton(f, *args):
+            def counted(t):
+                evals.append(t)
+                return f(t)
+
+            return newton(counted, *args)
+
+        monkeypatch.setattr(rootfind, "safeguarded_newton", counting_newton)
+        rng = random.Random(20261020)
+        samples = 0
+        for sol in exact_box_fans(system, 40, 7):
+            xis = interior_xis(sol, 12, rng)
+            for xi in xis:
+                sol.sample(xi)
+            samples += len(xis)
+        assert samples > 400
+        assert len(evals) <= 3.5 * samples, len(evals) / samples
