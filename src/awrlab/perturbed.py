@@ -18,8 +18,8 @@ axis, so the interpolant converges geometrically whatever A, B and alpha
 are; panel sums agree with QUADPACK to 1e-13 relative).  A request over
 panels no earlier request has touched is answered by one direct ``quad``
 (epsrel 1e-12; good to 1e-11 relative on requests as long as t = -744 to 5)
-and builds nothing, so a solve that needs one short integral pays one
-``quad``; panels are built when a request touches them again.  Panels stop
+and builds nothing; panels are built when a request touches them again.  A
+two-shock solve asks for no integral, so it pays no ``quad``.  Panels stop
 at t = -744 and t = 709, the ends of the double range; the part of a
 request beyond them is one direct ``quad``.
 """
@@ -579,6 +579,9 @@ def solve_perturbed(
     _require_perturbed(params)
     if params.A <= 0.0 or params.B <= 0.0:
         raise InapplicableError("the pressured solver requires A > 0 and B > 0")
+    for rho in (left.rho, right.rho):  # past it the shock coefficients overflow too
+        if math.isinf(params.B / rho**params.alpha):
+            raise InapplicableError(f"the pressure term B/rho**alpha overflows at rho = {rho!r}")
     table = RarefactionTable(params)
     if right.u == left.u and right.rho == left.rho:
         return RiemannSolution17(params, left, left, right, (), table)
@@ -595,17 +598,24 @@ def solve_perturbed(
         u_bwd, u_fwd = curves[rho]
         return u_bwd - u_fwd
 
-    lo, t_lo = min(left.rho, right.rho), math.log(min(left.rho, right.rho))
-    # at lo each curve is at its data or on its rarefaction side, so it is
-    # known by the square root of its velocity, which the vacuum side reads
-    r_bwd = _rarefaction_root(left.u, BACKWARD, table.between(math.log(left.rho), t_lo))
-    r_fwd = _rarefaction_root(right.u, FORWARD, table.between(math.log(right.rho), t_lo))
-    curves[lo] = (left.u if left.rho == lo else r_bwd * r_bwd,
-                  right.u if right.rho == lo else r_fwd * r_fwd)
-    if g(lo) < 0.0:
-        rho_star = _vacuum_side_star(table, r_bwd, r_fwd, lo)
+    lo, hi = min(left.rho, right.rho), max(left.rho, right.rho)
+    if right.u < left.u and lo < hi and g(hi) > 0.0:
+        # compressive data whose curves meet above both densities, where both
+        # are shock curves: the bracket the expansion from (lo, hi) would
+        # reach, without the rarefaction integral that g(lo) forms
+        rho_star = solve_decreasing(g, hi, hi, rtol=1e-15)
     else:
-        rho_star = solve_decreasing(g, lo, max(left.rho, right.rho), rtol=1e-15)
+        # at lo each curve is at its data or on its rarefaction side, so it is
+        # known by the square root of its velocity, which the vacuum side reads
+        t_lo = math.log(lo)
+        r_bwd = _rarefaction_root(left.u, BACKWARD, table.between(math.log(left.rho), t_lo))
+        r_fwd = _rarefaction_root(right.u, FORWARD, table.between(math.log(right.rho), t_lo))
+        curves[lo] = (left.u if left.rho == lo else r_bwd * r_bwd,
+                      right.u if right.rho == lo else r_fwd * r_fwd)
+        if g(lo) < 0.0:
+            rho_star = _vacuum_side_star(table, r_bwd, r_fwd, lo)
+        else:
+            rho_star = solve_decreasing(g, lo, hi, rtol=1e-15)
     residual = g(rho_star)
     u_star = curves[rho_star][0]
     if abs(residual) > 1e-11 * (1.0 + abs(u_star)):
@@ -638,16 +648,17 @@ class BumpTestFunction(Record):
             raise ValueError(f"bump width must be finite and > 0, got {self.width}")
 
     def __call__(self, xi: float) -> float:
-        z = (xi - self.center) / self.width
-        if abs(z) >= 1.0:
-            return 0.0
-        return (1.0 - z * z) ** 3
+        return self.value_and_derivative(xi)[0]
 
     def derivative(self, xi: float) -> float:
+        return self.value_and_derivative(xi)[1]
+
+    def value_and_derivative(self, xi: float) -> tuple[float, float]:
         z = (xi - self.center) / self.width
         if abs(z) >= 1.0:
-            return 0.0
-        return -6.0 * z * (1.0 - z * z) ** 2 / self.width
+            return 0.0, 0.0
+        s = 1.0 - z * z
+        return s**3, -6.0 * z * s**2 / self.width
 
 
 def weak_form_residual(
@@ -673,15 +684,19 @@ def weak_form_residual(
     # the current fan piece's curve, both components at each of its nodes, and
     # the one (0: mass, 1: momentum) integrated
     point, pairs, k = None, {}, 0
+    system, alpha = params.system, params.alpha
 
     def conserved_and_flux(u: float, rho: float):
-        return zip((rho, rho * (u + offset(params.system, params, rho))), flux(params, u, rho))
+        return zip((rho, rho * (u + offset(system, params, rho))), flux(params, u, rho))
 
     def integrand(t: float) -> float:
         if t not in pairs:
             xi, dxi, u, rho = point(t)
-            d, v = test_fn.derivative(xi), test_fn(xi)
-            pairs[t] = [((f - xi * q) * d - q * v) * dxi for q, f in conserved_and_flux(u, rho)]
+            v, d = test_fn.value_and_derivative(xi)
+            ra = rho**alpha
+            q2 = rho * (u + offset(system, params, rho, ra))
+            f1, f2 = flux(params, u, rho, ra)
+            pairs[t] = (((f1 - xi * rho) * d - rho * v) * dxi, ((f2 - xi * q2) * d - q2 * v) * dxi)
         return pairs[t][k]
 
     totals = [0.0, 0.0]

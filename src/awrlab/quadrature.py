@@ -3,8 +3,9 @@
 The 21-point Kronrod extension of the 10-point Gauss rule, with the error
 scaling of QUADPACK's qk21 (Piessens et al., 1983).  The interval with the
 largest error estimate is bisected until the summed estimate meets the
-tolerance; there is no extrapolation, so integrable endpoint singularities
-should be removed by a substitution first.
+tolerance, or its roundoff floor alone exceeds it; there is no
+extrapolation, so integrable endpoint singularities should be removed by a
+substitution first.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
 
 
-def _qk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
-    """21-point Kronrod value over [a, b] and its QUADPACK error estimate."""
+def _qk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float, float]:
+    """21-point Kronrod value over [a, b], its QUADPACK error estimate and
+    that estimate's roundoff floor, 50*eps*resabs (0 where not applied)."""
     c, h = 0.5 * (a + b), 0.5 * (b - a)
     fc = f(c)
     f1 = [f(c - h * x) for x in _XK]
@@ -75,9 +77,11 @@ def _qk21(f: Callable[[float], float], a: float, b: float) -> tuple[float, float
     err = abs((resk - resg) * h)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    floor = 0.0
     if resabs > _TINY / (50.0 * _EPS):
-        err = max(50.0 * _EPS * resabs, err)
-    return resk * h, err
+        floor = 50.0 * _EPS * resabs
+        err = max(floor, err)
+    return resk * h, err, floor
 
 
 def quad(
@@ -90,23 +94,30 @@ def quad(
     """Integral of ``f`` over [a, b] (signed, so b < a is allowed) and an
     estimate of its absolute error.
 
-    Stops when the error estimate is at most max(epsabs, epsrel*|value|), when
-    LIMIT subintervals are in use, or when the worst interval can no longer
-    be split in floating point.
+    Stops when the error estimate is at most tol = max(epsabs, epsrel*|value|),
+    when LIMIT subintervals are in use, or when the worst interval can no
+    longer be split in floating point.  No estimate falls below its roundoff
+    floor, and the floors add up under bisection, so once they sum past tol
+    the estimate stops when it exceeds their sum by at most tol (QUADPACK's
+    qagse gives up on roundoff likewise).
     """
-    value, err = _qk21(f, a, b)
-    heap = [(-err, a, b, value)]
-    while err > max(epsabs, epsrel * abs(value)) and len(heap) < LIMIT:
-        neg_err, lo, hi, part = heap[0]
+    value, err, floor = _qk21(f, a, b)
+    heap = [(-err, a, b, value, floor)]
+    while len(heap) < LIMIT:
+        tol = max(epsabs, epsrel * abs(value))
+        if err <= tol or floor > tol and err - floor <= tol:
+            break
+        neg_err, lo, hi, part, part_floor = heap[0]
         mid = 0.5 * (lo + hi)
         if not min(lo, hi) < mid < max(lo, hi):
             break
-        v1, e1 = _qk21(f, lo, mid)
-        v2, e2 = _qk21(f, mid, hi)
-        heapq.heapreplace(heap, (-e1, lo, mid, v1))
-        heapq.heappush(heap, (-e2, mid, hi, v2))
+        v1, e1, fl1 = _qk21(f, lo, mid)
+        v2, e2, fl2 = _qk21(f, mid, hi)
+        heapq.heapreplace(heap, (-e1, lo, mid, v1, fl1))
+        heapq.heappush(heap, (-e2, mid, hi, v2, fl2))
         value += v1 + v2 - part
         err += e1 + e2 + neg_err
+        floor += fl1 + fl2 - part_floor
     if len(heap) > 1:  # re-add the pieces to shed the running sums' rounding
         value = math.fsum(item[3] for item in heap)
         err = math.fsum(-item[0] for item in heap)
