@@ -579,12 +579,12 @@ def solve_perturbed(
     _require_perturbed(params)
     if params.A <= 0.0 or params.B <= 0.0:
         raise InapplicableError("the pressured solver requires A > 0 and B > 0")
-    for rho in (left.rho, right.rho):  # past it the shock coefficients overflow too
-        if math.isinf(params.B / rho**params.alpha):
-            raise InapplicableError(f"the pressure term B/rho**alpha overflows at rho = {rho!r}")
     table = RarefactionTable(params)
     if right.u == left.u and right.rho == left.rho:
         return RiemannSolution17(params, left, left, right, (), table)
+    for rho in (left.rho, right.rho):  # past it the shock coefficients overflow too
+        if math.isinf(params.B / rho**params.alpha):
+            raise InapplicableError(f"the pressure term B/rho**alpha overflows at rho = {rho!r}")
 
     # (backward u, forward u) at each rho g has seen, so no point is evaluated twice
     curves: dict[float, tuple[float, float]] = {}
@@ -599,7 +599,7 @@ def solve_perturbed(
         return u_bwd - u_fwd
 
     lo, hi = min(left.rho, right.rho), max(left.rho, right.rho)
-    if right.u < left.u and lo < hi and g(hi) > 0.0:
+    if right.u < left.u and g(hi) > 0.0:
         # compressive data whose curves meet above both densities, where both
         # are shock curves: the bracket the expansion from (lo, hi) would
         # reach, without the rarefaction integral that g(lo) forms

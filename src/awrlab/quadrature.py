@@ -3,9 +3,9 @@
 The 21-point Kronrod extension of the 10-point Gauss rule, with the error
 scaling of QUADPACK's qk21 (Piessens et al., 1983).  The interval with the
 largest error estimate is bisected until the summed estimate meets the
-tolerance, or its roundoff floor alone exceeds it; there is no
-extrapolation, so integrable endpoint singularities should be removed by a
-substitution first.
+tolerance, or every interval's estimate sits at its roundoff floor; there
+is no extrapolation, so integrable endpoint singularities should be removed
+by a substitution first.
 """
 
 from __future__ import annotations
@@ -94,19 +94,16 @@ def quad(
     """Integral of ``f`` over [a, b] (signed, so b < a is allowed) and an
     estimate of its absolute error.
 
-    Stops when the error estimate is at most tol = max(epsabs, epsrel*|value|),
-    when LIMIT subintervals are in use, or when the worst interval can no
-    longer be split in floating point.  No estimate falls below its roundoff
-    floor, and the floors add up under bisection, so once they sum past tol
-    the estimate stops when it exceeds their sum by at most tol (QUADPACK's
-    qagse gives up on roundoff likewise).
+    Stops when the error estimate is at most max(epsabs, epsrel*|value|), when
+    LIMIT subintervals are in use, when the worst interval can no longer be
+    split in floating point, or when every interval's estimate is at its
+    roundoff floor: the floors add up under bisection, so no split can lower
+    the estimate then (QUADPACK's qagse gives up on roundoff likewise).
     """
     value, err, floor = _qk21(f, a, b)
     heap = [(-err, a, b, value, floor)]
-    while len(heap) < LIMIT:
-        tol = max(epsabs, epsrel * abs(value))
-        if err <= tol or floor > tol and err - floor <= tol:
-            break
+    above = int(err > floor)  # intervals whose estimate exceeds its floor
+    while err > max(epsabs, epsrel * abs(value)) and above and len(heap) < LIMIT:
         neg_err, lo, hi, part, part_floor = heap[0]
         mid = 0.5 * (lo + hi)
         if not min(lo, hi) < mid < max(lo, hi):
@@ -117,7 +114,7 @@ def quad(
         heapq.heappush(heap, (-e2, mid, hi, v2, fl2))
         value += v1 + v2 - part
         err += e1 + e2 + neg_err
-        floor += fl1 + fl2 - part_floor
+        above += int(e1 > fl1) + int(e2 > fl2) - int(-neg_err > part_floor)
     if len(heap) > 1:  # re-add the pieces to shed the running sums' rounding
         value = math.fsum(item[3] for item in heap)
         err = math.fsum(-item[0] for item in heap)
