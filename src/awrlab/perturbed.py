@@ -6,29 +6,32 @@ curves are defined through the integral of sqrt(A*s + B*alpha/s**alpha)/s;
 shock curves come from eliminating the shock speed from the jump conditions,
 which leaves (u_r - u_l)**2 = E1 with E1 affine in both velocities.
 
-Each :func:`solve_perturbed` call keeps one :class:`RarefactionTable`, which
-its star-state search and both fans of the returned solution read.  The
-table holds the rarefaction integral in t = log(rho) on unit panels
-[k, k+1], built lazily from CHEB_POINTS integrand values: a Chebyshev
-interpolant through them gives a panel's antiderivative, whose value at the
-panel's upper end, the values' dot product with Fejer's weights, is the
-panel's integral; its coefficients are formed when a value inside the panel
-is first asked for (the integrand is analytic within pi/2 of the real t
-axis, so the interpolant converges geometrically whatever A, B and alpha
-are; panel sums agree with QUADPACK to 1e-13 relative).  A request over
-panels no earlier request has touched is answered by one direct ``quad``
-(epsrel 1e-12; good to 1e-11 relative on requests as long as t = -744 to 5)
-and builds nothing; panels are built when a request touches them again.  A
-two-shock solve asks for no integral, so it pays no ``quad``.  Panels stop
-at t = -744 and t = 709, the ends of the double range; the part of a
-request beyond them is one direct ``quad``.
+Every :class:`RarefactionTable` is a view, scaled by one factor, over a
+unit table shared by every table of its pressure family.  The integrand in
+t = log(rho) is sqrt(A*e^t + B*alpha*e^(-alpha*t)); with A > 0 and B/A a
+normal double up to 1e280 it is sqrt(A) times
+sqrt(e^t + (B/A)*alpha*e^(-alpha*t)), so all laws of one alpha and one B/A
+(an A = B sweep, say) read one unit table, kept in a small module-level
+LRU.  The unit table holds the integral
+on unit panels [k, k+1], built lazily from CHEB_POINTS integrand values: a
+Chebyshev interpolant through them gives a panel's antiderivative, whose
+value at the panel's upper end, the values' dot product with Fejer's
+weights, is the panel's integral; its coefficients are formed when a value
+inside the panel is first asked for (the integrand is analytic within pi/2
+of the real t axis, so the interpolant converges geometrically whatever A,
+B and alpha are; panel sums agree with QUADPACK to 1e-13 relative).  Every
+request inside PANEL_T_RANGE is answered from panels, so a value depends
+only on the pressure law and the request, never on which requests came
+first.  A two-shock solve asks for no integral.  Panels stop at t = -744
+and t = 709, the ends of the double range; the part of a request beyond
+them is one direct ``quad``.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from operator import mul
 
 from .core import (
@@ -122,46 +125,40 @@ def _clenshaw(c: list[float], x: float) -> float:
     return c[0] + x * b1 - b2
 
 
-class RarefactionTable:
-    """The rarefaction integral of one pressure law in t = log(rho): the
-    integrand sqrt(A*s + B*alpha/s**alpha)/s after s = e^t, which is the
-    smooth sqrt(A*e^t + B*alpha*e^(-alpha*t)), on lazily built unit panels
-    (see the module docstring).  ``panels_built`` and ``max_abserr``, the
-    largest error estimate of the table's direct ``quad`` calls (a panel
-    build makes none), say how it got its values."""
+class _UnitTable:
+    """The panels and coefficients of sqrt(c_a*e^t + c_b*alpha*e^(-alpha*t)),
+    the integrand of a pressure family in t = log(rho) up to a constant
+    factor, for t within PANEL_T_RANGE (see the module docstring).  Its
+    values depend only on (alpha, c_a, c_b) and the request."""
 
-    def __init__(self, params: PressureParams):
-        A, B, a = params.A, params.B, params.alpha
-
-        def integrand(t: float) -> float:
-            if a * t < -709.0:  # e^(-alpha*t) overflows: factor out its root
-                return math.exp(-0.5 * a * t) * math.sqrt(A * math.exp((1.0 + a) * t) + B * a)
-            return math.sqrt(A * math.exp(t) + B * a * math.exp(-a * t))
-
-        self.params = params
-        self.integrand = integrand
-        self.max_abserr = 0.0
+    def __init__(self, alpha: float, c_a: float, c_b: float):
+        self.alpha, self.c_a, self.c_b = alpha, c_a, c_b
+        # below this alpha*t, c_b*alpha*e^(-alpha*t) may overflow, so the
+        # integrand factors out e^(-alpha*t/2)
+        ba = c_b * alpha
+        self._cut = -709.0 + (math.log(ba) if ba > 1.0 else 0.0)
         # per built panel its integral and integrand values, and its
         # antiderivative's coefficients once a value inside it is asked for
         self._panels: dict[int, tuple[float, list[float]]] = {}
         self._coefficients: dict[int, list[float]] = {}
-        self._touched: set[int] = set()
         self._cheb_f: list[float] = []  # e^(-alpha*(t - k)) at the points, on the first build
 
-    @property
-    def panels_built(self) -> int:
-        return len(self._panels)
+    def integrand(self, t: float) -> float:
+        a, c_a, ba = self.alpha, self.c_a, self.c_b * self.alpha
+        if a * t < self._cut:
+            return math.exp(-0.5 * a * t) * math.sqrt(c_a * math.exp((1.0 + a) * t) + ba)
+        return math.sqrt(c_a * math.exp(t) + ba * math.exp(-a * t))
 
     def values(self, k: int) -> list[float]:
         """The integrand at panel [k, k+1]'s Chebyshev points, from two
-        exponentials: sqrt(A*e^k*e^(t-k) + B*alpha*e^(-alpha*k)*e^(-alpha*(t-k)))."""
-        A, B, a = self.params.A, self.params.B, self.params.alpha
+        exponentials: sqrt(c_a*e^k*e^(t-k) + c_b*alpha*e^(-alpha*k)*e^(-alpha*(t-k)))."""
+        a, c_a, ba = self.alpha, self.c_a, self.c_b * self.alpha
         if not self._cheb_f:
             self._cheb_f = [math.exp(-a * (0.5 + 0.5 * x)) for x in _CHEB_X]
-        if a * k < -709.0:  # e^(-alpha*k) overflows: factor out its root
-            h, e_a, e_b = math.exp(-0.5 * a * k), A * math.exp((1.0 + a) * k), B * a
-            return [h * math.sqrt(e_a * e + e_b * f) for e, f in zip(_CHEB_E, self._cheb_f)]
-        e_a, e_b = A * math.exp(k), B * a * math.exp(-a * k)
+        if a * k < self._cut:
+            h, e_a = math.exp(-0.5 * a * k), c_a * math.exp((1.0 + a) * k)
+            return [h * math.sqrt(e_a * e + ba * f) for e, f in zip(_CHEB_E, self._cheb_f)]
+        e_a, e_b = c_a * math.exp(k), ba * math.exp(-a * k)
         return [math.sqrt(e_a * e + e_b * f) for e, f in zip(_CHEB_E, self._cheb_f)]
 
     def panel(self, k: int) -> float:
@@ -170,7 +167,6 @@ class RarefactionTable:
         if k not in self._panels:
             values = self.values(k)
             self._panels[k] = (sum(map(mul, _FEJER, values)), values)
-            self._touched.add(k)
         return self._panels[k][0]
 
     def coefficients(self, k: int) -> list[float]:
@@ -192,24 +188,9 @@ class RarefactionTable:
         return _clenshaw(self.coefficients(k), 2.0 * (t - k) - 1.0)
 
     def between(self, t_a: float, t_b: float) -> float:
-        """Signed integral over [t_a, t_b]."""
-        if t_a > t_b:
-            return -self.between(t_b, t_a)
-        if t_a == t_b:
-            return 0.0
-        # split at an end of the panels: one quad over a range much longer than
-        # the panels' side can step over the integrand's rise near its far end
-        for end in PANEL_T_RANGE:
-            if t_a < end < t_b:
-                return self.between(t_a, end) + self.between(end, t_b)
+        """Integral over [t_a, t_b], t_a < t_b, within PANEL_T_RANGE: the
+        whole panels' integrals and the partial ends."""
         k_a, k_b = math.floor(t_a), math.ceil(t_b) - 1  # the panels covering [t_a, t_b]
-        ks = range(k_a, k_b + 1)
-        outside = k_a < PANEL_T_RANGE[0] or k_b >= PANEL_T_RANGE[1]
-        if outside or self._touched.isdisjoint(ks):
-            self._touched.update(() if outside else ks)
-            value, err = quad(self.integrand, t_a, t_b, epsabs=1e-14, epsrel=1e-12)
-            self.max_abserr = max(self.max_abserr, err)
-            return value
         if k_a == k_b:
             return self.partial(k_a, t_b) - self.partial(k_a, t_a)
         total = self.panel(k_a) - self.partial(k_a, t_a)
@@ -218,9 +199,89 @@ class RarefactionTable:
         return total + self.partial(k_b, t_b)
 
 
+# A sweep at one alpha and one B/A reads one unit table, and so does a
+# weak-form check that solves again at one of its points; a few more keep
+# several such families apart.  The bound keeps memory flat where each
+# solve brings a new family, as in a batch of random pressure laws: a unit
+# table spanning the whole panel range holds 1,453 panels, about 1 MB (2 MB
+# with every panel's coefficients), and a typical solve's a few dozen.
+_UNIT_TABLES = 8
+
+
+@lru_cache(maxsize=_UNIT_TABLES)
+def _unit_table(alpha: float, c_a: float, c_b: float) -> _UnitTable:
+    return _UnitTable(alpha, c_a, c_b)
+
+
+class RarefactionTable:
+    """The rarefaction integral of one pressure law in t = log(rho), whose
+    integrand sqrt(A*s + B*alpha/s**alpha)/s after s = e^t is the smooth
+    sqrt(A*e^t + B*alpha*e^(-alpha*t)): a view, scaled by ``scale``, over
+    the shared unit table ``unit`` of sqrt(c_a*e^t + c_b*alpha*e^(-alpha*t))
+    (see the module docstring).  (c_a, c_b, scale) is (1, B/A, sqrt(A))
+    when A > 0 and B/A is a normal double up to 1e280, else (A, B, 1).
+
+    ``panels_built`` counts the panels of the shared unit table, whichever
+    view's request built them, so views of one family report one count.
+    ``max_abserr`` is the largest error estimate of this view's own direct
+    ``quad`` calls, which only requests beyond PANEL_T_RANGE make (a panel
+    build makes none); it is 0 for a view that never left the range."""
+
+    def __init__(self, params: PressureParams):
+        A, B = params.A, params.B
+        ratio = B / A if A > 0.0 else 0.0
+        # scaled, the unit integrand reaches sqrt(B/A)*e^372 at t = -744, which
+        # B/A up to 1e280 keeps finite
+        if 2.0**-1022 <= ratio <= 1e280:
+            c_a, c_b, self.scale = 1.0, ratio, math.sqrt(A)
+        else:
+            c_a, c_b, self.scale = A, B, 1.0
+        self.params = params
+        self.unit = _unit_table(params.alpha, c_a, c_b)
+        self.max_abserr = 0.0
+
+    @property
+    def panels_built(self) -> int:
+        return len(self.unit._panels)
+
+    def integrand(self, t: float) -> float:
+        return self.scale * self.unit.integrand(t)
+
+    def panel(self, k: int) -> float:
+        """Integral over panel [k, k+1]."""
+        return self.scale * self.unit.panel(k)
+
+    def coefficients(self, k: int) -> list[float]:
+        """Chebyshev coefficients of panel k's antiderivative from k."""
+        return [self.scale * c for c in self.unit.coefficients(k)]
+
+    def partial(self, k: int, t: float) -> float:
+        """Integral over [k, t] for t in panel [k, k+1]."""
+        return self.scale * self.unit.partial(k, t)
+
+    def between(self, t_a: float, t_b: float) -> float:
+        """Signed integral over [t_a, t_b]: panel sums inside
+        PANEL_T_RANGE, one direct ``quad`` for each part beyond it."""
+        if t_a > t_b:
+            return -self.between(t_b, t_a)
+        if t_a == t_b:
+            return 0.0
+        if PANEL_T_RANGE[0] <= t_a and t_b <= PANEL_T_RANGE[1]:
+            return self.scale * self.unit.between(t_a, t_b)
+        # split at an end of the panels: one quad over a range much longer than
+        # the panels' side can step over the integrand's rise near its far end
+        for end in PANEL_T_RANGE:
+            if t_a < end < t_b:
+                return self.between(t_a, end) + self.between(end, t_b)
+        value, err = quad(self.integrand, t_a, t_b, epsabs=1e-14, epsrel=1e-12)
+        self.max_abserr = max(self.max_abserr, err)
+        return value
+
+
 def rarefaction_integral(params: PressureParams, rho_a: float, rho_b: float) -> float:
     """Signed integral of sqrt(A*s + B*alpha/s**alpha)/s over [rho_a, rho_b],
-    by one adaptive ``quad``."""
+    from the panels its pressure family shares (one direct ``quad`` for a
+    part beyond PANEL_T_RANGE)."""
     _require_perturbed(params, rho_a, rho_b)
     return RarefactionTable(params).between(math.log(rho_a), math.log(rho_b))
 
@@ -248,11 +309,21 @@ def rarefaction_curve_u(
 
 
 def e1_left_coefficient(params: PressureParams, rho_l: float, rho_r: float) -> float:
-    """Coefficient c_l of u_l in E1; finite wherever rho_r is."""
+    """Coefficient c_l of u_l in E1.  Where its term A*rho_l**2/rho_r
+    overflows, with densities far apart, it raises InapplicableError."""
     A, B, a = params.A, params.B, params.alpha
     k = a * B / (1.0 - a)
+    try:
+        quadratic = 0.5 * A * rho_l**2 / rho_r
+    except OverflowError:  # float ** raises where * and / give inf
+        quadratic = math.inf
+    if quadratic == math.inf:
+        raise InapplicableError(
+            f"the shock coefficient term A*rho_l**2/rho_r overflows at "
+            f"rho_l = {rho_l!r}, rho_r = {rho_r!r}"
+        )
     return (
-        0.5 * A * rho_l**2 / rho_r
+        quadratic
         + k * rho_l ** (1.0 - a) / rho_r
         + 0.5 * A * rho_r
         + B / rho_l**a
@@ -433,7 +504,7 @@ def classify_perturbed(params: PressureParams, left: State, right: State) -> Reg
 
 class RiemannSolution17(RiemannSolution):
     """Self-similar two-wave solution of the perturbed system; ``table`` is
-    the rarefaction-integral table its solve and its fans share (None for a
+    the rarefaction-integral view its solve and its fans share (None for a
     solution assembled by hand), left out of equality, hash and repr."""
 
     table: RarefactionTable | None = None
@@ -449,9 +520,9 @@ def _wave(
 ):
     """The ``direction`` wave joining ``sl`` to ``sr``: a shock when it
     compresses, a fan along the rarefaction curve through ``sl`` when it
-    expands (reading ``table``, or a table of its own), None when the
-    densities agree.  The fan carries that curve in t = log(rho) as its
-    ``curve``, whose point map its profile inverts between panel ends by
+    expands (reading ``table``, or a new view of its pressure law), None
+    when the densities agree.  The fan carries that curve in t = log(rho) as
+    its ``curve``, whose point map its profile inverts between panel ends by
     :func:`rootfind.invert_fan` and along which the weak form integrates."""
     if sr.rho == sl.rho:
         return None
@@ -571,7 +642,8 @@ def solve_perturbed(
     """Intersect the backward curve from ``left`` with the (reversed) forward
     curve through ``right``; assemble the two waves around the result.  The
     curves, the vacuum-side search and both fans read one
-    :class:`RarefactionTable`, kept on the solution as ``table``.
+    :class:`RarefactionTable`, kept on the solution as ``table``, a view
+    over the unit table that its pressure family shares.
 
     Monotonicity of the curves in rho is only guaranteed for small pressure
     coefficients; the residual of the match is always checked.

@@ -45,6 +45,9 @@ def test_tracer_counts_every_layer_and_restores_it(bench):
         fan_pert = perturbed.solve_perturbed(pert_p, *expansive)
         head, tail = fan_pert.waves[0].edges
         fan_pert.sample(0.5 * (head + tail))
+        # panels answer every request inside t in [-744, 709]; one across
+        # t = -744 makes a direct quad for the part beyond
+        assert perturbed.rarefaction_integral(pert_p, 5e-324, 1e-320) > 0.0
         shock_orig = original.solve(orig_p, *compressive)
         shock_pert = perturbed.solve_perturbed(pert_p, *compressive)
         r1, r2 = perturbed.weak_form_residual(

@@ -79,6 +79,10 @@ def meeting_log10(A, B, alpha, left, right, guess):
         return float(mp.findroot(meet, (t0, t0 + mp.mpf("1e-6")), solver="secant") / mp.log(10))
 
 
+def no_quad(*args, **kwargs):
+    raise AssertionError("a direct quad on a request inside the panel range")
+
+
 def perturbed_params(A, B, alpha=0.5):
     return PressureParams(A, B, alpha, system="perturbed")
 
@@ -127,17 +131,10 @@ class TestQuadrature:
             rel=1e-12,
         )
 
-    def test_scipy_quad_oracle(self, monkeypatch):
-        # the in-house rule against QUADPACK's over 500 log-uniform draws
+    def test_scipy_quad_oracle(self):
+        # the in-house rule, and rarefaction_integral's panel sums, against
+        # QUADPACK over 500 log-uniform draws
         rng = np.random.default_rng(20261018)
-        errors = []
-
-        def recording_quad(*args, **kwargs):
-            value, err = quadrature.quad(*args, **kwargs)
-            errors.append(err)
-            return value, err
-
-        monkeypatch.setattr(perturbed, "quad", recording_quad)
         for _ in range(500):
             A, B = 10.0 ** rng.uniform(-10.0, 1.0, size=2)
             alpha = 10.0 ** rng.uniform(-2.0, math.log10(0.99))
@@ -152,8 +149,11 @@ class TestQuadrature:
                 limit=200,
             )
             assert got == pytest.approx(expect, rel=1e-12, abs=1e-14)
-        assert len(errors) == 500
-        assert all(math.isfinite(e) and e >= 0.0 for e in errors)
+            value, err = quadrature.quad(
+                integrand, math.log(lo), math.log(hi), epsabs=1e-14, epsrel=1e-12
+            )
+            assert value == pytest.approx(expect, rel=1e-12, abs=1e-14)
+            assert math.isfinite(err) and err >= 0.0
 
     def test_stops_once_every_estimate_is_at_its_roundoff_floor(self, monkeypatch):
         # the integral of 1000*sin over a period is 0, far below the rule's
@@ -462,17 +462,22 @@ class TestSolver:
         "left, right", [(LEFT_RR, RIGHT_RR), (State(1.0, 2.0), State(2.0, 1.0))]
     )
     def test_no_quadrature_repeated(self, monkeypatch, left, right):
-        # the curves at rho* come from the root finder's own evaluations
-        bounds = []
+        # inside the panel range a solve makes no quad call, and forms the
+        # integrand values of each panel of its cold unit table once, however
+        # often its requests cover it
+        perturbed._unit_table.cache_clear()
+        built = []
+        values = perturbed._UnitTable.values
 
-        def recording_quad(f, a, b, **kwargs):
-            bounds.append((a, b))
-            return quadrature.quad(f, a, b, **kwargs)
+        def recording_values(self, k):
+            built.append(k)
+            return values(self, k)
 
-        monkeypatch.setattr(perturbed, "quad", recording_quad)
+        monkeypatch.setattr(perturbed, "quad", no_quad)
+        monkeypatch.setattr(perturbed._UnitTable, "values", recording_values)
         solve_perturbed(P_REF, left, right)
-        assert bounds
-        assert len(bounds) == len(set(bounds))
+        assert built
+        assert len(built) == len(set(built))
 
     def test_vacuum_side_star_matches_full_curve_map(self, monkeypatch):
         # below both data densities the star state comes from Newton's method
@@ -576,6 +581,25 @@ class TestSolver:
             solve_perturbed(perturbed_params(1.0, 1.0, 0.99), left, right)
         assert str(raised.value) == "the pressure term B/rho**alpha overflows at rho = 1e-315"
 
+    @pytest.mark.parametrize(
+        "left, right",
+        [
+            (State(1.0, 1e200), State(0.5, 1e-200)),
+            (State(2.0, 1e-200), State(1.0, 1e200)),
+            (State(1.0, 1e-150), State(0.5, 1e160)),
+        ],
+    )
+    def test_overflowing_shock_coefficient_is_typed(self, left, right):
+        # densities so far apart that A*rho_l**2/rho_r overflows once ended
+        # in a bare OverflowError from the float power
+        p = perturbed_params(1.0, 1.0)
+        for run in (solve_perturbed, classify_perturbed):
+            with pytest.raises(InapplicableError) as raised:
+                run(p, left, right)
+            assert str(raised.value).startswith(
+                "the shock coefficient term A*rho_l**2/rho_r overflows at rho_l = "
+            )
+
     def test_identical_data_at_an_overflowing_pressure_term_is_constant(self):
         # no wave, so no shock coefficient: the check does not apply
         state = State(1.0, 1e-315)
@@ -618,13 +642,13 @@ class TestSolver:
         assert star.u == pytest.approx(want_u, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("A", [0.1, 1e-4])
-    def test_quad_calls_touch_new_panels_and_builds_make_none(self, monkeypatch, A):
-        # over a solve and 10 samples per fan, each rarefaction quad call
-        # covers only panels no earlier call covered and no call repeats;
-        # each panel build makes no quad call and forms exactly CHEB_POINTS
-        # integrand values, each the integrand at its Chebyshev point, and
-        # every built panel is on the solution's table
-        table_cls = perturbed.RarefactionTable
+    def test_panel_builds_make_no_quad(self, monkeypatch, A):
+        # over a solve and 10 samples per fan on a cold unit table, no
+        # request makes a quad call; each panel build forms exactly
+        # CHEB_POINTS integrand values, each the integrand at its Chebyshev
+        # point, and every built panel is on the solution's table
+        perturbed._unit_table.cache_clear()
+        table_cls = perturbed._UnitTable
         values, panel = table_cls.values, table_cls.panel
         bounds, evals, builds = [], [0], []
 
@@ -640,9 +664,9 @@ class TestSolver:
             return got
 
         def recording_panel(self, k):
-            built, calls, evaluated = self.panels_built, len(bounds), evals[0]
+            built, calls, evaluated = len(self._panels), len(bounds), evals[0]
             result = panel(self, k)
-            if self.panels_built > built:
+            if len(self._panels) > built:
                 builds.append((len(bounds) - calls, evals[0] - evaluated))
             return result
 
@@ -653,12 +677,7 @@ class TestSolver:
         for w in sol.waves:
             for xi in np.linspace(w.head, w.tail, 12)[1:-1]:
                 sol.sample(float(xi))
-        assert bounds and len(bounds) == len(set(bounds))
-        covered: set[int] = set()
-        for a, b in bounds:
-            panels = set(range(math.floor(a), math.ceil(b)))
-            assert covered.isdisjoint(panels), (a, b)
-            covered |= panels
+        assert bounds == []
         assert builds == [(0, perturbed.CHEB_POINTS)] * len(builds)
         assert len(builds) == sol.table.panels_built > 0
 
@@ -687,7 +706,6 @@ class TestRarefactionTable:
             alpha = 10.0 ** rng.uniform(-3.0, math.log10(0.999))
             t_a, t_b = rng.uniform(-60.0, 60.0, size=2)
             table = perturbed.RarefactionTable(perturbed_params(A, B, alpha))
-            table.between(t_a, t_b)  # one direct quad; asking again builds the panels
             got = table.between(t_a, t_b)
             lo, hi = min(t_a, t_b), max(t_a, t_b)
             assert table.panels_built == math.ceil(hi) - math.floor(lo)
@@ -708,13 +726,13 @@ class TestRarefactionTable:
             expect, _ = quad(integrand, t_c, t_d, epsabs=0.0, epsrel=1e-13)
             assert table.between(t_c, t_d) == pytest.approx(expect, rel=1e-13, abs=0.0)
 
-    def test_first_touch_quad_on_long_requests(self):
-        # a request over untouched panels is one direct quad at epsrel 1e-12,
-        # which the standalone rarefaction_integral always takes; on requests
-        # reaching from near the bottom of the double range to t in [-5, 5] it
-        # is held to 1e-11 relative (panel sums reach 1e-13).  Above alpha =
-        # 0.954 e^(-alpha*t) overflows inside this range, and both integrands
-        # factor out e^(-alpha*t/2) there
+    def test_panel_sums_on_long_requests(self, monkeypatch):
+        # requests reaching from near the bottom of the double range to t in
+        # [-5, 5] are panel sums, made without a quad call and held to 1e-11
+        # relative.  Above alpha = 0.954 e^(-alpha*t) overflows inside this
+        # range, and sooner where B/A > 1 scales it, so the integrand factors
+        # out e^(-alpha*t/2) there
+        monkeypatch.setattr(perturbed, "quad", no_quad)
         rng = np.random.default_rng(20261020)
         for _ in range(100):
             A, B = 10.0 ** rng.uniform(-10.0, 1.0, size=2)
@@ -722,7 +740,7 @@ class TestRarefactionTable:
             t_a, t_b = rng.uniform(-744.0, -600.0), rng.uniform(-5.0, 5.0)
             table = perturbed.RarefactionTable(perturbed_params(A, B, alpha))
             got = table.between(t_a, t_b)
-            assert table.panels_built == 0
+            assert table.panels_built >= math.ceil(t_b) - math.floor(t_a)
 
             def integrand(t):
                 h = math.exp(-0.5 * alpha * t)
@@ -737,8 +755,12 @@ class TestRarefactionTable:
 
     def test_solution_reports_its_table(self, monkeypatch):
         # a two-shock solve meets both shock curves above the data densities
-        # and needs no integral: no quad and no panel; a two-rarefaction
-        # solve builds panels, and its fans add more
+        # and needs no integral: no quad and no panel on a cold unit table; a
+        # two-rarefaction solve of the same family reads that unit, builds
+        # panels without a quad, and its fans add more.  Only a request
+        # beyond the panel range makes a quad, whose error estimate the
+        # view reports
+        perturbed._unit_table.cache_clear()
         calls = []
 
         def recording_quad(*args, **kwargs):
@@ -751,13 +773,94 @@ class TestRarefactionTable:
         assert shocks.table.panels_built == 0
         assert shocks.table.max_abserr == 0.0
         fans = solve_perturbed(P_REF, LEFT_RR, RIGHT_RR)
+        assert fans.table.unit is shocks.table.unit
         built = fans.table.panels_built
         assert built > 0
         w = fans.waves[1]
         fans.sample(0.5 * (w.head + w.tail))
         assert fans.table.panels_built >= built
-        assert fans.table.max_abserr == max(err for _, err in calls)
-        assert fans.table.max_abserr < 1e-14
+        assert shocks.table.panels_built == fans.table.panels_built
+        assert calls == [] and fans.table.max_abserr == 0.0
+        value = fans.table.between(-746.0, -743.5)
+        assert len(calls) == 1
+        assert 0.0 < fans.table.max_abserr == calls[0][1] <= 1e-12 * value
+        assert shocks.table.max_abserr == 0.0
+
+
+class TestUnitTables:
+    def test_results_do_not_depend_on_cache_history(self):
+        # one solve, its samples inside each fan, a weak-form residual on its
+        # forward fan and one integral, bit for bit, with their unit table
+        # cold, warm from solves at other A with the same alpha and B/A, and
+        # rebuilt after eviction
+        p = perturbed_params(1e-2, 3e-2, 0.4)
+
+        def run():
+            integral = rarefaction_integral(p, 0.5, 2.0)
+            sol = solve_perturbed(p, LEFT_RR, RIGHT_RR)
+            samples = [
+                sol.sample(float(xi))
+                for w in sol.waves
+                for xi in np.linspace(w.head, w.tail, 9)[1:-1]
+            ]
+            w = sol.waves[1]
+            bump = BumpTestFunction(0.5 * (w.head + w.tail), 0.3 * (w.tail - w.head))
+            return sol.star, samples, weak_form_residual(p, sol, bump), integral
+
+        perturbed._unit_table.cache_clear()
+        cold = run()
+        perturbed._unit_table.cache_clear()
+        for A in (1e-1, 3e-3, 1e-4):
+            sol = solve_perturbed(perturbed_params(A, 3.0 * A, 0.4), LEFT_RR, RIGHT_RR)
+            for w in sol.waves:
+                for xi in np.linspace(w.head, w.tail, 13)[1:-1]:
+                    sol.sample(float(xi))
+        warm = perturbed.RarefactionTable(p)
+        assert warm.panels_built > 0
+        unit = warm.unit
+        assert run() == cold
+        for k in range(perturbed._UNIT_TABLES):
+            solve_perturbed(perturbed_params(1e-2, 1e-2, 0.1 + 0.05 * k), LEFT_RR, RIGHT_RR)
+        assert perturbed.RarefactionTable(p).unit is not unit
+        assert run() == cold
+
+    def test_lru_holds_at_most_its_bound(self):
+        for k in range(3 * perturbed._UNIT_TABLES):
+            solve_perturbed(perturbed_params(1e-2, 1e-2, 0.2 + 0.01 * k), LEFT_RR, RIGHT_RR)
+            info = perturbed._unit_table.cache_info()
+            assert info.currsize <= info.maxsize == perturbed._UNIT_TABLES
+        assert info.currsize == perturbed._UNIT_TABLES
+
+    def test_one_unit_table_per_alpha_and_b_over_a(self):
+        a, b = (
+            perturbed.RarefactionTable(perturbed_params(A, 2.0 * A, 0.3)) for A in (1e-1, 1e-5)
+        )
+        assert a.unit is b.unit
+        assert (a.scale, b.scale) == (math.sqrt(1e-1), math.sqrt(1e-5))
+        assert (a.unit.c_a, a.unit.c_b) == (1.0, 2.0)
+
+    @pytest.mark.parametrize(
+        "A, B",
+        [(0.0, 0.3), (0.3, 0.0), (1e-300, 1e10), (1e-300, 1.0), (1e10, 1e-310)],
+        ids=["A=0", "B=0", "B/A overflows", "B/A above 1e280", "B/A underflows"],
+    )
+    def test_unscaled_path(self, monkeypatch, A, B):
+        # without a normal B/A up to 1e280 the unit table is the law itself;
+        # scaled by sqrt(A) = 1e-150, the unit integrand for B/A = 1e300
+        # would overflow near t = -744, where the law's own is about 1e160
+        monkeypatch.setattr(perturbed, "quad", no_quad)
+        alpha = 0.99
+        table = perturbed.RarefactionTable(perturbed_params(A, B, alpha))
+        assert (table.unit.c_a, table.unit.c_b, table.scale) == (A, B, 1.0)
+
+        def integrand(t):
+            h = math.exp(-0.5 * alpha * t)
+            return h * math.sqrt(A * math.exp(t) / h / h + B * alpha)
+
+        for t_a, t_b in ((-5.0, 5.0), (-0.3, 0.2), (-744.0, -740.0)):
+            ends = range(math.floor(t_a) + 1, math.ceil(t_b))
+            expect, _ = quad(integrand, t_a, t_b, epsabs=0.0, epsrel=1e-13, points=ends or None)
+            assert table.between(t_a, t_b) == pytest.approx(expect, rel=1e-13, abs=0.0)
 
 
 class TestFanTable:
@@ -808,10 +911,12 @@ class TestFanTable:
         # a two-rarefaction solve whose star density is about 1.6e-55: its
         # fans span over a hundred unit panels.  Sampling reads a whole panel
         # from its stored integral, so antiderivative coefficients are formed
-        # only for the panels that samples land in
+        # only for the panels that samples land in (the solve starts from a
+        # cold unit table, so no earlier sampling formed them)
+        perturbed._unit_table.cache_clear()
         sol = solve_perturbed(perturbed_params(1e-6, 1e-6, 0.1), LEFT_RR, State(20.0, 2.0))
         assert sol.star.rho < 1e-50
-        coefficients = perturbed.RarefactionTable.coefficients
+        coefficients = perturbed._UnitTable.coefficients
         formed = []
 
         def recording(self, k):
@@ -819,7 +924,7 @@ class TestFanTable:
                 formed.append(k)
             return coefficients(self, k)
 
-        monkeypatch.setattr(perturbed.RarefactionTable, "coefficients", recording)
+        monkeypatch.setattr(perturbed._UnitTable, "coefficients", recording)
         landed, spanned = set(), 0
         for w in sol.waves:
             assert isinstance(w, Fan)
