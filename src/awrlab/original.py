@@ -4,15 +4,15 @@ The first family is genuinely nonlinear (shock or rarefaction), the second
 linearly degenerate (contact).  Shock and rarefaction loci coincide on the
 curve u + A*rho - B/rho**alpha = const, so the system is of Temple type and
 the solution is always a 1-wave followed by a contact moving at the
-downstream velocity.  A fan carries the 1-curve in t = log(rho) as its
-``curve``, on which :func:`rootfind.invert_fan` solves lambda1 = xi.
+downstream velocity.  A fan is built by :func:`rootfind.curve_fan` from the
+1-curve's point map in t = log(rho), which its profile inverts for
+lambda1 = xi.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import partial
 
 from .core import (
     ORIGINAL,
@@ -28,7 +28,7 @@ from .core import (
     jump_residual,
     star_density,
 )
-from .rootfind import invert_fan, safeguarded_newton
+from .rootfind import curve_fan, safeguarded_newton
 # perfbench/tracer.py wraps these here
 from .rootfind import bisect_decreasing, solve_decreasing  # noqa: F401
 
@@ -193,18 +193,7 @@ def solve(params: PressureParams, left: State, right: State) -> RiemannSolution1
 
         t_head, t_tail = math.log(left.rho), math.log(star.rho)
         head, tail = (eigenvalues_original(params, s).lambda1 for s in (left, star))
-        nodes, xis = [], []  # (t, dxi/dt, u, rho) and xi at the fan's nodes
-
-        def tabulate():  # the head, each integer t inside the fan (t falls along it), the tail
-            for t in (t_head, *range(math.ceil(t_head) - 1, math.floor(t_tail), -1), t_tail):
-                xi, slope, u, rho = point(t)
-                nodes.append((t, slope, u, rho))
-                xis.append(xi)
-            for n, s, xi in ((0, left, head), (-1, star, tail)):  # exact end states and speeds
-                nodes[n], xis[n] = (nodes[n][0], nodes[n][1], s.u, s.rho), xi
-
-        profile = partial(invert_fan, point, nodes, xis, tabulate)
-        waves = (Fan(head, tail, profile, (t_head, t_tail, point)), contact)
+        waves = (curve_fan(point, t_head, t_tail, left, star, head, tail), contact)
     else:
         waves = (contact,) if right.rho != left.rho else ()
     return RiemannSolution14(params, left, star, right, waves)

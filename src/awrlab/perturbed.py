@@ -24,15 +24,17 @@ request inside PANEL_T_RANGE is answered from panels, so a value depends
 only on the pressure law and the request, never on which requests came
 first.  A two-shock solve asks for no integral.  Panels stop at t = -744
 and t = 709, the ends of the double range; the part of a request beyond
-them is one direct ``quad``.
+them is one direct ``quad``.  A fan's point map reads the table's integrand
+and :meth:`RarefactionTable.integral_from`, which reads panels alone.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import mul
+from typing import Callable
 
 from .core import (
     PERTURBED,
@@ -52,7 +54,7 @@ from .core import (
     star_density,
 )
 from .quadrature import quad
-from .rootfind import invert_fan, safeguarded_newton, solve_decreasing
+from .rootfind import curve_fan, safeguarded_newton, solve_decreasing
 from .rootfind import bisect_decreasing  # noqa: F401  perfbench/tracer.py wraps it here
 
 BOUNDARY_TOL = 1e-12
@@ -247,17 +249,29 @@ class RarefactionTable:
     def integrand(self, t: float) -> float:
         return self.scale * self.unit.integrand(t)
 
-    def panel(self, k: int) -> float:
-        """Integral over panel [k, k+1]."""
-        return self.scale * self.unit.panel(k)
+    def integral_from(self, t0: float) -> Callable[[float], float]:
+        """t -> the integral over [t0, t]: from t0 to the lower end k of t's
+        panel, formed on demand outward from t0 in order (so a value does not
+        depend on the order of requests), plus the partial integral over
+        [k, t]; its error is the rounding of those two, relative to the panels."""
+        unit, scale, k0 = self.unit, self.scale, math.floor(t0)
+        ends: dict[int, float] = {}
+        lo = hi = k0  # the lowest and highest panel ends formed
 
-    def coefficients(self, k: int) -> list[float]:
-        """Chebyshev coefficients of panel k's antiderivative from k."""
-        return [self.scale * c for c in self.unit.coefficients(k)]
+        def integral(t: float) -> float:
+            nonlocal lo, hi
+            k = math.floor(t)
+            if not ends:
+                ends[k0] = -unit.partial(k0, t0)
+            while hi < k:
+                ends[hi + 1] = ends[hi] + unit.panel(hi)
+                hi += 1
+            while lo > k:
+                lo -= 1
+                ends[lo] = ends[lo + 1] - unit.panel(lo)
+            return scale * (ends[k] + unit.partial(k, t))
 
-    def partial(self, k: int, t: float) -> float:
-        """Integral over [k, t] for t in panel [k, k+1]."""
-        return self.scale * self.unit.partial(k, t)
+        return integral
 
     def between(self, t_a: float, t_b: float) -> float:
         """Signed integral over [t_a, t_b]: panel sums inside
@@ -521,82 +535,31 @@ def _wave(
     """The ``direction`` wave joining ``sl`` to ``sr``: a shock when it
     compresses, a fan along the rarefaction curve through ``sl`` when it
     expands (reading ``table``, or a new view of its pressure law), None
-    when the densities agree.  The fan carries that curve in t = log(rho) as
-    its ``curve``, whose point map its profile inverts between panel ends by
-    :func:`rootfind.invert_fan` and along which the weak form integrates."""
+    when the densities agree.  The fan is :func:`rootfind.curve_fan` of the
+    curve's point map in t = log(rho), which its nodes, its samples and the
+    weak form share."""
     if sr.rho == sl.rho:
         return None
     if (sr.rho > sl.rho) == (direction == BACKWARD):
         return Shock(shock_speed_perturbed(params, sl, sr))
     k = 0 if direction == BACKWARD else 1
     table = table or RarefactionTable(params)
-    A, ba, a = params.A, params.B * params.alpha, params.alpha
+    A, a = params.A, params.alpha
     kappa, half_kappa, r_l = 2.0 * k - 1.0, k - 0.5, math.sqrt(sl.u)
     t_head, t_tail = math.log(sl.rho), math.log(sr.rho)
-    t_low = min(t_head, t_tail)
-    p_lo, p_hi = math.floor(t_low), math.ceil(max(t_head, t_tail)) - 1
-    # where e^(-alpha*t) overflows inside the fan, point forms the integrand's
-    # terms divided by h^2 = e^drop, h = e^(-alpha*t_low/2), and scales back
-    # by h; elsewhere drop = 0 and h = 1 leave every bit
-    drop = -a * t_low if a * t_low < -709.0 else 0.0
-    h, A_h = math.exp(0.5 * drop), A * math.exp(-drop)
-    # the fan's ends and the panel ends between them (log density, dxi/dt, velocity,
-    # density), their speeds and where the fan enters each panel (log density,
-    # integral from sl), built on the first interior point, so that a solve never
-    # sampled inside the fan pays nothing; then per panel p, on first use, base
-    # and the coefficients c of partial(p, t), so the integral from sl is base + partial
-    nodes, xis = [], []
-    entries: dict[int, tuple[float, float]] = {}
-    panels: dict[int, tuple[float, list[float]]] = {}
+    integral, integrand = table.integral_from(t_head), table.integrand
 
-    def tabulate():
-        rising = t_tail > t_head
-        nodes.append((t_head, point(t_head, r_l)[1], sl.u, sl.rho))
-        xis.append(head)
-        t_prev, integral = t_head, 0.0
-        for t in (*(range(p_lo + 1, p_hi + 1) if rising else range(p_hi, p_lo, -1)), t_tail):
-            k = math.floor(t_prev if rising else t)  # the panel between them
-            entries[k] = (t_prev, integral)
-            if t_prev == t_head or t == t_tail:  # a partial end panel
-                integral += table.between(t_prev, t)
-            else:  # a whole panel, read as between(k, k + 1) would
-                integral += table.panel(k) if rising else -table.panel(k)
-            xi, slope, u, rho = point(t, r_l + half_kappa * integral)  # _rarefaction_root's r
-            nodes.append((t, slope, u, rho))
-            xis.append(xi)
-            t_prev = t
-        nodes[-1], xis[-1] = (t_tail, nodes[-1][1], sr.u, sr.rho), tail  # the exact tail
-
-    def point(t: float, r: float | None = None) -> tuple[float, float, float, float]:
-        # (lambda_k, its slope in t, u, rho) on the fan's curve at t, sqrt(u) = r if given
-        if r is None:
-            p = math.floor(t)
-            if p not in panels:
-                p = max(min(p, p_hi), p_lo)  # an integer end of the fan
-                if p not in panels:
-                    t_p, integral_p = entries[p]
-                    panels[p] = (integral_p - table.partial(p, t_p), table.coefficients(p))
-            base, c = panels[p]
-            r = r_l + half_kappa * (base + _clenshaw(c, 2.0 * (t - p) - 1.0))
-        # along the curve r = sqrt(u) moves by half the integral, so with f the
-        # integrand dr/dt = -/+ f/2 and lambda_k = r*(r -/+ f)
-        rho = math.exp(t)
-        e_a, e_b = A_h * rho, ba * math.exp(-a * t - drop)
-        f_h = math.sqrt(e_a + e_b)
-        f = h * f_h
-        slope = kappa * f * (r + half_kappa * f) + kappa * r * (e_a - a * e_b) / (2.0 * f_h) * h
-        return r * (r + kappa * f), slope, r * r, rho
-
-    # point after tabulating; point itself cannot call tabulate, which calls it,
-    # without a reference cycle that leaves every solution to the cyclic collector
-    def curve(t: float) -> tuple[float, float, float, float]:
-        if not nodes:
-            tabulate()
-        return point(t)
+    def point(t: float) -> tuple[float, float, float, float]:
+        # (lambda_k, its slope in t, u, rho) on the fan's curve at t: r = sqrt(u)
+        # moves by half the integral of f, so dr/dt = -/+ f/2, lambda_k = r*(r -/+ f),
+        # and f' = ((1 + alpha)*A*rho/f - alpha*f)/2 as f^2 = A*rho + B*alpha*rho**-alpha
+        r = r_l + half_kappa * integral(t)  # _rarefaction_root's r
+        rho, f = math.exp(t), integrand(t)
+        df = 0.5 * ((1.0 + a) * A * rho / f - a * f)
+        return r * (r + kappa * f), kappa * (f * (r + half_kappa * f) + r * df), r * r, rho
 
     head, tail = (speeds(PERTURBED, params, s.u, s.rho)[k] for s in (sl, sr))
-    profile = partial(invert_fan, point, nodes, xis, tabulate)
-    return Fan(head, tail, profile, (t_head, t_tail, curve))
+    return curve_fan(point, t_head, t_tail, sl, sr, head, tail)
 
 
 def _vacuum_side_star(

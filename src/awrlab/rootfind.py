@@ -1,14 +1,15 @@
 """Monotone root finding: Brent's method on the perturbed curve maps, Newton in
-t = log(rho) on fans (:func:`invert_fan`), original and vacuum-side star states."""
+t = log(rho) on fans (:func:`curve_fan`), original and vacuum-side star states."""
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import partial
 from typing import Callable
 
-# defined in core, so that the CLI catches it without loading this module
-from .core import BracketError
+# BracketError is defined in core, so that the CLI catches it without loading this module
+from .core import BracketError, Fan
 
 EXPAND_FACTOR = 4.0
 MAX_EXPANSIONS = 600
@@ -187,3 +188,25 @@ def invert_fan(point, nodes, xis, tabulate, xi) -> tuple[float, float]:
         if t_i < hermite < t_j or t_j < hermite < t_i:
             t = hermite
     return safeguarded_newton(point, t_i, t_j, t, xi, True)[2:]
+
+
+def curve_fan(point, t_head, t_tail, upstream, downstream, head, tail) -> Fan:
+    """The fan from ``upstream`` (speed ``head``, log density ``t_head``) to
+    ``downstream`` (``tail``, ``t_tail``) along ``point``, t = log(rho) ->
+    (speed, its slope, u, rho), which it carries as its ``curve``.  Its
+    profile inverts ``point`` by :func:`invert_fan` between nodes tabulated on
+    the first sample: the head, each integer t strictly inside, the tail, the
+    ends with their exact states and speeds."""
+    nodes, xis = [], []  # (t, dxi/dt, u, rho) and xi at the fan's nodes
+
+    def tabulate():
+        inside = range(math.floor(min(t_head, t_tail)) + 1, math.ceil(max(t_head, t_tail)))
+        for t in (t_head, *(inside if t_tail > t_head else reversed(inside)), t_tail):
+            xi, slope, u, rho = point(t)
+            nodes.append((t, slope, u, rho))
+            xis.append(xi)
+        for n, s, xi in ((0, upstream, head), (-1, downstream, tail)):
+            nodes[n], xis[n] = (nodes[n][0], nodes[n][1], s.u, s.rho), xi
+
+    profile = partial(invert_fan, point, nodes, xis, tabulate)
+    return Fan(head, tail, profile, (t_head, t_tail, point))

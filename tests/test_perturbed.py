@@ -721,7 +721,7 @@ class TestRarefactionTable:
                 values = [table.between(t_a, k + d) for d in (-1e-6, -1e-9, 0.0, 1e-9, 1e-6)]
                 assert values == sorted(values)
             k = math.floor(math.log(B * alpha / A) / (1.0 + alpha))
-            table.panel(k)
+            table.unit.panel(k)
             t_c, t_d = k + rng.uniform(0.0, 0.25), k + rng.uniform(0.75, 1.0)
             expect, _ = quad(integrand, t_c, t_d, epsabs=0.0, epsrel=1e-13)
             assert table.between(t_c, t_d) == pytest.approx(expect, rel=1e-13, abs=0.0)
@@ -752,6 +752,38 @@ class TestRarefactionTable:
                 integrand, t_a, t_b, epsabs=0.0, epsrel=1e-13, points=ends, limit=2000
             )
             assert got == pytest.approx(expect, rel=1e-11, abs=0.0)
+
+    def test_integral_from_is_history_free_and_matches_between(self):
+        # over 500 pressure laws, requests on both sides of t0, near it and
+        # far, at integers and between them: two maps from one t0 asked in
+        # opposite orders give the same bits, each value within 1e-14
+        # relative of between(t0, t).  A short request across the integer n
+        # just below t0 is a difference of two panel-end integrals, so it is
+        # held to the rounding of the two panels it touches instead
+        rng = np.random.default_rng(20261021)
+        worst = short = 0.0
+        for _ in range(500):
+            A, B = 10.0 ** rng.uniform(-10.0, 1.0, size=2)
+            alpha = 10.0 ** rng.uniform(-3.0, math.log10(0.999))
+            table = perturbed.RarefactionTable(perturbed_params(A, B, alpha))
+            t0 = rng.uniform(-60.0, 60.0)
+            k0 = math.floor(t0)
+            ts = [
+                t0, *rng.uniform(-60.0, 60.0, size=4), *(t0 + rng.uniform(-2.0, 2.0, size=4)),
+                k0 - 3, k0 - 1, k0, k0 + 1, k0 + 4, *rng.integers(-60, 61, size=2).tolist(),
+            ]
+            forward, backward = table.integral_from(t0), table.integral_from(t0)
+            got = [forward(t) for t in ts]
+            assert got == [backward(t) for t in reversed(ts)][::-1]
+            assert got[0] == 0.0
+            for t, value in zip(ts[1:], got[1:]):
+                expect = table.between(t0, t)
+                worst = max(worst, abs(value - expect) / abs(expect))
+            for d in (1e-3, 1e-9):
+                error = table.integral_from(k0 + d)(k0 - d) - table.between(k0 + d, k0 - d)
+                short = max(short, abs(error) / table.between(k0 - 1, k0 + 1))
+        assert worst <= 1e-14, worst
+        assert short <= 1e-15, short
 
     def test_solution_reports_its_table(self, monkeypatch):
         # a two-shock solve meets both shock curves above the data densities

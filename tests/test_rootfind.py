@@ -1,5 +1,5 @@
 """Bracket expansion and the Brent solver for decreasing scalar maps, the
-safeguarded Newton iteration, and the fan inversion of both solvers."""
+safeguarded Newton iteration, and the fan builder and inversion of both solvers."""
 
 import math
 import random
@@ -218,3 +218,47 @@ class TestInvertFan:
             samples += len(xis)
         assert samples > 400
         assert len(evals) <= 3.5 * samples, len(evals) / samples
+
+
+def rising_point(t):
+    return math.sinh(t) + 0.5 * t, math.cosh(t) + 0.5, 1.0 + math.exp(t), math.exp(t)
+
+
+def falling_point(t):
+    return -t - t**3 / 3.0, -(1.0 + t * t), math.exp(-t), math.exp(t)
+
+
+class TestCurveFan:
+    """The fan builder of both solvers, on closed-form curves whose speed
+    rises as t = log(rho) rises, and as it falls."""
+
+    @pytest.mark.parametrize(
+        "point, t_head, t_tail, inside",
+        [
+            (rising_point, -2.0, 3.7, [-1, 0, 1, 2, 3]),
+            (falling_point, 2.5, -3.0, [2, 1, 0, -1, -2]),
+        ],
+        ids=["rising", "falling"],
+    )
+    def test_nodes_ends_and_samples(self, point, t_head, t_tail, inside):
+        # nodes at the ends and at each integer strictly between them, formed
+        # on the first sample; the ends carry the given states and speeds,
+        # which need not be the curve's; samples lie at the bisection root
+        upstream, downstream = State(7.0, 2.0), State(3.0, 0.5)
+        head, tail = point(t_head)[0] - 1e-3, point(t_tail)[0] + 1e-3
+        fan = rootfind.curve_fan(point, t_head, t_tail, upstream, downstream, head, tail)
+        assert fan.edges == (head, tail) and fan.curve == (t_head, t_tail, point)
+        _, nodes, xis, _ = fan.profile.args
+        assert nodes == xis == []
+        lo, hi = point(t_head)[0], point(t_tail)[0]
+        for xi in (lo + (hi - lo) * j / 10.0 for j in range(1, 10)):
+            u, rho = fan.profile(xi)
+            t = bisected_t(point, t_head, t_tail, xi)
+            assert abs(math.log(rho) - t) * abs(point(t)[1]) <= 32.0 * math.ulp(xi)
+            assert u == pytest.approx(point(math.log(rho))[2], rel=1e-14, abs=0.0)
+        assert [node[0] for node in nodes] == [t_head, *inside, t_tail]
+        assert nodes[0] == (t_head, point(t_head)[1], upstream.u, upstream.rho)
+        assert nodes[-1] == (t_tail, point(t_tail)[1], downstream.u, downstream.rho)
+        assert (xis[0], xis[-1]) == (head, tail)
+        for t, node, xi in zip(inside, nodes[1:-1], xis[1:-1]):
+            assert (xi, *node[1:]) == point(t)
