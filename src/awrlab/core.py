@@ -6,9 +6,11 @@ only in the velocity offset of the momentum q2 = rho*(u + offset): P itself,
 or (A/2)*rho - B/((1-alpha)*rho**alpha) for the perturbed system.  These
 formulas -- :func:`offset`, :func:`flux`, :func:`speeds` and
 :func:`jump_residual` -- are written once, in arithmetic that runs on floats
-in the exact solvers and on arrays in the finite-volume kernel.  Both exact
-solvers and the transport system return a :class:`RiemannSolution` of
-:class:`Shock`, :class:`Contact` and :class:`Fan` waves.
+and on arrays; the finite-volume step spells offset, flux and speeds as ufunc
+calls into its buffers, and its tests pin that spelling to these, bit for
+bit.  Both exact solvers and the transport system return a
+:class:`RiemannSolution` of :class:`Shock`, :class:`Contact` and :class:`Fan`
+waves.
 """
 
 from __future__ import annotations
@@ -173,9 +175,8 @@ def offset(system: str, params: PressureParams, rho, ra=None, ar=None, bra=None)
     The original offset is the pressure A*rho - B/rho**alpha itself.  No
     domain check: ``rho`` is a positive float or an array of them.  Here and
     in :func:`flux` and :func:`speeds`, a caller that already holds
-    ``ra`` = rho**alpha, ``ar`` = A*rho or ``bra`` = B/rho**alpha passes it
-    (the finite-volume step forms each once per step); the result is the
-    same bits either way.
+    ``ra`` = rho**alpha, ``ar`` = A*rho or ``bra`` = B/rho**alpha passes it;
+    the result is the same bits either way.
     """
     if ra is None:
         ra = rho**params.alpha
@@ -202,14 +203,8 @@ def speeds(system: str, params: PressureParams, u, rho, sqrt=math.sqrt, ra=None,
         ar = params.A * rho
     if system == ORIGINAL:
         return u - ar - params.B * params.alpha / ra, u
-    gap = speed_gap(params, u, ra, ar, sqrt)
+    gap = sqrt(u * (ar + params.B * params.alpha / ra))
     return u - gap, u + gap
-
-
-def speed_gap(params: PressureParams, u, ra, ar, sqrt=math.sqrt):
-    """sqrt(u*(A*rho + B*alpha/rho**alpha)), given ``ra`` = rho**alpha and
-    ``ar`` = A*rho: the perturbed speeds are u -/+ this gap."""
-    return sqrt(u * (ar + params.B * params.alpha / ra))
 
 
 def pressure(params: PressureParams, rho: float) -> float:

@@ -12,9 +12,7 @@ import math
 
 import numpy as np
 
-from .core import (
-    ORIGINAL, PERTURBED, PressureParams, Record, State, flux, offset, speed_gap, speeds,
-)
+from .core import ORIGINAL, PERTURBED, PressureParams, Record, State, offset
 
 RHO_POSITIVITY_FLOOR = 1e-12
 VACUUM_RECOVERY_RHO = 1e-8
@@ -46,6 +44,10 @@ class GridConfig(Record):
             raise ValueError("domain bounds must be finite")
         if self.x_min >= self.x_max:
             raise ValueError("empty domain")
+        if not math.isfinite(self.dx):
+            raise ValueError(f"domain width {self.x_max!r} - ({self.x_min!r}) overflows")
+        if not (np.diff(self.centers()) > 0.0).all():  # such a run never ends
+            raise ValueError(f"cell centres collide: cells too narrow at x = {self.x_min!r}")
 
     @property
     def dx(self) -> float:
@@ -85,24 +87,59 @@ class FieldSnapshot(Record):
 _largest, _least = np.maximum.reduce, np.minimum.reduce
 
 
-def _real_sqrt(x):
-    # cells with u < 0 have no real perturbed speed gap; it counts as 0
-    return np.sqrt(np.maximum(x, 0.0))
-
-
 def _max_speed(
     system: str, params: PressureParams, rho: np.ndarray, u: np.ndarray, ra: np.ndarray,
-    ar: np.ndarray, spare: np.ndarray,
+    ar: np.ndarray, spare,
 ) -> float:
-    """max |lambda| over the cells; ``spare`` is a scratch row of u's length."""
+    """max |lambda| over the cells, with the bits of ``core.speeds``; ``spare``
+    is a pair of scratch rows of u's length (as the step passes it) or one
+    such row, beside which a second is made."""
+    lam, mag = spare if isinstance(spare, tuple) else (spare, np.empty_like(u))
+    np.divide(params.B * params.alpha, ra, out=lam)
     if system == ORIGINAL:
-        lam1, lam2 = speeds(system, params, u, rho, ra=ra, ar=ar)
-        # lambda1 <= lambda2 in every cell, so max |lambda| is one of these two
-        return float(max(_largest(lam2), -_least(lam1)))
-    # gap >= 0 and -(u - gap) == gap - u exactly, so gap + |u| is the larger
-    # of lambda2 and -lambda1 in every cell, with the same bits
-    gap = speed_gap(params, u, ra, ar, _real_sqrt)
-    return float(_largest(np.add(gap, np.absolute(u, out=spare), out=gap)))
+        np.subtract(np.subtract(u, ar, out=mag), lam, out=lam)
+        # lambda1 <= lambda2 = u in every cell, so max |lambda| is one of these two
+        return float(max(_largest(u), -_least(lam)))
+    # cells with u < 0 have no real gap; it counts as 0.  gap >= 0 and
+    # -(u - gap) == gap - u exactly, so gap + |u| is the larger of lambda2
+    # and -lambda1 in every cell, with the same bits
+    np.multiply(u, np.add(ar, lam, out=lam), out=lam)
+    np.sqrt(np.maximum(lam, 0.0, out=lam), out=lam)
+    return float(_largest(np.add(lam, np.absolute(u, out=mag), out=lam)))
+
+
+def _coefficients(params: PressureParams) -> tuple:
+    """A, B, alpha (None at 1/2: a sqrt), 1 - alpha and A/2 as 0-d arrays, which
+    a ufunc reads as they are; a Python float it copies into a new array."""
+    A, B, alpha = params.A, params.B, params.alpha
+    exponent = None if alpha == 0.5 else np.array(alpha)
+    return np.array(A), np.array(B), exponent, np.array(1.0 - alpha), np.array(0.5 * A)
+
+
+def _fields(system: str, coefficients: tuple, rows, q2, f1, f2, vacuum=None) -> None:
+    """Write u, rho**alpha, A*rho and P from the density ``rows[0]`` and ``q2``
+    into ``rows[1:5]`` (``rows[5:]`` are scratch), then the flux into ``f1``
+    and ``f2``: ``core.offset`` and ``core.flux`` as ufunc calls, with their
+    bits.  ``vacuum`` = (t, x, mask) gives cells below ``VACUUM_RECOVERY_RHO``
+    u = x/t, as exact vacuum fans carry (no 0/0 noise in empty cells)."""
+    rho, u, ra, ar, P, s, r = rows
+    A, B, alpha, beta, half_A = coefficients
+    if alpha is None:  # np.power does not take the sqrt shortcut that ** takes
+        np.sqrt(rho, out=ra)
+    else:
+        np.power(rho, alpha, out=ra)
+    np.multiply(A, rho, out=ar)
+    np.subtract(ar, np.divide(B, ra, out=s), out=P)
+    np.divide(q2, rho, out=u)
+    if system == ORIGINAL:
+        np.subtract(u, P, out=u)
+    else:
+        np.divide(B, np.multiply(beta, ra, out=r), out=r)
+        np.subtract(u, np.subtract(np.multiply(half_A, rho, out=s), r, out=s), out=u)
+    if vacuum is not None:
+        t, x, low = vacuum
+        np.copyto(u, np.divide(x, t, out=s), where=np.less(rho, VACUUM_RECOVERY_RHO, out=low))
+    np.multiply(np.multiply(rho, u, out=f1), np.add(u, P, out=s), out=f2)
 
 
 def snapshot_schedule(snapshot_times, t_end: float) -> list[float]:
@@ -122,6 +159,7 @@ def snapshot_schedule(snapshot_times, t_end: float) -> list[float]:
     return times
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below
 def simulate(
     system: str,
     params: PressureParams,
@@ -132,15 +170,14 @@ def simulate(
 ) -> list[FieldSnapshot]:
     """March Riemann initial data (jump at x = 0) to ``grid.t_end``.
 
-    Returns snapshots at the times of ``snapshot_schedule`` (the end time is
-    always included; a requested time after it raises ValueError).  The
-    conserved state (rho, rho * (u + offset)) and its flux live in one
-    ghost-padded, cell-major buffer allocated before the first step: [q|f],
-    then cell, then component, so that each window view is contiguous.  The
-    global Lax-Friedrichs step updates it in place, with zeroth-order
-    outflow ghost cells.  Density positivity is enforced by flooring, with
-    the number of floored cells flagged on each snapshot.  A wave speed bound that is not
-    positive and finite (an overflowed state) raises ValueError.
+    Returns snapshots at the times of ``snapshot_schedule``.  The global
+    Lax-Friedrichs step updates the conserved state (rho, rho*(u + offset))
+    and its flux in place, in one buffer with zeroth-order outflow ghost
+    cells, and writes every array it forms, through ufunc ``out=``, into
+    buffers made before the first step.  Density positivity is enforced by
+    flooring, with the floored cells counted on each snapshot.  A wave speed
+    bound that is not positive and finite, or a snapshot field that is not
+    finite (an overflowed state), raises ValueError; numpy does not warn.
 
     A step updates only a window of cells [lo, hi) around the jump, with the
     same bits as stepping every cell: a cell whose neighbours hold its own
@@ -164,50 +201,32 @@ def simulate(
     w = np.empty((2, n + 2, 2))
     ghosts, edges = w[:, :: n + 1], w[:, 1 : n + 1 : n - 1]
     pairs = w[0].view(np.complex128)[:, 0]  # each cell's (q1, q2) as one number
-    faces = np.empty((2, n + 1, 2))  # face fluxes; jumps, then flux differences
-    cells = np.empty((5, n))  # u, rho**alpha, A*rho, B/rho**alpha, scratch
-    A, B, alpha = params.A, params.B, params.alpha
+    faces = np.empty((2, n + 1, 2))  # twice the face fluxes; jumps, then differences
+    cells = np.empty((7, n))  # floored rho, u, rho**alpha, A*rho, P, two scratch rows
+    below = np.empty(n, dtype=bool)  # cells under the floor or the vacuum density
+    coefficients = _coefficients(params)
+    speed, factor = np.empty(()), np.empty(())  # a_max and dt/(2 dx), read as coefficients
 
     def window(lo: int, hi: int):
-        """Views of the buffers over cells [lo, hi), the cells either side and
-        the faces between them."""
+        """Views of the buffers over cells [lo, hi), their neighbours and faces."""
         q_lo, f_lo = w[:, lo : hi + 1]
         q_hi, f_hi = w[:, lo + 1 : hi + 2]
         F, dq = faces[:, : hi - lo + 1]
         q, f = q_hi[:-1], f_hi[:-1]
+        rows = tuple(cells[:, lo:hi])
         return (
-            q, q_lo, q_hi, f_lo, f_hi, F, dq, F[:-1], F[1:], dq[:-1], *q.T, *f.T,
-            *cells[:, lo:hi], x[lo:hi],
+            q, q_lo, q_hi, f_lo, f_hi, F, dq, F[:-1], F[1:], dq[:-1], *q.T, *f.T, rows,
+            *rows[:4], rows[5:], x[lo:hi], below[lo:hi],
         )
 
-    def primitives(rho, t: float, lowest: float):
-        """Recover u at the floored density ``rho``, forming rho**alpha, A*rho,
-        B/rho**alpha and the pressure once; returns the pressure.  ``lowest``
-        is the least density before flooring."""
-        if alpha == 0.5:  # np.power does not take the sqrt shortcut that ** takes
-            np.sqrt(rho, out=ra)
-        else:
-            np.power(rho, alpha, out=ra)
-        np.multiply(A, rho, out=ar)
-        np.divide(B, ra, out=bra)
-        P = offset(ORIGINAL, params, rho, ra, ar, bra)
-        np.divide(q2, rho, out=u)
-        np.subtract(u, P if system == ORIGINAL else offset(system, params, rho, ra), out=u)
-        if not lowest >= VACUUM_RECOVERY_RHO:  # true for NaN too
-            # exact vacuum fans carry u = x/t; avoids 0/0 noise in empty cells
-            np.copyto(u, xs / t, where=rho < VACUUM_RECOVERY_RHO)
-        return P
-
     # set-up over the whole grid: the cells outside the window keep these values
-    (q, q_lo, q_hi, f_lo, f_hi, F, dq, F_lo, F_hi, dF, q1, q2, f1, f2, u, ra, ar, bra, spare,
-     xs) = window(0, n)
-    rho = np.where(x < 0.0, left.rho, right.rho)
-    q1[...] = rho
-    q2[...] = rho * (np.where(x < 0.0, left.u, right.u) + offset(system, params, rho))
-    rho = np.maximum(q1, RHO_POSITIVITY_FLOOR)
-    # no cell takes u = x/t at t = 0
-    f1[...], f2[...] = flux(params, u, rho, P=primitives(rho, 0.0, math.inf))
-    grid_q1, grid_q2, grid_u = q1, q2, u  # whole-grid views, for the snapshots
+    (q, q_lo, q_hi, f_lo, f_hi, F, dq, F_lo, F_hi, dF, q1, q2, f1, f2, rows, rho, u, ra, ar,
+     spare, xs, low) = window(0, n)
+    q1[...] = np.where(x < 0.0, left.rho, right.rho)
+    q2[...] = q1 * (np.where(x < 0.0, left.u, right.u) + offset(system, params, q1))
+    np.maximum(q1, RHO_POSITIVITY_FLOOR, out=rho)
+    _fields(system, coefficients, rows, q2, f1, f2)  # no cell takes u = x/t at t = 0
+    grid_q1, grid_q2, grid_rho, grid_u = q1, q2, rho, u  # whole-grid views, for the snapshots
     jump = int(np.searchsorted(x, 0.0))
     pad = n if min(left.rho, right.rho) < VACUUM_RECOVERY_RHO else _WINDOW_CHUNK
     lo, hi = max(jump - pad, 0), min(jump + pad, n)
@@ -226,11 +245,8 @@ def simulate(
                 hi = min(hi + _WINDOW_CHUNK, n)
             if viewed != (lo, hi):
                 viewed = lo, hi
-                (q, q_lo, q_hi, f_lo, f_hi, F, dq, F_lo, F_hi, dF, q1, q2, f1, f2, u, ra, ar,
-                 bra, spare, xs) = window(lo, hi)
-                # before the first step too: a window inside the grid means no
-                # end state below the floor, so q1 is already the floored density
-                rho = q1
+                (q, q_lo, q_hi, f_lo, f_hi, F, dq, F_lo, F_hi, dF, q1, q2, f1, f2, rows, rho, u,
+                 ra, ar, spare, xs, low) = window(lo, hi)
             a_max = _max_speed(system, params, rho, u, ra, ar, spare)
             if not 0.0 < a_max < math.inf:  # false for NaN too
                 raise ValueError(f"wave speed bound {a_max!r} at t = {t!r} after {steps} step(s)")
@@ -238,27 +254,25 @@ def simulate(
             dt = min(grid.cfl * dx / a_max, t_stop - t)
             if lo == 0 or hi == n:  # only then does the window read a ghost
                 ghosts[...] = edges
+            # F = f_lo + f_hi - a*(q_hi - q_lo) is twice the face flux; the two
+            # halves fold into the update's factor, exactly (scaling by 0.5 is)
+            speed[()], factor[()] = a_max, 0.5 * (dt / dx)
             np.add(f_lo, f_hi, out=F)
-            np.multiply(0.5, F, out=F)
-            np.subtract(q_hi, q_lo, out=dq)
-            np.multiply(0.5 * a_max, dq, out=dq)
-            np.subtract(F, dq, out=F)
+            np.subtract(F, np.multiply(speed, np.subtract(q_hi, q_lo, out=dq), out=dq), out=F)
             np.subtract(F_hi, F_lo, out=dF)
-            np.multiply(dt / dx, dF, out=dF)
-            np.subtract(q, dF, out=q)
-            lowest = _least(q1)
+            np.subtract(q, np.multiply(factor, dF, out=dF), out=q)
+            rho[...] = q1  # the primitives read the density as a contiguous row
+            lowest = _least(rho)
             if not lowest >= RHO_POSITIVITY_FLOOR:
-                floored += int(np.count_nonzero(q1 < RHO_POSITIVITY_FLOOR))
-                np.maximum(q1, RHO_POSITIVITY_FLOOR, out=q1)
+                floored += int(np.count_nonzero(np.less(rho, RHO_POSITIVITY_FLOOR, out=low)))
+                q1[...] = np.maximum(rho, RHO_POSITIVITY_FLOOR, out=rho)
             t += dt
-            rho = q1  # floored in place, so the density is q1 itself
-            f1[...], f2[...] = flux(params, u, rho, P=primitives(rho, t, lowest))
-        snapshots.append(
-            FieldSnapshot(
-                x.copy(), grid_q1.copy(), grid_q2.copy(),
-                np.maximum(grid_q1, RHO_POSITIVITY_FLOOR), grid_u.copy(), t, floored, steps,
-            )
-        )
+            vacuum = None if lowest >= VACUUM_RECOVERY_RHO else (t, xs, low)  # and at NaN
+            _fields(system, coefficients, rows, q2, f1, f2, vacuum)
+        fields = x.copy(), grid_q1.copy(), grid_q2.copy(), grid_rho.copy(), grid_u.copy()
+        if not all(np.isfinite(a).all() for a in fields[1:]):
+            raise ValueError(f"fields not finite at t = {t!r} after {steps} step(s)")
+        snapshots.append(FieldSnapshot(*fields, t, floored, steps))
     return snapshots
 
 

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -280,16 +281,43 @@ class TestSimulate:
 
     def test_overflowing_state_is_refused_before_any_file(self, tmp_path, capsys):
         # the flux of rho = u = 1e150 overflows, so the second step's wave
-        # speed bound is NaN; numpy warns on the way there
+        # speed bound is NaN; numpy once warned on the way there
+        error = "wave speed bound nan at t = 7.8125e-152 after 1 step(s)"
+        self.check_refused(tmp_path, capsys, ["--left", "1e150,1e150"], error)
+
+    @pytest.mark.parametrize(
+        ("flags", "error"),
+        [
+            (["--left", "2,1e200"], "wave speed bound inf at t = 0.0 after 0 step(s)"),
+            # the one step to T leaves NaN fields, which were once written out
+            (["--A", "1e-310", "--B", "1e-310", "--left", "1.5,1e308", "--T", "0.01"],
+             "fields not finite at t = 0.01 after 1 step(s)"),
+            # an infinite dx, and 16 cells with 2 distinct centres
+            (["--xmin=-1e308", "--xmax", "1e308"], "domain width 1e+308 - (-1e+308) overflows"),
+            (["--xmin", "1", "--xmax", "1.0000000000000002"],
+             "cell centres collide: cells too narrow at x = 1.0"),
+        ],
+        ids=["bound-inf", "last-step", "wide", "narrow"],
+    )
+    def test_overflow_or_degenerate_grid_is_refused_before_any_file(
+        self, tmp_path, capsys, flags, error
+    ):
+        self.check_refused(tmp_path, capsys, flags, error)
+
+    @staticmethod
+    def check_refused(tmp_path, capsys, flags, error):
+        """One error line, exit status 1, no warning and no output."""
         out = tmp_path / "sim"
         argv = [
             "simulate", "--system", "original", "--A", "0.1", "--B", "0.1", "--alpha", "0.37",
-            "--left", "1e150,1e150", "--right", "1,1", "--grid", "16", "--T", "0.1",
+            "--left", "1,1", "--right", "1,1", "--grid", "16", "--T", "0.1", *flags,
             "--out", str(out),
         ]
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert run(argv) == 1
-        assert capsys.readouterr().err.startswith("error: wave speed bound nan at t = ")
+        assert caught == []
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert not out.exists()
 
 

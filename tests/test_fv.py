@@ -54,6 +54,18 @@ class TestGridConfig:
         with pytest.raises(ValueError, match=f"n_cells must be an integer, got {n_cells!r}"):
             GridConfig(-1.0, 1.0, n_cells)
 
+    def test_overflowing_width_refused(self):
+        # dx = inf once put every cell centre at inf
+        with pytest.raises(ValueError, match=r"domain width 1e\+308 - \(-1e\+308\) overflows"):
+            GridConfig(-1e308, 1e308, 16)
+        assert GridConfig(-1e307, 1e307, 16).dx == 1.25e306
+
+    def test_colliding_centres_refused(self):
+        # 16 cells on [1, 1 + 2**-52] have 2 distinct centres; such a run never ended
+        with pytest.raises(ValueError, match="cell centres collide: cells too narrow at x = 1.0"):
+            GridConfig(1.0, 1.0 + 2.0**-52, 16)
+        assert len(set(GridConfig(1.0, 1.0 + 2.0**-44, 16).centers().tolist())) == 16
+
     def test_numpy_integer_cell_count_accepted(self):
         assert len(GridConfig(-1.0, 1.0, np.int64(20)).centers()) == 20
 
@@ -354,6 +366,15 @@ class TestWaveSpeedBound:
         with pytest.raises(ValueError, match=r"wave speed bound .* at t = 0\.0 after 0 step"):
             simulate("original", p, LEFT, RIGHT, GridConfig(-1.0, 1.0, 16, t_end=0.1))
 
+    @pytest.mark.parametrize("system", ["original", "perturbed"])
+    def test_overflow_in_the_last_step_is_refused(self, system):
+        # the first bound is 1.5, but the flux u*q2 of the left state overflows,
+        # so the one step to t_end leaves NaN fields; they once passed silently
+        p = PressureParams(1e-310, 1e-310, 0.37, system=system)
+        g = GridConfig(-1.0, 1.0, 16, t_end=0.01)
+        with pytest.raises(ValueError, match=r"^fields not finite at t = 0\.01 after 1 step\(s\)$"):
+            simulate(system, p, State(1.5, 1e308), State(1.0, 1.0), g)
+
 
 def two_reduction_bound(system, params, rho, u, ra, ar, spare):
     """The wave speed bound as max(lambda2.max(), -lambda1.min()) of core.speeds."""
@@ -386,6 +407,9 @@ class TestSpeedBoundIdentity:
             got = fv._max_speed(system, p, rho, u, ra, ar, np.empty_like(u))
             assert got.hex() == expect.hex()
             assert math.isnan(got) == (trial % 3 == 1)
+            # the step's form: two scratch rows of a cell block
+            rows = tuple(np.empty((7, 48)))
+            assert fv._max_speed(system, p, rho, u, ra, ar, rows[5:]).hex() == expect.hex()
 
     @pytest.mark.parametrize("system", ["original", "perturbed"])
     @pytest.mark.parametrize("alpha", [0.37, 0.5])
@@ -401,6 +425,87 @@ class TestSpeedBoundIdentity:
             errors.append(str(raised.value))
         assert errors[0] == errors[1]
         assert errors[0].startswith("wave speed bound nan at t = ")
+
+
+class CountingNumpy:
+    """Stands in for numpy in fv: counts the calls made through it and names
+    each elementwise ufunc call made without ``out=``."""
+
+    def __init__(self):
+        self.calls, self.without_out = 0, []
+
+    def counted(self, fn, name):
+        def call(*args, **kwargs):
+            self.calls += 1
+            if isinstance(fn, np.ufunc) and "out" not in kwargs:
+                self.without_out.append(name)
+            return fn(*args, **kwargs)
+
+        return call
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        return attr if isinstance(attr, type) or not callable(attr) else self.counted(attr, name)
+
+
+class TestStepCalls:
+    """A step makes a fixed number of numpy calls, each writing into a buffer."""
+
+    # ufunc calls and reductions per step; see CHANGES.md
+    PER_STEP = {"original": 22, "perturbed": 29}
+
+    @pytest.mark.parametrize("system", ["original", "perturbed"])
+    @pytest.mark.parametrize("alpha", [0.37, 0.5])
+    def test_calls_per_step(self, system, alpha, monkeypatch):
+        p = PressureParams(0.1, 0.1, alpha, system=system)
+        runs = []
+        for t_end in (0.1, 0.3):
+            counter = CountingNumpy()
+            monkeypatch.setattr(fv, "np", counter)
+            for name in ("_largest", "_least"):
+                monkeypatch.setattr(fv, name, counter.counted(getattr(fv, name), name))
+            snap = simulate(system, p, LEFT, RIGHT, GridConfig(-2.0, 3.0, 300, t_end=t_end))[-1]
+            monkeypatch.undo()
+            assert snap.floored_cells == 0 and snap.rho.min() > fv.VACUUM_RECOVERY_RHO
+            runs.append((snap.steps, counter.calls, counter.without_out))
+        (steps, calls, without_out), (more_steps, more_calls, more_without_out) = runs
+        assert more_steps > steps
+        # set-up and one snapshot each: the difference is the extra steps alone
+        assert more_calls - calls == self.PER_STEP[system] * (more_steps - steps)
+        assert more_without_out == without_out
+
+
+class TestFieldsSpelling:
+    """fv._fields spells core.offset and core.flux as ufunc calls into rows."""
+
+    @pytest.mark.parametrize("system", ["original", "perturbed"])
+    @pytest.mark.parametrize("alpha", [0.37, 0.5])  # 0.5: rho**alpha is a sqrt
+    def test_same_bits_as_core(self, system, alpha):
+        rng = np.random.RandomState(2718)
+        for _ in range(40):
+            A, B = (10.0 ** rng.uniform(-12, 2, size=2)).tolist()
+            p = PressureParams(A, B, alpha, system=system)
+            rho = 10.0 ** rng.uniform(-12, 8, size=64)
+            q2 = rng.choice([-1.0, 1.0], size=64) * 10.0 ** rng.uniform(-12, 8, size=64)
+            # the step's layout: a block of cell rows, and flux columns of a cell-major buffer
+            cells, f = np.full((7, 64), np.nan), np.full((64, 2), np.nan)
+            cells[0] = rho
+            fv._fields(system, fv._coefficients(p), tuple(cells), q2, *f.T)
+            u = q2 / rho - core.offset(system, p, rho)
+            expect = [u, rho**alpha, A * rho, core.offset("original", p, rho)]
+            assert [row.tobytes() for row in cells[1:5]] == [e.tobytes() for e in expect]
+            assert [c.tobytes() for c in f.T] == [e.tobytes() for e in core.flux(p, u, rho)]
+
+    def test_vacuum_recovery_sets_u_where_the_density_is_below_it(self):
+        p = PressureParams(0.1, 0.1, 0.37, system="perturbed")
+        rho = np.array([1e-9, 1.0, 1e-12, 2.0])
+        x, low = np.linspace(-1.0, 1.0, 4), np.empty(4, dtype=bool)
+        cells, f = np.empty((7, 4)), np.empty((4, 2))
+        cells[0] = rho
+        fv._fields("perturbed", fv._coefficients(p), tuple(cells), rho, *f.T, (0.3, x, low))
+        u = np.where(rho < fv.VACUUM_RECOVERY_RHO, x / 0.3, 1.0 - core.offset("perturbed", p, rho))
+        assert cells[1].tobytes() == u.tobytes()
+        assert [c.tobytes() for c in f.T] == [e.tobytes() for e in core.flux(p, u, rho)]
 
 
 class TestL1Error:
