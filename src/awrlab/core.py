@@ -169,41 +169,37 @@ class WaveSpeedPair(Record):
     lambda2: float
 
 
-def offset(system: str, params: PressureParams, rho, ra=None, ar=None, bra=None):
+def offset(system: str, params: PressureParams, rho, ra=None):
     """Velocity offset of ``system``, so that q2 = rho*(u + offset).
 
     The original offset is the pressure A*rho - B/rho**alpha itself.  No
     domain check: ``rho`` is a positive float or an array of them.  Here and
     in :func:`flux` and :func:`speeds`, a caller that already holds
-    ``ra`` = rho**alpha, ``ar`` = A*rho or ``bra`` = B/rho**alpha passes it;
-    the result is the same bits either way.
+    ``ra`` = rho**alpha passes it; the result is the same bits either way.
     """
     if ra is None:
         ra = rho**params.alpha
     if system == ORIGINAL:
-        return (params.A * rho if ar is None else ar) - (params.B / ra if bra is None else bra)
+        return params.A * rho - params.B / ra
     if system == PERTURBED:
         return 0.5 * params.A * rho - params.B / ((1.0 - params.alpha) * ra)
     raise ValueError(f"unknown system tag {system!r}")
 
 
-def flux(params: PressureParams, u, rho, ra=None, P=None):
-    """Flux (rho*u, rho*u*(u + P(rho))), the same for both systems; ``P`` is
-    the pressure when the caller holds it."""
+def flux(params: PressureParams, u, rho, ra=None):
+    """Flux (rho*u, rho*u*(u + P(rho))), the same for both systems."""
     m = rho * u
-    return m, m * (u + (offset(ORIGINAL, params, rho, ra) if P is None else P))
+    return m, m * (u + offset(ORIGINAL, params, rho, ra))
 
 
-def speeds(system: str, params: PressureParams, u, rho, sqrt=math.sqrt, ra=None, ar=None):
+def speeds(system: str, params: PressureParams, u, rho, sqrt=math.sqrt, ra=None):
     """Characteristic speeds (lambda1, lambda2) of ``system`` at (u, rho);
     arrays need an array ``sqrt``."""
     if ra is None:
         ra = rho**params.alpha
-    if ar is None:
-        ar = params.A * rho
     if system == ORIGINAL:
-        return u - ar - params.B * params.alpha / ra, u
-    gap = sqrt(u * (ar + params.B * params.alpha / ra))
+        return u - params.A * rho - params.B * params.alpha / ra, u
+    gap = sqrt(u * (params.A * rho + params.B * params.alpha / ra))
     return u - gap, u + gap
 
 

@@ -89,12 +89,11 @@ _largest, _least = np.maximum.reduce, np.minimum.reduce
 
 def _max_speed(
     system: str, params: PressureParams, rho: np.ndarray, u: np.ndarray, ra: np.ndarray,
-    ar: np.ndarray, spare,
+    ar: np.ndarray, spare: tuple,
 ) -> float:
     """max |lambda| over the cells, with the bits of ``core.speeds``; ``spare``
-    is a pair of scratch rows of u's length (as the step passes it) or one
-    such row, beside which a second is made."""
-    lam, mag = spare if isinstance(spare, tuple) else (spare, np.empty_like(u))
+    is a pair of scratch rows of u's length."""
+    lam, mag = spare
     np.divide(params.B * params.alpha, ra, out=lam)
     if system == ORIGINAL:
         np.subtract(np.subtract(u, ar, out=mag), lam, out=lam)
@@ -170,14 +169,16 @@ def simulate(
 ) -> list[FieldSnapshot]:
     """March Riemann initial data (jump at x = 0) to ``grid.t_end``.
 
-    Returns snapshots at the times of ``snapshot_schedule``.  The global
-    Lax-Friedrichs step updates the conserved state (rho, rho*(u + offset))
-    and its flux in place, in one buffer with zeroth-order outflow ghost
-    cells, and writes every array it forms, through ufunc ``out=``, into
-    buffers made before the first step.  Density positivity is enforced by
-    flooring, with the floored cells counted on each snapshot.  A wave speed
-    bound that is not positive and finite, or a snapshot field that is not
-    finite (an overflowed state), raises ValueError; numpy does not warn.
+    Returns snapshots at the times of ``snapshot_schedule``: an interval of
+    positive length takes at least one step and stops within min(1e-14, a
+    quarter of it) of its time.  The global Lax-Friedrichs step updates the
+    conserved state (rho, rho*(u + offset)) and its flux in place, in one
+    buffer with zeroth-order outflow ghost cells, and writes every array it
+    forms, through ufunc ``out=``, into buffers made before the first step.
+    Density positivity is enforced by flooring, with the floored cells
+    counted on each snapshot.  A wave speed bound that is not positive and
+    finite, or a snapshot field that is not finite (an overflowed state),
+    raises ValueError; numpy does not warn.
 
     A step updates only a window of cells [lo, hi) around the jump, with the
     same bits as stepping every cell: a cell whose neighbours hold its own
@@ -236,7 +237,9 @@ def simulate(
     floored = steps = 0
     t = 0.0
     for t_stop in times:
-        while t < t_stop - 1e-14:
+        # rounding slack, at most a quarter of the interval (half can round to t)
+        end = t_stop - min(1e-14, 0.25 * (t_stop - t))
+        while t < end:
             # an edge cell of the window that no longer matches its outer
             # neighbour will change that neighbour in this step
             if lo > 0 and pairs[lo] != pairs[lo + 1]:

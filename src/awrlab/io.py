@@ -35,11 +35,11 @@ def emit_csv(columns: Sequence[str], rows: Iterable[Sequence], path: str) -> Non
 def emit_svg_plot(
     series: Mapping[str, tuple[Sequence[float], Sequence[float]]],
     path: str,
-    title: str = "",
+    title: str,
     log_y: bool = False,
 ) -> None:
-    """Minimal SVG 1.1 line plot (SVG_WIDTH x SVG_HEIGHT): axes plus one
-    polyline per series."""
+    """Minimal SVG 1.1 line plot (SVG_WIDTH x SVG_HEIGHT): ``title``, axes
+    and one polyline per series."""
     import math
 
     if not series:
@@ -75,12 +75,9 @@ def emit_svg_plot(
         f'y2="{height - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" '
         f'y2="{height - margin}" stroke="black"/>',
+        f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
     for tick in range(5):
         fx = x_lo + (x_hi - x_lo) * tick / 4
         fy = y_lo + (y_hi - y_lo) * tick / 4

@@ -525,25 +525,19 @@ class RiemannSolution17(RiemannSolution):
     _hidden = ("table",)
 
 
-def _wave(
-    params: PressureParams,
-    direction: str,
-    sl: State,
-    sr: State,
-    table: RarefactionTable | None = None,
-):
-    """The ``direction`` wave joining ``sl`` to ``sr``: a shock when it
-    compresses, a fan along the rarefaction curve through ``sl`` when it
-    expands (reading ``table``, or a new view of its pressure law), None
-    when the densities agree.  The fan is :func:`rootfind.curve_fan` of the
+def _wave(table: RarefactionTable, direction: str, sl: State, sr: State):
+    """The ``direction`` wave joining ``sl`` to ``sr`` under the pressure law
+    of ``table``: a shock when it compresses, a fan along the rarefaction
+    curve through ``sl`` (reading ``table``) when it expands, None when the
+    densities agree.  The fan is :func:`rootfind.curve_fan` of the
     curve's point map in t = log(rho), which its nodes, its samples and the
     weak form share."""
+    params = table.params
     if sr.rho == sl.rho:
         return None
     if (sr.rho > sl.rho) == (direction == BACKWARD):
         return Shock(shock_speed_perturbed(params, sl, sr))
     k = 0 if direction == BACKWARD else 1
-    table = table or RarefactionTable(params)
     A, a = params.A, params.alpha
     kappa, half_kappa, r_l = 2.0 * k - 1.0, k - 0.5, math.sqrt(sl.u)
     t_head, t_tail = math.log(sl.rho), math.log(sr.rho)
@@ -661,8 +655,8 @@ def solve_perturbed(
         raise InapplicableError("intersection fell outside the positive-velocity region")
     star = State(u_star, rho_star)
     waves = (
-        _wave(params, BACKWARD, left, star, table),
-        _wave(params, FORWARD, star, right, table),
+        _wave(table, BACKWARD, left, star),
+        _wave(table, FORWARD, star, right),
     )
     return RiemannSolution17(
         params, left, star, right, tuple(w for w in waves if w is not None), table
@@ -710,9 +704,10 @@ def weak_form_residual(
     (f - b*q)*phi(b) - (f - a*q)*phi(a) exactly; a fan piece is integrated by
     adaptive quadrature in t = log(rho) along the fan's ``curve``, so only an
     end of the support inside a fan inverts the fan.  For an exact solution
-    both residuals vanish to quadrature accuracy; ``params`` must be of its system."""
-    if solution.params is None or solution.params.system != params.system:
-        raise InapplicableError(f"the solution is not one of the {params.system} system")
+    both residuals vanish to quadrature accuracy; ``params`` must be the
+    solution's own pressure law."""
+    if params is not solution.params and params != solution.params:
+        raise InapplicableError(f"the solution is not one of the {params.system} system: {params}")
     lo, hi = test_fn.center - test_fn.width, test_fn.center + test_fn.width
     breakpoints = (edge for wave in solution.waves for edge in wave.edges)
     cuts = sorted({lo, hi, *(b for b in breakpoints if lo < b < hi)})

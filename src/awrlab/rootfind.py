@@ -13,6 +13,7 @@ from .core import BracketError, Fan
 
 EXPAND_FACTOR = 4.0
 MAX_EXPANSIONS = 600
+MAX_ITERATIONS = 400
 
 
 def expand_bracket(
@@ -57,7 +58,6 @@ def bisect_decreasing(
     lo: float,
     hi: float,
     rtol: float = 1e-14,
-    max_iter: int = 400,
 ) -> float:
     """Root of a strictly decreasing f with f(lo) >= 0 >= f(hi), by Brent's
     method (Brent, 1973): inverse-quadratic or secant steps, guarded by
@@ -66,7 +66,7 @@ def bisect_decreasing(
     While the bracket spans more than a factor of 4 each step is a geometric
     bisection, so even a bracket over the whole double range narrows to a
     factor of 4 in about ten steps.  Raises ``BracketError`` if the bracket
-    is invalid or ``max_iter`` evaluations do not shrink it below ``rtol``
+    is invalid or MAX_ITERATIONS evaluations do not shrink it below ``rtol``
     relative.
     """
     if lo == hi:
@@ -82,7 +82,7 @@ def bisect_decreasing(
     a, fa, b, fb = lo, flo, hi, fhi
     c, fc = a, fa
     step = prev_step = b - a
-    for _ in range(max_iter):
+    for _ in range(MAX_ITERATIONS):
         if (fb > 0.0) == (fc > 0.0):  # b crossed the root: a is the far end
             c, fc = a, fa
             step = prev_step = b - a
@@ -119,7 +119,7 @@ def bisect_decreasing(
         fb = f(b)
         if fb == 0.0:
             return b
-    raise BracketError(f"no convergence in {max_iter} iterations on [{b}, {c}]")
+    raise BracketError(f"no convergence in {MAX_ITERATIONS} iterations on [{b}, {c}]")
 
 
 def solve_decreasing(

@@ -260,6 +260,15 @@ class TestSimulate:
         assert os.path.exists(os.path.join(out, "snapshot_t0p2_rho.svg"))
         assert os.path.exists(os.path.join(out, "snapshot_t0p2_u.svg"))
 
+    def test_end_time_below_the_clock_slack_takes_a_step(self, tmp_path):
+        # T below the clock's slack of 1e-14 once wrote the initial data at t = 0
+        out = str(tmp_path / "sim")
+        args = ["--A", "0.1", "--B", "0.1", "--alpha", "0.37", "--left", "2,1", "--right", "1,2"]
+        assert run(["simulate", "--system", "original", *args, "--grid", "16", "--T", "1e-15",
+                    "--out", out]) == 0
+        rows = read(os.path.join(out, "snapshot_t0.csv")).strip().split("\n")[1:]
+        assert len(rows) == 16 and {float(row.split(",")[-1]) for row in rows} == {1e-15}
+
     def test_floor_warning_counts_each_interval(self, tmp_path, monkeypatch, capsys):
         # floored_cells is cumulative: 3 then 3 means no new floors after t = 0.1
         x = np.linspace(-0.9, 0.9, 16)

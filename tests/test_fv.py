@@ -357,6 +357,50 @@ class TestSnapshots:
         assert 0 < alone[-1].steps < n_steps
 
 
+class TestClock:
+    """Each interval between stops that is longer than 0 takes a step, and
+    stops within min(1e-14, half the interval) of its time; the clock's
+    slack of 1e-14 once swallowed an interval shorter than itself."""
+
+    @staticmethod
+    def assert_clock(snaps, times):
+        assert len(snaps) == len(times)
+        asked, steps = 0.0, 0
+        for snap, t_stop in zip(snaps, times):
+            interval = t_stop - asked
+            assert snap.steps > steps if interval > 0.0 else snap.steps == steps
+            assert abs(snap.time - t_stop) <= min(1e-14, 0.5 * interval)
+            asked, steps = t_stop, snap.steps
+
+    @pytest.mark.parametrize(
+        ("t_end", "times"),
+        [
+            (1e-15, None),
+            (0.4, [0.2, 0.2 + 5e-15]),
+            # one ulp: t_stop less half of it rounds to 0.2 itself (a tie to even)
+            (0.4, [0.2, math.nextafter(0.2, 1.0)]),
+        ],
+    )
+    def test_interval_below_the_slack_takes_a_step(self, t_end, times):
+        p = PressureParams(0.1, 0.1, 0.37)
+        snaps = simulate("original", p, LEFT, RIGHT, GridConfig(-1.0, 1.0, 16, t_end=t_end), times)
+        self.assert_clock(snaps, snapshot_schedule(times, t_end))
+
+    def test_seeded_end_and_snapshot_times(self):
+        rng = np.random.RandomState(2828)
+        for trial in range(40):
+            system = ("original", "perturbed")[trial % 2]
+            p = PressureParams(0.1, 0.1, (0.37, 0.5)[trial // 2 % 2], system=system)
+            t_end = 10.0 ** rng.uniform(-16.0, 0.0)
+            # times anywhere in [0, t_end], and times just after one of them
+            times = (t_end * rng.uniform(size=rng.randint(4))).tolist()
+            times += [t + 10.0 ** rng.uniform(-16.0, -12.0) for t in times if rng.rand() < 0.5]
+            times = [t for t in times if t <= t_end] + [0.0] * rng.randint(2)
+            grid = GridConfig(-1.0, 1.0, int(rng.randint(16, 65)), t_end=t_end)
+            snaps = simulate(system, p, LEFT, RIGHT, grid, times)
+            self.assert_clock(snaps, snapshot_schedule(times, t_end))
+
+
 class TestWaveSpeedBound:
     @pytest.mark.parametrize("bound", [0.0, -1.0, math.nan, math.inf])
     def test_bound_not_positive_and_finite_is_refused(self, bound, monkeypatch):
@@ -378,9 +422,7 @@ class TestWaveSpeedBound:
 
 def two_reduction_bound(system, params, rho, u, ra, ar, spare):
     """The wave speed bound as max(lambda2.max(), -lambda1.min()) of core.speeds."""
-    lam1, lam2 = core.speeds(
-        system, params, u, rho, sqrt=lambda x: np.sqrt(np.maximum(x, 0.0)), ra=ra, ar=ar
-    )
+    lam1, lam2 = core.speeds(system, params, u, rho, lambda x: np.sqrt(np.maximum(x, 0.0)), ra)
     return float(max(lam2.max(), -lam1.min()))
 
 
@@ -404,7 +446,7 @@ class TestSpeedBoundIdentity:
             ra = np.sqrt(rho) if alpha == 0.5 else rho**alpha
             ar = p.A * rho
             expect = two_reduction_bound(system, p, rho, u, ra, ar, None)
-            got = fv._max_speed(system, p, rho, u, ra, ar, np.empty_like(u))
+            got = fv._max_speed(system, p, rho, u, ra, ar, (np.empty_like(u), np.empty_like(u)))
             assert got.hex() == expect.hex()
             assert math.isnan(got) == (trial % 3 == 1)
             # the step's form: two scratch rows of a cell block

@@ -41,17 +41,18 @@ class TestSvg:
     def test_basic_plot_structure(self, tmp_path):
         path = str(tmp_path / "p.svg")
         xs = [0.0, 1.0, 2.0]
-        emit_svg_plot({"a": (xs, [1.0, 2.0, 3.0]), "b": (xs, [3.0, 2.0, 1.0])}, path)
+        emit_svg_plot({"a": (xs, [1.0, 2.0, 3.0]), "b": (xs, [3.0, 2.0, 1.0])}, path, "p")
         with open(path, encoding="utf-8") as fh:
             svg = fh.read()
         assert svg.startswith("<svg")
         assert 'version="1.1"' in svg
         assert svg.count("<polyline") == 2
         assert svg.count("<line") == 2  # both axes
+        assert ">p</text>" in svg  # the title
 
     def test_log_scale_skips_nonpositive(self, tmp_path):
         path = str(tmp_path / "q.svg")
-        emit_svg_plot({"a": ([0.0, 1.0, 2.0], [1.0, 0.0, 10.0])}, path, log_y=True)
+        emit_svg_plot({"a": ([0.0, 1.0, 2.0], [1.0, 0.0, 10.0])}, path, "q", log_y=True)
         with open(path, encoding="utf-8") as fh:
             svg = fh.read()
         # only the two positive points survive on the polyline
@@ -60,4 +61,4 @@ class TestSvg:
 
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_svg_plot({}, str(tmp_path / "e.svg"))
+            emit_svg_plot({}, str(tmp_path / "e.svg"), "e")

@@ -687,7 +687,8 @@ class TestSolver:
         # keeps the curve's end instead of losing the bracket
         star = State(1.0, 1.0)
         u_end = rarefaction_curve_u(P_REF, star, 2.0, "forward")
-        fan = perturbed._wave(P_REF, "forward", star, State(u_end * (1.0 + 1e-9), 2.0))
+        end = State(u_end * (1.0 + 1e-9), 2.0)
+        fan = perturbed._wave(perturbed.RarefactionTable(P_REF), "forward", star, end)
         lam_end = eigenvalues_perturbed(P_REF, State(u_end, 2.0)).lambda2
         assert lam_end < fan.tail
         assert fan.profile(0.5 * (lam_end + fan.tail)) == (u_end, 2.0)
@@ -979,7 +980,7 @@ class TestFanTable:
         p = perturbed_params(1e-300, 1e-300, 0.99)
         star = State(1.0, 1e-315)
         end = State(rarefaction_curve_u(p, star, 1e-300, "forward"), 1e-300)
-        fan = perturbed._wave(p, "forward", star, end)
+        fan = perturbed._wave(perturbed.RarefactionTable(p), "forward", star, end)
         t_head, t_tail, point = fan.curve
         for t in np.linspace(t_head, t_tail, 9):
             lam, slope, u, rho = point(float(t))
@@ -1047,15 +1048,19 @@ class TestWeakForm:
             weak_form_residual(p, bare, BumpTestFunction(fan.tail, 0.1))
 
     def test_params_of_another_system_rejected(self):
-        # the system is the solution's: a perturbed two-shock solve checked
-        # with params of the original system once read r2 = 0.174 silently,
-        # against 1.4e-15 with its own
+        # the pressure law is the solution's: a perturbed two-shock solve
+        # checked with params of the original system once read r2 = 0.174
+        # silently, and with A doubled r2 = -0.239, against 1.4e-15 with its own
         p = perturbed_params(1e-2, 1e-2)
         sol = solve_perturbed(p, LEFT, RIGHT)
         bump = BumpTestFunction(sol.waves[0].speed, 0.5)
         assert max(map(abs, weak_form_residual(p, sol, bump))) <= 1e-13
-        with pytest.raises(InapplicableError, match="not one of the original system"):
-            weak_form_residual(PressureParams(0.01, 0.01, 0.5), sol, bump)
+        assert weak_form_residual(perturbed_params(1e-2, 1e-2), sol, bump) == weak_form_residual(
+            p, sol, bump
+        )
+        for other in (PressureParams(0.01, 0.01, 0.5), perturbed_params(2e-2, 1e-2)):
+            with pytest.raises(InapplicableError, match=f"not one of the {other.system} system"):
+                weak_form_residual(other, sol, bump)
 
     @pytest.mark.parametrize("left, right", [(LEFT, RIGHT), (LEFT_RR, RIGHT_RR)])
     def test_each_xi_sampled_once(self, monkeypatch, left, right):

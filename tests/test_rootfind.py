@@ -19,9 +19,10 @@ from awrlab.rootfind import (
 
 
 class TestBisectDecreasing:
-    def test_too_few_iterations_raise(self):
+    def test_too_few_iterations_raise(self, monkeypatch):
+        monkeypatch.setattr(rootfind, "MAX_ITERATIONS", 3)
         with pytest.raises(BracketError):
-            bisect_decreasing(lambda x: 1.0 - x**3, 0.0, 10.0, max_iter=3)
+            bisect_decreasing(lambda x: 1.0 - x**3, 0.0, 10.0)
 
     def test_invalid_bracket_raises(self):
         with pytest.raises(BracketError):
