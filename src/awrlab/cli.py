@@ -204,10 +204,8 @@ def _params(opts: dict, system: str) -> PressureParams:
 
 
 def _output(opts: dict, *name: str) -> str:
-    """The output directory, made if it is missing, or the path of ``name`` in it."""
-    out = opts["out"] or os.environ.get("AWRLAB_OUT") or "awrlab_out"
-    os.makedirs(out, exist_ok=True)
-    return os.path.join(out, *name)
+    """The output directory, or the path of ``name`` in it; the writers make it."""
+    return os.path.join(opts["out"] or os.environ.get("AWRLAB_OUT") or "awrlab_out", *name)
 
 
 def _exact(opts: dict, system: str, classify: bool = False):

@@ -16,6 +16,7 @@ from .core import ORIGINAL, PERTURBED, PressureParams, Record, State, offset
 
 RHO_POSITIVITY_FLOOR = 1e-12
 VACUUM_RECOVERY_RHO = 1e-8
+MAX_STEPS = 10**8  # simulate refuses a run whose step count estimate exceeds it
 # cells a side of simulate's window grows by; a step changes at most one more
 _WINDOW_CHUNK = 32
 
@@ -178,7 +179,11 @@ def simulate(
     Density positivity is enforced by flooring, with the floored cells
     counted on each snapshot.  A wave speed bound that is not positive and
     finite, or a snapshot field that is not finite (an overflowed state),
-    raises ValueError; numpy does not warn.
+    raises ValueError; numpy does not warn.  So does a run whose second
+    step's bound a_max puts its step count, t_end*a_max/(cfl*dx), above
+    ``MAX_STEPS`` (the check waits one step so that an overflow the first
+    step makes is reported as such); a step far below the clock's resolution
+    would otherwise never end the run.
 
     A step updates only a window of cells [lo, hi) around the jump, with the
     same bits as stepping every cell: a cell whose neighbours hold its own
@@ -232,6 +237,7 @@ def simulate(
     pad = n if min(left.rho, right.rho) < VACUUM_RECOVERY_RHO else _WINDOW_CHUNK
     lo, hi = max(jump - pad, 0), min(jump + pad, n)
     viewed = 0, n
+    budget = MAX_STEPS * grid.cfl * dx / grid.t_end  # a bound past it may need more steps
 
     snapshots: list[FieldSnapshot] = []
     floored = steps = 0
@@ -251,8 +257,17 @@ def simulate(
                 (q, q_lo, q_hi, f_lo, f_hi, F, dq, F_lo, F_hi, dF, q1, q2, f1, f2, rows, rho, u,
                  ra, ar, spare, xs, low) = window(lo, hi)
             a_max = _max_speed(system, params, rho, u, ra, ar, spare)
-            if not 0.0 < a_max < math.inf:  # false for NaN too
-                raise ValueError(f"wave speed bound {a_max!r} at t = {t!r} after {steps} step(s)")
+            if not 0.0 < a_max < budget:  # false for NaN too
+                if not 0.0 < a_max < math.inf:
+                    raise ValueError(
+                        f"wave speed bound {a_max!r} at t = {t!r} after {steps} step(s)"
+                    )
+                estimate = grid.t_end * a_max / (grid.cfl * dx)
+                if steps == 1 and estimate > MAX_STEPS:
+                    raise ValueError(
+                        f"the run needs about {estimate:.3g} time steps, more than "
+                        f"MAX_STEPS = {MAX_STEPS}"
+                    )
             steps += 1
             dt = min(grid.cfl * dx / a_max, t_stop - t)
             if lo == 0 or hi == n:  # only then does the window read a ghost

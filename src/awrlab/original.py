@@ -99,8 +99,11 @@ def intermediate_state(params: PressureParams, left: State, u_plus: float) -> St
     :func:`_star_log_density`.  rho* > rho- iff u_plus < u- (shock branch),
     rho* < rho- otherwise (rarefaction branch).  A star density below the
     least positive double raises ``DensityUnderflowError``, one above the
-    largest an ``InapplicableError``.
+    largest an ``InapplicableError``, as does a pressure law tagged for the
+    perturbed system.
     """
+    if params.system != ORIGINAL:
+        raise InapplicableError(f"the original solver refuses a law tagged {params.system!r}")
     if not u_plus > 0.0:
         raise ValueError(f"u_plus must be positive, got {u_plus}")
     if u_plus == left.u:

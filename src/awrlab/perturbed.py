@@ -6,26 +6,25 @@ curves are defined through the integral of sqrt(A*s + B*alpha/s**alpha)/s;
 shock curves come from eliminating the shock speed from the jump conditions,
 which leaves (u_r - u_l)**2 = E1 with E1 affine in both velocities.
 
-Every :class:`RarefactionTable` is a view, scaled by one factor, over a
-unit table shared by every table of its pressure family.  The integrand in
-t = log(rho) is sqrt(A*e^t + B*alpha*e^(-alpha*t)); with A > 0 and B/A a
-normal double up to 1e280 it is sqrt(A) times
-sqrt(e^t + (B/A)*alpha*e^(-alpha*t)), so all laws of one alpha and one B/A
-(an A = B sweep, say) read one unit table, kept in a small module-level
-LRU.  The unit table holds the integral
-on unit panels [k, k+1], built lazily from CHEB_POINTS integrand values: a
-Chebyshev interpolant through them gives a panel's antiderivative, whose
-value at the panel's upper end, the values' dot product with Fejer's
-weights, is the panel's integral; its coefficients are formed when a value
-inside the panel is first asked for (the integrand is analytic within pi/2
-of the real t axis, so the interpolant converges geometrically whatever A,
-B and alpha are; panel sums agree with QUADPACK to 1e-13 relative).  Every
-request inside PANEL_T_RANGE is answered from panels, so a value depends
-only on the pressure law and the request, never on which requests came
-first.  A two-shock solve asks for no integral.  Panels stop at t = -744
-and t = 709, the ends of the double range; the part of a request beyond
-them is one direct ``quad``.  A fan's point map reads the table's integrand
-and :meth:`RarefactionTable.integral_from`, which reads panels alone.
+A :class:`RarefactionTable` reads the integrand in t = log(rho),
+sqrt(A*e^t + B*alpha*e^(-alpha*t)); with A > 0 and B/A a normal double up
+to 1e280 it is sqrt(A) times sqrt(e^t + (B/A)*alpha*e^(-alpha*t)), so all
+laws of one alpha and one B/A (an A = B sweep, say) share one panel store,
+kept in a small module-level LRU, and each table scales what it reads.  The
+store holds the unscaled integral on unit panels [k, k+1], built lazily from
+CHEB_POINTS integrand values: a Chebyshev interpolant through them gives a
+panel's antiderivative, whose value at the panel's upper end, the values'
+dot product with Fejer's weights, is the panel's integral; its coefficients
+are formed when a value inside the panel is first asked for (the integrand
+is analytic within pi/2 of the real t axis, so the interpolant converges
+geometrically whatever A, B and alpha are; panel sums agree with QUADPACK
+to 1e-13 relative).  Every request inside PANEL_T_RANGE is answered from
+panels, so a value depends only on the pressure law and the request, never
+on which requests came first.  A two-shock solve asks for no integral.
+Panels stop at t = -744 and t = 709, the ends of the double range; the part
+of a request beyond them is one direct ``quad``.  A fan's point map reads
+the table's integrand and :meth:`RarefactionTable.integral_from`, which
+reads panels alone.
 """
 
 from __future__ import annotations
@@ -81,9 +80,10 @@ class RegionLabel17(Enum):
 
 
 def _require_perturbed(params: PressureParams, *rhos: float):
-    """0 < alpha < 1, and each of ``rhos`` finite and > 0."""
-    if not (0.0 < params.alpha < 1.0):
-        raise ValueError("the perturbed system requires 0 < alpha < 1")
+    """A pressure law tagged for this system (so 0 < alpha < 1), and each of
+    ``rhos`` finite and > 0."""
+    if params.system != PERTURBED:
+        raise InapplicableError(f"the perturbed solver refuses a law tagged {params.system!r}")
     for rho in rhos:
         if not (rho > 0.0 and math.isfinite(rho)):
             raise DegenerateDensityError(f"rho must be finite and > 0, got {rho}")
@@ -127,110 +127,39 @@ def _clenshaw(c: list[float], x: float) -> float:
     return c[0] + x * b1 - b2
 
 
-class _UnitTable:
-    """The panels and coefficients of sqrt(c_a*e^t + c_b*alpha*e^(-alpha*t)),
-    the integrand of a pressure family in t = log(rho) up to a constant
-    factor, for t within PANEL_T_RANGE (see the module docstring).  Its
-    values depend only on (alpha, c_a, c_b) and the request."""
-
-    def __init__(self, alpha: float, c_a: float, c_b: float):
-        self.alpha, self.c_a, self.c_b = alpha, c_a, c_b
-        # below this alpha*t, c_b*alpha*e^(-alpha*t) may overflow, so the
-        # integrand factors out e^(-alpha*t/2)
-        ba = c_b * alpha
-        self._cut = -709.0 + (math.log(ba) if ba > 1.0 else 0.0)
-        # per built panel its integral and integrand values, and its
-        # antiderivative's coefficients once a value inside it is asked for
-        self._panels: dict[int, tuple[float, list[float]]] = {}
-        self._coefficients: dict[int, list[float]] = {}
-        self._cheb_f: list[float] = []  # e^(-alpha*(t - k)) at the points, on the first build
-
-    def integrand(self, t: float) -> float:
-        a, c_a, ba = self.alpha, self.c_a, self.c_b * self.alpha
-        if a * t < self._cut:
-            return math.exp(-0.5 * a * t) * math.sqrt(c_a * math.exp((1.0 + a) * t) + ba)
-        return math.sqrt(c_a * math.exp(t) + ba * math.exp(-a * t))
-
-    def values(self, k: int) -> list[float]:
-        """The integrand at panel [k, k+1]'s Chebyshev points, from two
-        exponentials: sqrt(c_a*e^k*e^(t-k) + c_b*alpha*e^(-alpha*k)*e^(-alpha*(t-k)))."""
-        a, c_a, ba = self.alpha, self.c_a, self.c_b * self.alpha
-        if not self._cheb_f:
-            self._cheb_f = [math.exp(-a * (0.5 + 0.5 * x)) for x in _CHEB_X]
-        if a * k < self._cut:
-            h, e_a = math.exp(-0.5 * a * k), c_a * math.exp((1.0 + a) * k)
-            return [h * math.sqrt(e_a * e + ba * f) for e, f in zip(_CHEB_E, self._cheb_f)]
-        e_a, e_b = c_a * math.exp(k), ba * math.exp(-a * k)
-        return [math.sqrt(e_a * e + e_b * f) for e, f in zip(_CHEB_E, self._cheb_f)]
-
-    def panel(self, k: int) -> float:
-        """Integral over panel [k, k+1], built on first use: the Fejer
-        weights' dot product with the integrand values."""
-        if k not in self._panels:
-            values = self.values(k)
-            self._panels[k] = (sum(map(mul, _FEJER, values)), values)
-        return self._panels[k][0]
-
-    def coefficients(self, k: int) -> list[float]:
-        """Chebyshev coefficients of panel k's antiderivative from k."""
-        if k not in self._coefficients:
-            self.panel(k)
-            values = self._panels[k][1]
-            self._coefficients[k] = [sum(map(mul, row, values)) for row in _CHEB_MATRIX]
-        return self._coefficients[k]
-
-    def partial(self, k: int, t: float) -> float:
-        """Integral over [k, t] for t in panel [k, k+1]: 0 and the panel's
-        integral at its ends, so only a t inside the panel forms its
-        antiderivative's coefficients."""
-        if t == k:
-            return 0.0
-        if t == k + 1:
-            return self.panel(k)
-        return _clenshaw(self.coefficients(k), 2.0 * (t - k) - 1.0)
-
-    def between(self, t_a: float, t_b: float) -> float:
-        """Integral over [t_a, t_b], t_a < t_b, within PANEL_T_RANGE: the
-        whole panels' integrals and the partial ends."""
-        k_a, k_b = math.floor(t_a), math.ceil(t_b) - 1  # the panels covering [t_a, t_b]
-        if k_a == k_b:
-            return self.partial(k_a, t_b) - self.partial(k_a, t_a)
-        total = self.panel(k_a) - self.partial(k_a, t_a)
-        for k in range(k_a + 1, k_b):
-            total += self.panel(k)
-        return total + self.partial(k_b, t_b)
-
-
-# A sweep at one alpha and one B/A reads one unit table, and so does a
+# A sweep at one alpha and one B/A reads one family's panels, and so does a
 # weak-form check that solves again at one of its points; a few more keep
 # several such families apart.  The bound keeps memory flat where each
-# solve brings a new family, as in a batch of random pressure laws: a unit
-# table spanning the whole panel range holds 1,453 panels, about 1 MB (2 MB
-# with every panel's coefficients), and a typical solve's a few dozen.
+# solve brings a new family, as in a batch of random pressure laws: a family
+# spanning the whole panel range holds 1,453 panels, about 1 MB (2 MB with
+# every panel's coefficients), and a typical solve's a few dozen.
 _UNIT_TABLES = 8
 
 
 @lru_cache(maxsize=_UNIT_TABLES)
-def _unit_table(alpha: float, c_a: float, c_b: float) -> _UnitTable:
-    return _UnitTable(alpha, c_a, c_b)
+def _unit_table(alpha: float, c_a: float, c_b: float) -> tuple[dict, dict, list]:
+    """The panel store of a family: per built panel its integral and values,
+    its coefficients, and e^(-alpha*(t - k)) at the points, filled on its first build."""
+    return {}, {}, []
 
 
 class RarefactionTable:
     """The rarefaction integral of one pressure law in t = log(rho), whose
     integrand sqrt(A*s + B*alpha/s**alpha)/s after s = e^t is the smooth
-    sqrt(A*e^t + B*alpha*e^(-alpha*t)): a view, scaled by ``scale``, over
-    the shared unit table ``unit`` of sqrt(c_a*e^t + c_b*alpha*e^(-alpha*t))
-    (see the module docstring).  (c_a, c_b, scale) is (1, B/A, sqrt(A))
-    when A > 0 and B/A is a normal double up to 1e280, else (A, B, 1).
+    sqrt(A*e^t + B*alpha*e^(-alpha*t)) = scale*sqrt(c_a*e^t + c_b*alpha*e^(-alpha*t)).
+    (c_a, c_b, scale) is (1, B/A, sqrt(A)) when A > 0 and B/A is a normal
+    double up to 1e280, else (A, B, 1).  Its panels hold the unscaled
+    integral, shared by every table of one (alpha, c_a, c_b) (see the module
+    docstring); every public value is scaled.
 
-    ``panels_built`` counts the panels of the shared unit table, whichever
-    view's request built them, so views of one family report one count.
-    ``max_abserr`` is the largest error estimate of this view's own direct
+    ``panels_built`` counts the panels of the shared store, whichever
+    table's request built them, so tables of one family report one count.
+    ``max_abserr`` is the largest error estimate of this table's own direct
     ``quad`` calls, which only requests beyond PANEL_T_RANGE make (a panel
-    build makes none); it is 0 for a view that never left the range."""
+    build makes none); it is 0 for a table that never left the range."""
 
     def __init__(self, params: PressureParams):
-        A, B = params.A, params.B
+        A, B, alpha = params.A, params.B, params.alpha
         ratio = B / A if A > 0.0 else 0.0
         # scaled, the unit integrand reaches sqrt(B/A)*e^372 at t = -744, which
         # B/A up to 1e280 keeps finite
@@ -238,23 +167,70 @@ class RarefactionTable:
             c_a, c_b, self.scale = 1.0, ratio, math.sqrt(A)
         else:
             c_a, c_b, self.scale = A, B, 1.0
-        self.params = params
-        self.unit = _unit_table(params.alpha, c_a, c_b)
+        self.params, self.alpha, self.c_a, self.c_b = params, alpha, c_a, c_b
+        self._ba = ba = c_b * alpha
+        # below this alpha*t, c_b*alpha*e^(-alpha*t) may overflow, so the
+        # integrand factors out e^(-alpha*t/2)
+        self._cut = -709.0 + (math.log(ba) if ba > 1.0 else 0.0)
+        self._panels, self._coefs, self._cheb_f = _unit_table(alpha, c_a, c_b)
         self.max_abserr = 0.0
 
     @property
     def panels_built(self) -> int:
-        return len(self.unit._panels)
+        return len(self._panels)
 
     def integrand(self, t: float) -> float:
-        return self.scale * self.unit.integrand(t)
+        a, ba = self.alpha, self._ba
+        if a * t < self._cut:
+            return self.scale * (
+                math.exp(-0.5 * a * t) * math.sqrt(self.c_a * math.exp((1.0 + a) * t) + ba)
+            )
+        return self.scale * math.sqrt(self.c_a * math.exp(t) + ba * math.exp(-a * t))
+
+    def _values(self, k: int) -> list[float]:
+        """The unscaled integrand at panel [k, k+1]'s Chebyshev points, from two
+        exponentials: sqrt(c_a*e^k*e^(t-k) + c_b*alpha*e^(-alpha*k)*e^(-alpha*(t-k)))."""
+        a, c_a, ba, cheb_f = self.alpha, self.c_a, self._ba, self._cheb_f
+        if not cheb_f:  # a family that never builds a panel makes none
+            cheb_f.extend(math.exp(-a * (0.5 + 0.5 * x)) for x in _CHEB_X)
+        if a * k < self._cut:
+            h, e_a = math.exp(-0.5 * a * k), c_a * math.exp((1.0 + a) * k)
+            return [h * math.sqrt(e_a * e + ba * f) for e, f in zip(_CHEB_E, cheb_f)]
+        e_a, e_b = c_a * math.exp(k), ba * math.exp(-a * k)
+        return [math.sqrt(e_a * e + e_b * f) for e, f in zip(_CHEB_E, cheb_f)]
+
+    def _panel(self, k: int) -> float:
+        """Unscaled integral over panel [k, k+1], built on first use: the
+        Fejer weights' dot product with the integrand values."""
+        if k not in self._panels:
+            values = self._values(k)
+            self._panels[k] = (sum(map(mul, _FEJER, values)), values)
+        return self._panels[k][0]
+
+    def _coefficients(self, k: int) -> list[float]:
+        """Chebyshev coefficients of panel k's unscaled antiderivative from k."""
+        if k not in self._coefs:
+            self._panel(k)
+            values = self._panels[k][1]
+            self._coefs[k] = [sum(map(mul, row, values)) for row in _CHEB_MATRIX]
+        return self._coefs[k]
+
+    def _partial(self, k: int, t: float) -> float:
+        """Unscaled integral over [k, t] for t in panel [k, k+1]: 0 and the
+        panel's integral at its ends, so only a t inside the panel forms its
+        antiderivative's coefficients."""
+        if t == k:
+            return 0.0
+        if t == k + 1:
+            return self._panel(k)
+        return _clenshaw(self._coefficients(k), 2.0 * (t - k) - 1.0)
 
     def integral_from(self, t0: float) -> Callable[[float], float]:
         """t -> the integral over [t0, t]: from t0 to the lower end k of t's
         panel, formed on demand outward from t0 in order (so a value does not
         depend on the order of requests), plus the partial integral over
         [k, t]; its error is the rounding of those two, relative to the panels."""
-        unit, scale, k0 = self.unit, self.scale, math.floor(t0)
+        panel, partial, scale, k0 = self._panel, self._partial, self.scale, math.floor(t0)
         ends: dict[int, float] = {}
         lo = hi = k0  # the lowest and highest panel ends formed
 
@@ -262,26 +238,33 @@ class RarefactionTable:
             nonlocal lo, hi
             k = math.floor(t)
             if not ends:
-                ends[k0] = -unit.partial(k0, t0)
+                ends[k0] = -partial(k0, t0)
             while hi < k:
-                ends[hi + 1] = ends[hi] + unit.panel(hi)
+                ends[hi + 1] = ends[hi] + panel(hi)
                 hi += 1
             while lo > k:
                 lo -= 1
-                ends[lo] = ends[lo + 1] - unit.panel(lo)
-            return scale * (ends[k] + unit.partial(k, t))
+                ends[lo] = ends[lo + 1] - panel(lo)
+            return scale * (ends[k] + partial(k, t))
 
         return integral
 
     def between(self, t_a: float, t_b: float) -> float:
-        """Signed integral over [t_a, t_b]: panel sums inside
-        PANEL_T_RANGE, one direct ``quad`` for each part beyond it."""
+        """Signed integral over [t_a, t_b]: inside PANEL_T_RANGE the whole
+        panels' integrals and the partial ends, one direct ``quad`` for each
+        part beyond it."""
         if t_a > t_b:
             return -self.between(t_b, t_a)
         if t_a == t_b:
             return 0.0
         if PANEL_T_RANGE[0] <= t_a and t_b <= PANEL_T_RANGE[1]:
-            return self.scale * self.unit.between(t_a, t_b)
+            k_a, k_b = math.floor(t_a), math.ceil(t_b) - 1  # the panels covering [t_a, t_b]
+            if k_a == k_b:
+                return self.scale * (self._partial(k_a, t_b) - self._partial(k_a, t_a))
+            total = self._panel(k_a) - self._partial(k_a, t_a)
+            for k in range(k_a + 1, k_b):
+                total += self._panel(k)
+            return self.scale * (total + self._partial(k_b, t_b))
         # split at an end of the panels: one quad over a range much longer than
         # the panels' side can step over the integrand's rise near its far end
         for end in PANEL_T_RANGE:
@@ -518,7 +501,7 @@ def classify_perturbed(params: PressureParams, left: State, right: State) -> Reg
 
 class RiemannSolution17(RiemannSolution):
     """Self-similar two-wave solution of the perturbed system; ``table`` is
-    the rarefaction-integral view its solve and its fans share (None for a
+    the rarefaction table its solve and its fans share (None for a
     solution assembled by hand), left out of equality, hash and repr."""
 
     table: RarefactionTable | None = None
@@ -599,8 +582,8 @@ def solve_perturbed(
     """Intersect the backward curve from ``left`` with the (reversed) forward
     curve through ``right``; assemble the two waves around the result.  The
     curves, the vacuum-side search and both fans read one
-    :class:`RarefactionTable`, kept on the solution as ``table``, a view
-    over the unit table that its pressure family shares.
+    :class:`RarefactionTable`, kept on the solution as ``table``, whose
+    panels its pressure family shares.
 
     Monotonicity of the curves in rho is only guaranteed for small pressure
     coefficients; the residual of the match is always checked.

@@ -142,6 +142,20 @@ class TestSolve:
         assert code == 1 and err.count("error: ") == 1 and "Traceback" not in err
         assert err.startswith("error: the star density underflows: log10(rho*) = -3")
 
+    def test_star_state_below_zero_velocity_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "neg"
+        code = run([
+            "solve", "--system", "perturbed", "--A", "1.2708674738382298e-05",
+            "--B", "3.349185622514799e-12", "--alpha", "0.0003998288260407878",
+            "--left", "6.890727614334011e-06,2.8275364587446644e-07",
+            "--right", "0.1242310825580985,169681.30465649776", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "", "error: intersection fell outside the positive-velocity region\n"
+        )
+        assert not out.exists()
+
     def test_grid_is_numpy_linspace_bit_for_bit(self):
         rng = np.random.RandomState(6)
         for _ in range(500):
@@ -224,6 +238,32 @@ class TestSweep:
             if v.startswith("[PASS]"):
                 assert "target=" in v and "achieved=" in v and "tol=" in v
 
+    @pytest.mark.parametrize("system", ["original", "perturbed"])
+    def test_zero_strength_data_write_nothing(self, tmp_path, capsys, system):
+        out = tmp_path / "z"
+        argv = ["sweep", "--system", system, "--left", "2,1", "--right", "2,3", "--alpha", "0.5"]
+        assert run([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr() == (
+            "[PASS] zero-strength data: target=0 achieved=0 tol=0\n", ""
+        )
+        assert not out.exists()
+
+    def test_schedule_from_above_the_threshold_reports_it(self, tmp_path, capsys):
+        # the schedule starts above the coupled threshold, so the line giving
+        # it is printed; A = 1e-3 is too large for the shock speed to reach
+        # u+ within 1e-5, so that verdict fails and the exit status is 2
+        argv = ["sweep", "--system", "original", "--left", "2,1", "--right", "1,2",
+                "--alpha", "0.5", "--schedule", "1:1e-3:4", "--out", str(tmp_path / "t")]
+        assert run(argv) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "coupled region threshold A = B = 0.773459080339"
+        flip = "[PASS] region flips across the coupled threshold: target=1 achieved=1 tol=0"
+        assert flip in lines
+        assert [line for line in lines if line.startswith("[FAIL]")] == [
+            "[FAIL] shock speed reaches downstream velocity: target=1 achieved=0.9989990307 "
+            "tol=1e-05"
+        ]
+
     def test_transport_rejected(self, capsys):
         code = run(
             ["sweep", "--system", "transport", "--left", "2,1", "--right", "1,2"]
@@ -268,6 +308,29 @@ class TestSimulate:
                     "--out", out]) == 0
         rows = read(os.path.join(out, "snapshot_t0.csv")).strip().split("\n")[1:]
         assert len(rows) == 16 and {float(row.split(",")[-1]) for row in rows} == {1e-15}
+
+    def test_step_below_the_clock_resolution_is_refused(self, tmp_path):
+        # dx = 6.25e-17 gives dt about 1.6e-17, below half an ulp of t near
+        # t = 0.1, where the clock once stalled and the run never ended; the
+        # command runs in a fresh process under a timeout, so a regression
+        # fails instead of hanging
+        out = tmp_path / "stall"
+        argv = [
+            "simulate", "--system", "original", "--A", "0.1", "--B", "0.1", "--alpha", "0.37",
+            "--left", "2,1", "--right", "1,2", "--grid", "16", "--T", "0.5",
+            "--xmin", "0", "--xmax", "1e-15", "--out", str(out),
+        ]
+        src = os.path.dirname(os.path.dirname(awrlab.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "awrlab.cli", *argv], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            "error: the run needs about 1.6e+16 time steps, more than MAX_STEPS = 100000000\n"
+        )
+        assert not out.exists()
 
     def test_floor_warning_counts_each_interval(self, tmp_path, monkeypatch, capsys):
         # floored_cells is cumulative: 3 then 3 means no new floors after t = 0.1

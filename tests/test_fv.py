@@ -420,6 +420,36 @@ class TestWaveSpeedBound:
             simulate(system, p, State(1.5, 1e308), State(1.0, 1.0), g)
 
 
+class TestStepBudget:
+    def test_run_past_the_budget_is_refused_at_its_second_step(self, monkeypatch):
+        # 16 cells on [-1, 1] to t = 0.5 take 16 steps at a bound of about 2:
+        # a budget of 11 refuses the run at its second step, naming the
+        # estimate t_end*a_max/(cfl*dx) of that step's bound, and one of 16
+        # lets it run.  The run that once never ended is refused in
+        # test_cli, in a process with a timeout
+        p, g = PressureParams(0.1, 0.1, 0.5), GridConfig(-1.0, 1.0, 16, t_end=0.5)
+        steps = simulate("original", p, LEFT, RIGHT, g)[-1].steps
+        bounds = []
+        max_speed = fv._max_speed
+
+        def recorded(*args):
+            bounds.append(max_speed(*args))
+            return bounds[-1]
+
+        monkeypatch.setattr(fv, "_max_speed", recorded)
+        monkeypatch.setattr(fv, "MAX_STEPS", steps - 5)
+        with pytest.raises(ValueError) as raised:
+            simulate("original", p, LEFT, RIGHT, g)
+        assert len(bounds) == 2
+        estimate = 0.5 * bounds[1] / (0.5 * g.dx)
+        assert steps - 5 < estimate <= steps
+        assert str(raised.value) == (
+            f"the run needs about {estimate:.3g} time steps, more than MAX_STEPS = {steps - 5}"
+        )
+        monkeypatch.setattr(fv, "MAX_STEPS", steps)
+        assert simulate("original", p, LEFT, RIGHT, g)[-1].steps == steps
+
+
 def two_reduction_bound(system, params, rho, u, ra, ar, spare):
     """The wave speed bound as max(lambda2.max(), -lambda1.min()) of core.speeds."""
     lam1, lam2 = core.speeds(system, params, u, rho, lambda x: np.sqrt(np.maximum(x, 0.0)), ra)

@@ -9,7 +9,12 @@ import pytest
 from scipy.optimize import brentq
 
 from awrlab import PressureParams, State, classify, original, solve, threshold_A0
-from awrlab.core import DensityUnderflowError, NoThresholdError, eigenvalues_original
+from awrlab.core import (
+    DensityUnderflowError,
+    InapplicableError,
+    NoThresholdError,
+    eigenvalues_original,
+)
 from awrlab.original import (
     Contact,
     Rarefaction,
@@ -154,6 +159,25 @@ class TestIntermediateState:
         assert star.rho == pytest.approx(rho_oracle, rel=1e-12)
         assert star.rho == pytest.approx(10.311415946174673, rel=1e-10)
         assert star.u == RIGHT.u
+
+    def test_star_state_where_the_curve_constant_is_u_plus(self):
+        # d = C - u+ = 0 takes the closed form A*rho = B/rho**alpha
+        p, left = PressureParams(0.3, 0.7, 0.4), State(2.0, 1.5)
+        expect = (0.7 / 0.3) ** (1.0 / 1.4)
+        assert math.exp(original._star_log_density(p, 0.0)) == pytest.approx(expect, rel=1e-15)
+        u_plus = curve_constant(p, left)
+        assert curve_constant(p, left) - u_plus == 0.0
+        star = intermediate_state(p, left, u_plus)
+        assert star == State(u_plus, star.rho)
+        assert star.rho == pytest.approx(expect, rel=1e-15)
+
+    def test_law_of_the_perturbed_system_refused(self):
+        # with the perturbed tag the weak form of the solution read r2 = -0.302
+        p = PressureParams(0.1, 0.1, 0.5, system="perturbed")
+        for call in (lambda: solve(p, LEFT, RIGHT), lambda: intermediate_state(p, LEFT, 1.0)):
+            with pytest.raises(InapplicableError) as raised:
+                call()
+            assert str(raised.value) == "the original solver refuses a law tagged 'perturbed'"
 
     def test_star_state_lies_on_left_curve(self):
         for p, l, r in random_cases(200):

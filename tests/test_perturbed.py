@@ -453,6 +453,35 @@ class TestSolver:
         with pytest.raises(InapplicableError):
             solve_perturbed(perturbed_params(0.1, 0.0), LEFT, RIGHT)
 
+    def test_law_of_the_original_system_refused(self):
+        # with the original tag the weak form on a bump at the first shock
+        # read r2 = 0.498 where the solve went through; every entry point
+        # now names the tag it refuses
+        p = PressureParams(0.1, 0.1, 0.5)
+        calls = [
+            lambda: solve_perturbed(p, LEFT, RIGHT),
+            lambda: classify_perturbed(p, LEFT, RIGHT),
+            lambda: rarefaction_integral(p, 1.0, 2.0),
+            lambda: rarefaction_curve_u(p, LEFT, 0.5, "backward"),
+            lambda: shock_curve_u(p, LEFT, 2.0, "backward"),
+        ]
+        for call in calls:
+            with pytest.raises(InapplicableError) as raised:
+                call()
+            assert str(raised.value) == "the perturbed solver refuses a law tagged 'original'"
+
+    def test_star_state_below_zero_velocity_is_typed(self):
+        # the curves meet where the backward one has left u > 0 behind: the
+        # solve refuses the data rather than return a state with u* <= 0
+        p = perturbed_params(
+            1.2708674738382298e-05, 3.349185622514799e-12, 0.0003998288260407878
+        )
+        left = State(6.890727614334011e-06, 2.8275364587446644e-07)
+        right = State(0.1242310825580985, 169681.30465649776)
+        with pytest.raises(InapplicableError) as raised:
+            solve_perturbed(p, left, right)
+        assert str(raised.value) == "intersection fell outside the positive-velocity region"
+
     def test_coincident_data(self):
         sol = solve_perturbed(P_REF, LEFT, LEFT)
         assert sol.waves == ()
@@ -463,18 +492,18 @@ class TestSolver:
     )
     def test_no_quadrature_repeated(self, monkeypatch, left, right):
         # inside the panel range a solve makes no quad call, and forms the
-        # integrand values of each panel of its cold unit table once, however
+        # integrand values of each panel of its cold panel store once, however
         # often its requests cover it
         perturbed._unit_table.cache_clear()
         built = []
-        values = perturbed._UnitTable.values
+        values = perturbed.RarefactionTable._values
 
         def recording_values(self, k):
             built.append(k)
             return values(self, k)
 
         monkeypatch.setattr(perturbed, "quad", no_quad)
-        monkeypatch.setattr(perturbed._UnitTable, "values", recording_values)
+        monkeypatch.setattr(perturbed.RarefactionTable, "_values", recording_values)
         solve_perturbed(P_REF, left, right)
         assert built
         assert len(built) == len(set(built))
@@ -643,13 +672,13 @@ class TestSolver:
 
     @pytest.mark.parametrize("A", [0.1, 1e-4])
     def test_panel_builds_make_no_quad(self, monkeypatch, A):
-        # over a solve and 10 samples per fan on a cold unit table, no
+        # over a solve and 10 samples per fan on a cold panel store, no
         # request makes a quad call; each panel build forms exactly
-        # CHEB_POINTS integrand values, each the integrand at its Chebyshev
-        # point, and every built panel is on the solution's table
+        # CHEB_POINTS integrand values, each, scaled, the integrand at its
+        # Chebyshev point, and every built panel is on the solution's table
         perturbed._unit_table.cache_clear()
-        table_cls = perturbed._UnitTable
-        values, panel = table_cls.values, table_cls.panel
+        table_cls = perturbed.RarefactionTable
+        values, panel = table_cls._values, table_cls._panel
         bounds, evals, builds = [], [0], []
 
         def recording_quad(f, a, b, **kwargs):
@@ -660,7 +689,8 @@ class TestSolver:
             got = values(self, k)
             evals[0] += len(got)
             for x, v in zip(perturbed._CHEB_X, got):
-                assert v == pytest.approx(self.integrand(k + 0.5 + 0.5 * x), rel=1e-14, abs=0.0)
+                expect = self.integrand(k + 0.5 + 0.5 * x)
+                assert self.scale * v == pytest.approx(expect, rel=1e-14, abs=0.0)
             return got
 
         def recording_panel(self, k):
@@ -671,8 +701,8 @@ class TestSolver:
             return result
 
         monkeypatch.setattr(perturbed, "quad", recording_quad)
-        monkeypatch.setattr(table_cls, "values", checked_values)
-        monkeypatch.setattr(table_cls, "panel", recording_panel)
+        monkeypatch.setattr(table_cls, "_values", checked_values)
+        monkeypatch.setattr(table_cls, "_panel", recording_panel)
         sol = solve_perturbed(perturbed_params(A, A), LEFT_RR, RIGHT_RR)
         for w in sol.waves:
             for xi in np.linspace(w.head, w.tail, 12)[1:-1]:
@@ -722,7 +752,7 @@ class TestRarefactionTable:
                 values = [table.between(t_a, k + d) for d in (-1e-6, -1e-9, 0.0, 1e-9, 1e-6)]
                 assert values == sorted(values)
             k = math.floor(math.log(B * alpha / A) / (1.0 + alpha))
-            table.unit.panel(k)
+            table._panel(k)
             t_c, t_d = k + rng.uniform(0.0, 0.25), k + rng.uniform(0.75, 1.0)
             expect, _ = quad(integrand, t_c, t_d, epsabs=0.0, epsrel=1e-13)
             assert table.between(t_c, t_d) == pytest.approx(expect, rel=1e-13, abs=0.0)
@@ -788,11 +818,11 @@ class TestRarefactionTable:
 
     def test_solution_reports_its_table(self, monkeypatch):
         # a two-shock solve meets both shock curves above the data densities
-        # and needs no integral: no quad and no panel on a cold unit table; a
-        # two-rarefaction solve of the same family reads that unit, builds
+        # and needs no integral: no quad and no panel on a cold panel store; a
+        # two-rarefaction solve of the same family reads that store, builds
         # panels without a quad, and its fans add more.  Only a request
         # beyond the panel range makes a quad, whose error estimate the
-        # view reports
+        # table reports
         perturbed._unit_table.cache_clear()
         calls = []
 
@@ -806,7 +836,7 @@ class TestRarefactionTable:
         assert shocks.table.panels_built == 0
         assert shocks.table.max_abserr == 0.0
         fans = solve_perturbed(P_REF, LEFT_RR, RIGHT_RR)
-        assert fans.table.unit is shocks.table.unit
+        assert fans.table._panels is shocks.table._panels
         built = fans.table.panels_built
         assert built > 0
         w = fans.waves[1]
@@ -823,7 +853,7 @@ class TestRarefactionTable:
 class TestUnitTables:
     def test_results_do_not_depend_on_cache_history(self):
         # one solve, its samples inside each fan, a weak-form residual on its
-        # forward fan and one integral, bit for bit, with their unit table
+        # forward fan and one integral, bit for bit, with their panel store
         # cold, warm from solves at other A with the same alpha and B/A, and
         # rebuilt after eviction
         p = perturbed_params(1e-2, 3e-2, 0.4)
@@ -850,11 +880,11 @@ class TestUnitTables:
                     sol.sample(float(xi))
         warm = perturbed.RarefactionTable(p)
         assert warm.panels_built > 0
-        unit = warm.unit
+        store = warm._panels
         assert run() == cold
         for k in range(perturbed._UNIT_TABLES):
             solve_perturbed(perturbed_params(1e-2, 1e-2, 0.1 + 0.05 * k), LEFT_RR, RIGHT_RR)
-        assert perturbed.RarefactionTable(p).unit is not unit
+        assert perturbed.RarefactionTable(p)._panels is not store
         assert run() == cold
 
     def test_lru_holds_at_most_its_bound(self):
@@ -868,9 +898,9 @@ class TestUnitTables:
         a, b = (
             perturbed.RarefactionTable(perturbed_params(A, 2.0 * A, 0.3)) for A in (1e-1, 1e-5)
         )
-        assert a.unit is b.unit
+        assert a._panels is b._panels
         assert (a.scale, b.scale) == (math.sqrt(1e-1), math.sqrt(1e-5))
-        assert (a.unit.c_a, a.unit.c_b) == (1.0, 2.0)
+        assert (a.c_a, a.c_b) == (1.0, 2.0)
 
     @pytest.mark.parametrize(
         "A, B",
@@ -878,13 +908,16 @@ class TestUnitTables:
         ids=["A=0", "B=0", "B/A overflows", "B/A above 1e280", "B/A underflows"],
     )
     def test_unscaled_path(self, monkeypatch, A, B):
-        # without a normal B/A up to 1e280 the unit table is the law itself;
-        # scaled by sqrt(A) = 1e-150, the unit integrand for B/A = 1e300
-        # would overflow near t = -744, where the law's own is about 1e160
+        # without a normal B/A up to 1e280 the panel store is the law's own,
+        # shared with no other law of its B/A; scaled by sqrt(A) = 1e-150,
+        # the unit integrand for B/A = 1e300 would overflow near t = -744,
+        # where the law's own is about 1e160
         monkeypatch.setattr(perturbed, "quad", no_quad)
         alpha = 0.99
         table = perturbed.RarefactionTable(perturbed_params(A, B, alpha))
-        assert (table.unit.c_a, table.unit.c_b, table.scale) == (A, B, 1.0)
+        assert (table.c_a, table.c_b, table.scale) == (A, B, 1.0)
+        twice = perturbed.RarefactionTable(perturbed_params(2.0 * A, 2.0 * B, alpha))
+        assert twice._panels is not table._panels
 
         def integrand(t):
             h = math.exp(-0.5 * alpha * t)
@@ -945,19 +978,19 @@ class TestFanTable:
         # fans span over a hundred unit panels.  Sampling reads a whole panel
         # from its stored integral, so antiderivative coefficients are formed
         # only for the panels that samples land in (the solve starts from a
-        # cold unit table, so no earlier sampling formed them)
+        # cold panel store, so no earlier sampling formed them)
         perturbed._unit_table.cache_clear()
         sol = solve_perturbed(perturbed_params(1e-6, 1e-6, 0.1), LEFT_RR, State(20.0, 2.0))
         assert sol.star.rho < 1e-50
-        coefficients = perturbed._UnitTable.coefficients
+        coefficients = perturbed.RarefactionTable._coefficients
         formed = []
 
         def recording(self, k):
-            if k not in self._coefficients:
+            if k not in self._coefs:
                 formed.append(k)
             return coefficients(self, k)
 
-        monkeypatch.setattr(perturbed._UnitTable, "coefficients", recording)
+        monkeypatch.setattr(perturbed.RarefactionTable, "_coefficients", recording)
         landed, spanned = set(), 0
         for w in sol.waves:
             assert isinstance(w, Fan)

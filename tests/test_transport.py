@@ -240,6 +240,18 @@ class TestSweepPerturbed:
         assert abs(report.records[-1].u_star - sigma) < 5e-2
 
 
+class TestZeroStrengthSweeps:
+    @pytest.mark.parametrize("sweep", [sweep_original, sweep_perturbed])
+    def test_equal_velocities_give_no_records(self, sweep):
+        # u+ = u-: no solve, and one passing verdict that says why
+        report = sweep(State(2.0, 1.0), State(2.0, 3.0), 0.5, [1e-1, 1e-2])
+        assert report.records == () and report.threshold is None
+        assert [(v.claim, v.target, v.achieved, v.tolerance) for v in report.verdicts] == [
+            ("zero-strength data", 0.0, 0.0, 0.0)
+        ]
+        assert report.passed
+
+
 class TestLimitDeltaConsistency:
     def test_mass_and_momentum_proxies_converge(self):
         rec_fine = limit_delta_consistency(LEFT, RIGHT, 0.5, 1e-4, 1e-4)
