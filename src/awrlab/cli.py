@@ -174,6 +174,8 @@ def _resolve(args: argparse.Namespace) -> dict:
                 cfg = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"{args.config}: line {exc.lineno}: {exc.msg}") from exc
+            except RecursionError:
+                raise ConfigError(f"{args.config}: nested too deeply to parse") from None
         if not isinstance(cfg, dict):
             raise ConfigError(f"{args.config}: expected a JSON object, got {cfg!r}")
         unknown = set(cfg) - set(OPTIONS)
@@ -328,17 +330,11 @@ def _cmd_simulate(opts: dict) -> int:
             zip(x, rho, u, snap.q1.tolist(), snap.q2.tolist(), [snap.time] * len(x)),
             _output(opts, f"snapshot_t{tag}.csv"),
         )
-        emit_svg_plot(
-            {"rho": (x, rho)},
-            _output(opts, f"snapshot_t{tag}_rho.svg"),
-            title=f"density at t={snap.time:.4f}",
-            log_y=opts["log_density"],
-        )
-        emit_svg_plot(
-            {"u": (x, u)},
-            _output(opts, f"snapshot_t{tag}_u.svg"),
-            title=f"velocity at t={snap.time:.4f}",
-        )
+        for name, ys, label, log_y in (
+            ("rho", rho, "density", opts["log_density"]), ("u", u, "velocity", False)
+        ):
+            emit_svg_plot({name: (x, ys)}, _output(opts, f"snapshot_t{tag}_{name}.svg"),
+                          title=f"{label} at t={snap.time:.4f}", log_y=log_y)
         # floored_cells counts from t = 0; report each interval's increase
         if snap.floored_cells > floored_prev:
             print(
@@ -433,8 +429,8 @@ def run(argv=None) -> int:
         if args.command in ("sweep", "simulate", "weakcheck") and opts["system"] == TRANSPORT:
             raise ConfigError(f"{args.command} requires a pressured system (original|perturbed)")
         return _COMMANDS[args.command][0](opts)
-    except (ConfigError, ValueError, OSError, BracketError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError, OSError, BracketError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

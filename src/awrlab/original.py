@@ -97,7 +97,8 @@ def intermediate_state(params: PressureParams, left: State, u_plus: float) -> St
     The curve map rho -> -A*rho + B/rho**alpha + C is strictly decreasing and
     onto the real line, so a unique root exists; its log density is found by
     :func:`_star_log_density`.  rho* > rho- iff u_plus < u- (shock branch),
-    rho* < rho- otherwise (rarefaction branch).  A star density below the
+    rho* < rho- otherwise (rarefaction branch); a u_plus that C - u_plus
+    does not tell from u- gives rho- itself.  A star density below the
     least positive double raises ``DensityUnderflowError``, one above the
     largest an ``InapplicableError``, as does a pressure law tagged for the
     perturbed system.
@@ -106,11 +107,12 @@ def intermediate_state(params: PressureParams, left: State, u_plus: float) -> St
         raise InapplicableError(f"the original solver refuses a law tagged {params.system!r}")
     if not u_plus > 0.0:
         raise ValueError(f"u_plus must be positive, got {u_plus}")
-    if u_plus == left.u:
-        return left
+    c = curve_constant(params, left)
+    d = c - u_plus
+    if u_plus == left.u or (d == c - left.u and math.isfinite(d)):
+        return State(u_plus, left.rho)
     if params.A <= 0.0 or params.B <= 0.0:
         raise InapplicableError("the pressured solver requires A > 0 and B > 0")
-    d = curve_constant(params, left) - u_plus
     rho = star_density(_star_log_density(params, d))
     # e^t carries the rounding of t times |t|: one more Newton step on h,
     # formed from rho itself as log((A*rho + max(-d, 0))/(B/rho**alpha +
@@ -178,13 +180,14 @@ def solve(params: PressureParams, left: State, right: State) -> RiemannSolution1
     """Assemble the exact solution: a 1-wave (R or S) followed by a contact.
 
     The contact moves at the downstream velocity u+ and joins the
-    intermediate state (u+, rho*) to ``right``.
+    intermediate state (u+, rho*) to ``right``.  A 1-wave whose density change
+    rounds to zero or to the wrong sign is dropped, and the contact stands alone.
     """
     star = intermediate_state(params, left, right.u)
     contact = Contact(right.u)
-    if right.u < left.u:
+    if right.u < left.u and star.rho > left.rho:
         waves = (Shock(shock_speed(params, left, star)), contact)
-    elif right.u > left.u:
+    elif right.u > left.u and star.rho < left.rho:
         A, B, a, c = params.A, params.B, params.alpha, curve_constant(params, left)
 
         def point(t: float) -> tuple[float, float, float, float]:
@@ -197,6 +200,6 @@ def solve(params: PressureParams, left: State, right: State) -> RiemannSolution1
         t_head, t_tail = math.log(left.rho), math.log(star.rho)
         head, tail = (eigenvalues_original(params, s).lambda1 for s in (left, star))
         waves = (curve_fan(point, t_head, t_tail, left, star, head, tail), contact)
-    else:
-        waves = (contact,) if right.rho != left.rho else ()
+    else:  # no 1-wave, or one that rounds to zero strength or to the wrong sign
+        waves = (contact,) if right != left else ()
     return RiemannSolution14(params, left, star, right, waves)

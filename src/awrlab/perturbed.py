@@ -259,10 +259,8 @@ class RarefactionTable:
             return 0.0
         if PANEL_T_RANGE[0] <= t_a and t_b <= PANEL_T_RANGE[1]:
             k_a, k_b = math.floor(t_a), math.ceil(t_b) - 1  # the panels covering [t_a, t_b]
-            if k_a == k_b:
-                return self.scale * (self._partial(k_a, t_b) - self._partial(k_a, t_a))
-            total = self._panel(k_a) - self._partial(k_a, t_a)
-            for k in range(k_a + 1, k_b):
+            total = -self._partial(k_a, t_a)
+            for k in range(k_a, k_b):
                 total += self._panel(k)
             return self.scale * (total + self._partial(k_b, t_b))
         # split at an end of the panels: one quad over a range much longer than

@@ -170,13 +170,15 @@ def _monotone_fraction(values, increasing: bool) -> float:
 def _sweep_records(
     solver, system: str, left: State, right: State, alpha: float, sched
 ) -> list[SweepRecord]:
-    """One record per coupled A = B value of the two-wave solution ``solver``
-    returns: sigma1 is the leading edge of the first wave, sigma2 the trailing
-    edge of the second."""
+    """One record per coupled A = B value of the solution ``solver`` returns:
+    sigma1 is the leading edge of its first wave, sigma2 the trailing edge of
+    its last; a solve with no wave (data a rounding apart) is refused."""
     records = []
     for a_val in sched:
         sol = solver(PressureParams(a_val, a_val, alpha, system=system), left, right)
-        (sigma1, _), (_, sigma2) = (wave.edges for wave in sol.waves)
+        if not sol.waves:
+            raise InapplicableError(f"the {system} solve at A = B = {a_val!r} has no wave")
+        sigma1, sigma2 = sol.waves[0].edges[0], sol.waves[-1].edges[1]
         records.append(
             SweepRecord(
                 a_val,

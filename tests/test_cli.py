@@ -270,6 +270,21 @@ class TestSweep:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("right", ["0.9999999999999999,1", "1.0000000000000002,1"])
+    def test_one_wave_rounding_to_zero_strength(self, tmp_path, capsys, right):
+        # u+ one ulp from u-: at A = B = 1 the solve is the contact alone,
+        # whose speed is both sigma1 and sigma2; the sweep once ended in a bare
+        # ValueError from unpacking two waves
+        out = tmp_path / "z"
+        argv = ["sweep", "--system", "original", "--alpha", "0.1", "--left", "1,10",
+                "--right", right, "--schedule", "1:1e-2:3", "--out", str(out)]
+        assert run(argv) == 2  # A = B = 1e-2 is too large for the limit verdicts
+        assert capsys.readouterr().err == ""
+        rows = read(out / "sweep_original.csv").splitlines()
+        assert len(rows) == 4
+        u_plus = float(right.split(",")[0])
+        assert [float(v) for v in rows[1].split(",")[2:7]] == [10.0, u_plus, u_plus, u_plus, 0.0]
+
 
 class TestSimulate:
     def test_snapshot_outputs(self, tmp_path, capsys):
@@ -375,6 +390,23 @@ class TestSimulate:
         self, tmp_path, capsys, flags, error
     ):
         self.check_refused(tmp_path, capsys, flags, error)
+
+    @pytest.mark.parametrize(
+        ("message", "error"),
+        [("Unable to allocate 7.28 TiB for an array", "Unable to allocate 7.28 TiB for an array"),
+         ("", "MemoryError")],
+    )
+    def test_grid_too_large_to_allocate_is_refused(
+        self, tmp_path, monkeypatch, capsys, message, error
+    ):
+        # --grid 1000000000000 once escaped as numpy's _ArrayMemoryError where
+        # the host refused the allocation; the refusal is faked here, since
+        # a host that overcommits memory would make it
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(fv, "simulate", out_of_memory)
+        self.check_refused(tmp_path, capsys, [], error)
 
     @staticmethod
     def check_refused(tmp_path, capsys, flags, error):
@@ -536,6 +568,14 @@ class TestConfig:
         cfg.write_text("{ not json")
         assert run(["classify", "--config", str(cfg)]) == 1
         assert "line" in capsys.readouterr().err
+
+    def test_config_nested_past_the_parser_is_refused(self, tmp_path, capsys):
+        # the parser's recursion limit once escaped as a RecursionError traceback
+        cfg = tmp_path / "deep.json"
+        cfg.write_text("[" * 100000 + "]" * 100000)
+        argv = ["classify", "--config", str(cfg), "--system", "original", *BASE]
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {cfg}: nested too deeply to parse\n")
 
     def test_missing_required_option(self, capsys):
         assert run(["classify", "--system", "original", "--left", "2,1"]) == 1

@@ -420,6 +420,21 @@ class TestWaveSpeedBound:
             simulate(system, p, State(1.5, 1e308), State(1.0, 1.0), g)
 
 
+class TestSystemTag:
+    def test_law_tagged_for_the_other_system_is_refused(self):
+        # PressureParams defaults to the original tag
+        g = GridConfig(-1.0, 1.0, 16, t_end=0.1)
+        with pytest.raises(
+            core.InapplicableError, match="^simulate 'perturbed' refuses a law tagged 'original'$"
+        ):
+            simulate("perturbed", PressureParams(0.1, 0.1, 0.5), LEFT, RIGHT, g)
+
+    def test_unknown_system_is_refused(self):
+        p, g = PressureParams(0.1, 0.1, 0.5), GridConfig(-1.0, 1.0, 16, t_end=0.1)
+        with pytest.raises(core.InapplicableError, match="^simulate 'gas' refuses"):
+            simulate("gas", p, LEFT, RIGHT, g)
+
+
 class TestStepBudget:
     def test_run_past_the_budget_is_refused_at_its_second_step(self, monkeypatch):
         # 16 cells on [-1, 1] to t = 0.5 take 16 steps at a bound of about 2:

@@ -144,6 +144,10 @@ class TestThreshold:
         with pytest.raises(NoThresholdError):
             threshold_A0(State(2.0, 1.0), State(1.0, 1.0), 1.0)
 
+    def test_no_threshold_at_equal_velocities(self):
+        with pytest.raises(NoThresholdError, match="equal velocities"):
+            threshold_A0(State(2.0, 1.0), State(2.0, 3.0), 0.5)
+
 
 class TestIntermediateState:
     def test_star_state_vs_brentq_oracle(self):
@@ -383,6 +387,65 @@ class TestSolutionSampling:
         sol = solve(P_REF, LEFT, LEFT)
         assert sol.waves == ()
         assert sol.sample(0.0) == (LEFT.u, LEFT.rho)
+
+    @pytest.mark.parametrize(
+        "u_plus", [1.0 - 2.0**-53, 1.0 - 7 * 2.0**-53, 1.0 + 2.0**-52], ids=["-1", "-7", "+1"]
+    )
+    def test_one_wave_rounding_to_zero_strength_yields_contact_only(self, u_plus):
+        # u+ a few ulps from u- leaves rho* = rho-: such data once raised
+        # "entropic 1-shock requires rho* > rho-" (below u-) or built a fan
+        # whose head equalled its tail (above)
+        left, right = State(1.0, 10.0), State(u_plus, 1.0)
+        sol = solve(PressureParams(1.0, 1.0, 0.1), left, right)
+        assert sol.star == State(u_plus, 10.0)
+        assert sol.waves == (Contact(u_plus),)
+        assert sol.sample(u_plus - 1e-9) == (1.0, 10.0)
+        assert sol.sample(u_plus) == (u_plus, 1.0)
+
+    @pytest.mark.parametrize(
+        ("params", "left", "right"),
+        [
+            # u+ four ulps above u-, and rho* was above rho-: a fan with head > tail
+            (PressureParams(1.3925973433879515e-4, 33.262213007050214, 2.5824101470779425e-3),
+             State(1.4346275840029959e-3, 5.317354457330774),
+             State(1.4346275840029967e-3, 74176.89378720273)),
+            # u+ one ulp above u-, and rho* was below rho-: a fan whose head
+            # equalled its tail
+            (PressureParams(5.901355875881278e-8, 0.2581434209060571, 8.011738154133798e-4),
+             State(5.323083816347802e-5, 9.769152078811005e-7),
+             State(5.3230838163478026e-5, 0.10429582076242405)),
+        ],
+        ids=["wrong-sign-fan", "zero-width-fan"],
+    )
+    def test_one_wave_lost_in_the_curve_constant_yields_contact_only(self, params, left, right):
+        # u+ - u- is lost in the rounding of the curve constant C, so rho* is
+        # rho-; it was once a rounding error of C away, on either side
+        c = curve_constant(params, left)
+        assert c - right.u == c - left.u
+        sol = solve(params, left, right)
+        assert sol.star == State(right.u, left.rho)
+        assert sol.waves == (Contact(right.u),)
+
+    def test_one_wave_of_the_wrong_sign_yields_contact_only(self):
+        # u+ one ulp below u-, which C still tells apart, yet the root rho* lies
+        # below rho-: such data once raised "entropic 1-shock requires rho* > rho-"
+        p = PressureParams(1.5380699693981742e-7, 2.118569157425665e-3, 4.3214754879188865e-6)
+        left = State(1.7878889634239362e-3, 2.2046557724721683e-6)
+        right = State(1.787888963423936e-3, 2.6081435916676686e-4)
+        sol = solve(p, left, right)
+        assert sol.star.u == right.u and sol.star.rho < left.rho
+        assert sol.waves == (Contact(right.u),)
+
+    def test_velocity_jump_of_one_ulp_alone_is_a_contact(self):
+        left, right = State(1.0, 10.0), State(1.0 + 2.0**-52, 10.0)
+        sol = solve(PressureParams(1.0, 1.0, 0.1), left, right)
+        assert sol.waves == (Contact(right.u),)
+        assert sol.sample(0.0) == (left.u, left.rho)
+
+    def test_fan_profile_at_its_tail_is_the_downstream_state(self):
+        sol = solve(P_REF, State(1.0, 2.0), State(2.0, 1.0))
+        fan = sol.waves[0]
+        assert fan.profile(fan.tail) == (sol.star.u, sol.star.rho)
 
 
 def wide_box_fans(n, seed=20261018):

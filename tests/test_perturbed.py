@@ -392,6 +392,14 @@ class TestSolver:
         assert s2 == pytest.approx(1.42266, rel=1e-4)
         assert s1 < s2
 
+    def test_right_state_on_the_backward_shock_curve_gives_one_shock(self):
+        # the curves meet at the right state itself, so the forward wave has
+        # no strength and the solve returns the backward shock alone
+        right = State(shock_curve_u(P_REF, LEFT, 2.0, "backward"), 2.0)
+        sol = solve_perturbed(P_REF, LEFT, right)
+        assert sol.star == right
+        assert sol.waves == (Shock(shock_speed_perturbed(P_REF, LEFT, right)),)
+
     def test_emitted_shock_sign_structure(self):
         # backward shock: rho increases, u decreases; forward shock: rho
         # decreases left to right, u decreases

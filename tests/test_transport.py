@@ -71,6 +71,9 @@ class TestDeltaShock:
         d = transport_solve(LEFT, RIGHT).delta
         assert RIGHT.u < d.sigma < LEFT.u
 
+    def test_speed_outside_the_characteristics_violates(self):
+        assert entropy_check(DeltaShock(5.0, 1.0, LEFT, RIGHT)) is EntropyClass.VIOLATING
+
 
 class TestSpecialDelta:
     def test_closed_form(self):
@@ -200,6 +203,26 @@ class TestSweepOriginal:
         flip = [v for v in report.verdicts if "threshold" in v.claim]
         assert flip and flip[0].passed
 
+    def test_threshold_flip_verdict_on_fan_data(self):
+        # u+ > u-: the region flips from I below the threshold to II above it
+        report = sweep_original(RIGHT, LEFT, 0.5, [1.0, 1e-1, 1e-2, 1e-3])
+        assert f"{report.threshold:.12g}" == "0.773459080339"
+        flip = [v for v in report.verdicts if "threshold" in v.claim]
+        assert [(v.target, v.achieved, v.passed) for v in flip] == [(1.0, 1.0, True)]
+
+    @pytest.mark.parametrize("u_plus", [1.0 - 2.0**-53, 1.0 + 2.0**-52], ids=["-1", "+1"])
+    def test_one_wave_rounding_to_zero_strength(self, u_plus):
+        # at A = B = 1 the solve is the contact alone, which gives both speeds
+        # (the two-wave unpacking once raised a bare ValueError); at A = B =
+        # 1e-2 the 1-wave has strength
+        report = sweep_original(State(1.0, 10.0), State(u_plus, 1.0), 0.1, [1.0, 1e-1, 1e-2])
+        first = report.records[0]
+        assert (first.rho_star, first.sigma1, first.sigma2, first.product) == (
+            10.0, u_plus, u_plus, 0.0
+        )
+        assert all(r.sigma2 == u_plus for r in report.records)
+        assert report.records[-1].sigma1 < u_plus
+
 
 class TestSweepPerturbed:
     def test_delta_forming_verdicts(self):
@@ -241,6 +264,12 @@ class TestSweepPerturbed:
 
 
 class TestZeroStrengthSweeps:
+    def test_perturbed_solve_with_no_wave_is_refused(self):
+        # u+ one ulp above u- at one density: the curves meet at the data, and
+        # neither wave has strength
+        with pytest.raises(InapplicableError, match="perturbed solve at A = B = 0.1 has no wave"):
+            sweep_perturbed(State(1.0, 10.0), State(1.0 + 2.0**-52, 10.0), 0.5, [1e-1, 1e-2])
+
     @pytest.mark.parametrize("sweep", [sweep_original, sweep_perturbed])
     def test_equal_velocities_give_no_records(self, sweep):
         # u+ = u-: no solve, and one passing verdict that says why
